@@ -14,13 +14,14 @@ not part of the closed-form apparatus.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from quasijoint.inversion import SingularInversion, quasi_joint_closed_form
-from quasijoint.marking import DiscreteJoint, MarkerConfig, PhaseJoint
+from quasijoint.inversion import _quasi_entries, delta_coefficients
+from quasijoint.marking import DiscreteJoint, PhaseJoint
 from quasijoint.states import TWO_PI, PhaseDensity, PureState, bloch_from_state, evaluate_phase_density
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
@@ -118,24 +119,20 @@ def scan_negativity(
 ) -> ScanGrid:
     """Minimum entry of the reconstructed discrete joint per (theta, vartheta) cell.
 
-    Singular cells (vanishing kernel denominator) are flagged, never
-    raised, so full grids can sweep across the singular lines.
+    The whole grid is evaluated in one pass: one ``delta_coefficients`` call
+    over the broadcast angles, the four entries [1 + x*delta(z)<X> + z<Z>]/4
+    of every cell, then their minimum in the joint's (x, z) order, so each
+    value equals ``negativity_of(quasi_joint_closed_form(...)).min_value``
+    bit for bit.  Singular cells (vanishing kernel denominator) are flagged,
+    never raised, so full grids can sweep across the singular lines.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     varthetas = np.asarray(vartheta_grid, dtype=float)
-    min_values = np.full((thetas.size, varthetas.size), np.nan)
-    singular = np.zeros((thetas.size, varthetas.size), dtype=bool)
-    for i, theta in enumerate(thetas):
-        for j, vartheta in enumerate(varthetas):
-            try:
-                joint = quasi_joint_closed_form(state, MarkerConfig(theta, vartheta))
-            except SingularInversion:
-                singular[i, j] = True
-                continue
-            min_values[i, j] = negativity_of(joint).min_value
+    delta, marking, analyzer = delta_coefficients(thetas[:, None], varthetas[None, :])
+    entries = _quasi_entries(delta, bloch_from_state(state))
     return ScanGrid(
         theta_values=thetas,
         vartheta_values=varthetas,
-        min_values=min_values,
-        singular=singular,
+        min_values=functools.reduce(np.minimum, entries),  # NaN where flagged
+        singular=marking | analyzer,
     )

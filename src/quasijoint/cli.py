@@ -13,6 +13,8 @@ configuration, including the seed, angles already converted to radians and
 the state normalized.
 
 Exit codes: 0 success, 2 invalid input, 3 singular inversion configuration.
+Inputs above the size caps below are invalid input, rejected before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ from quasijoint.states import (
 
 DISCRETE_MODE = "discrete"
 PHASE_MODE = "phase"
+
+#: most cells (theta points x vartheta points) a scan may hold, a 500 x 500 grid
+MAX_SCAN_CELLS = 250_000
+#: most points of an exported phase-density grid
+MAX_PHI_POINTS = 100_000
+#: most shots of a phase-mode sample, each of which is kept in memory
+MAX_PHASE_SHOTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +218,10 @@ def resolve_options(args: argparse.Namespace, names: Sequence[str], required: Se
         raise ValueError(f"unknown mode {resolved['mode']!r}")
     if resolved.get("phi_points") is not None and resolved["phi_points"] < 0:
         raise ValueError("phi-points must be >= 0")
+    if (resolved.get("phi_points") or 0) > MAX_PHI_POINTS:
+        raise ValueError(f"phi-points must be <= {MAX_PHI_POINTS}")
+    if resolved.get("mode") == PHASE_MODE and (resolved.get("n") or 0) > MAX_PHASE_SHOTS:
+        raise ValueError(f"n must be <= {MAX_PHASE_SHOTS} in phase mode")
     return resolved
 
 
@@ -369,14 +382,11 @@ def _resolve_marked(args: argparse.Namespace, command: str, extra=(), extra_requ
 
 def cmd_operational(args: argparse.Namespace) -> int:
     opts, state, marker, config = _resolve_marked(args, "operational")
-    gamma = gamma_coefficients(marker)
+    g0, gx, gz = gamma_coefficients(marker.theta, marker.vartheta)
     gamma_dict = {
-        "g0_plus": gamma.g0_plus,
-        "g0_minus": gamma.g0_minus,
-        "gx_plus": gamma.gx_plus,
-        "gx_minus": gamma.gx_minus,
-        "gz_plus": gamma.gz_plus,
-        "gz_minus": gamma.gz_minus,
+        f"{name}_{sign}": float(value)
+        for name, pair in (("g0", g0), ("gx", gx), ("gz", gz))
+        for sign, value in zip(("plus", "minus"), pair)
     }
     if opts["mode"] == DISCRETE_MODE:
         joint = operational_joint_discrete(state, marker)
@@ -418,11 +428,12 @@ def cmd_operational(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     opts, state, marker, config = _resolve_marked(args, "invert")
-    delta = delta_coefficients(marker)
-    delta_dict = {"plus": delta.d_plus, "minus": delta.d_minus}
-    if opts["mode"] == DISCRETE_MODE:
-        joint = quasi_joint_closed_form(state, marker)
-        report = negativity_of(joint)
+    discrete = opts["mode"] == DISCRETE_MODE
+    joint = (quasi_joint_closed_form if discrete else quasi_joint_phase_closed_form)(state, marker)
+    delta, _, _ = delta_coefficients(marker.theta, marker.vartheta)  # singular configs raised above
+    delta_dict = {"plus": float(delta[0]), "minus": float(delta[1])}
+    report = negativity_of(joint)
+    if discrete:
         if opts["format"] == "json":
             result = {
                 "joint": {"kind": joint.kind, "values": _joint_cells(joint)},
@@ -447,8 +458,6 @@ def cmd_invert(args: argparse.Namespace) -> int:
             lines += [f"{x},{z},{format_float(v)}" for (x, z), v in joint.items()]
             text = "\n".join(lines) + "\n"
     else:
-        joint = quasi_joint_phase_closed_form(state, marker)
-        report = negativity_of(joint)
         if opts["format"] == "json":
             result = {
                 "joint": {"kind": joint.kind, "slices": _phase_slices(joint)},
@@ -548,6 +557,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     state = parse_state(opts["state"], opts["state_form"])
     theta_spec = parse_grid(opts["theta_grid"], opts["degrees"])
     vartheta_spec = parse_grid(opts["vartheta_grid"], opts["degrees"])
+    if theta_spec[2] * vartheta_spec[2] > MAX_SCAN_CELLS:
+        raise ValueError(
+            f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}"
+        )
     grid = scan_negativity(
         state,
         np.linspace(theta_spec[0], theta_spec[1], theta_spec[2]),
@@ -619,13 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--phi-points",
             dest="phi_points",
             type=int,
-            help="phase-grid resolution for density export (default 256, 0 disables)",
+            help="phase-grid resolution for density export "
+            f"(default 256, 0 disables, at most {MAX_PHI_POINTS})",
         )
 
     p_exact = sub.add_parser("exact", help="exact statistics of the bare state")
     add_common(p_exact)
     p_exact.add_argument(
-        "--phi-points", dest="phi_points", type=int, help="phase-grid resolution (default 256)"
+        "--phi-points",
+        dest="phi_points",
+        type=int,
+        help=f"phase-grid resolution (default 256, at most {MAX_PHI_POINTS})",
     )
     p_exact.set_defaults(handler=cmd_exact)
 
@@ -642,7 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="finite-shot simulation and estimation")
     add_common(p_sample)
     add_angles(p_sample)
-    p_sample.add_argument("--n", type=int, help="number of shots")
+    p_sample.add_argument(
+        "--n", type=int, help=f"number of shots (at most {MAX_PHASE_SHOTS} in phase mode)"
+    )
     p_sample.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p_sample.add_argument(
         "--shots-out", dest="shots_out", help="write raw shots as CSV to this path"
@@ -652,7 +671,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="negativity scan over an angle grid")
     add_common(p_scan)
     p_scan.add_argument("--theta-grid", dest="theta_grid", help="start:stop:num")
-    p_scan.add_argument("--vartheta-grid", dest="vartheta_grid", help="start:stop:num")
+    p_scan.add_argument(
+        "--vartheta-grid",
+        dest="vartheta_grid",
+        help=f"start:stop:num; the grid holds at most {MAX_SCAN_CELLS} cells in all",
+    )
     p_scan.add_argument(
         "--degrees", action="store_true", default=None, help="grid bounds given in degrees"
     )

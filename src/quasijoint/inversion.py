@@ -29,14 +29,19 @@ from quasijoint.marking import (
     DiscreteJoint,
     MarkerConfig,
     PhaseJoint,
+    _reduce_mod_pi,
     gamma_coefficients,
 )
 from quasijoint.states import (
+    OUTCOMES,
     TWO_PI,
     BinaryDistribution,
+    BlochExpectations,
     PhaseDensity,
     PureState,
-    _require_outcome,
+    _SIGNS,
+    _by_outcome,
+    _outcome_index,
     bloch_from_state,
 )
 
@@ -91,11 +96,7 @@ class InversionMatrix:
             object.__setattr__(self, name, value)
 
     def entry(self, a: int, a_prime: int) -> float:
-        _require_outcome(a)
-        _require_outcome(a_prime)
-        return {(1, 1): self.pp, (1, -1): self.pm, (-1, 1): self.mp, (-1, -1): self.mm}[
-            (a, a_prime)
-        ]
+        return (self.pp, self.pm, self.mp, self.mm)[_outcome_index(a, a_prime)]
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.pp, self.pm], [self.mp, self.mm]], dtype=float)
@@ -140,29 +141,6 @@ class PhaseKernel:
         return abs(self.k0) + abs(self.g)
 
 
-@dataclass(frozen=True)
-class DeltaCoefficients:
-    """Fringe-amplitude factors delta(+1), delta(-1) of the reconstructed joint.
-
-    They always sum to 2, which is what makes the reconstructed marginals
-    exact; at theta = 0 both equal 1.
-    """
-
-    d_plus: float
-    d_minus: float
-
-    def __post_init__(self) -> None:
-        for name in ("d_plus", "d_minus"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def for_z(self, z: int) -> float:
-        _require_outcome(z)
-        return self.d_plus if z == 1 else self.d_minus
-
-
 def mu_x_matrix(theta: float, eps: float = SINGULARITY_EPS) -> InversionMatrix:
     """Fringe kernel mu_X(x, x') = (1 + x*x'/cos(theta))/2."""
     c = _check_marking(theta, eps)
@@ -201,13 +179,8 @@ def x_response_matrix(theta: float) -> np.ndarray:
 
 def z_response_matrix(config: MarkerConfig) -> np.ndarray:
     """Forward analyzer response R(z, z') = gamma_0(z) + z*z'*gamma_Z(z), exact -> measured."""
-    g = gamma_coefficients(config)
-    return np.array(
-        [
-            [g.g0_plus + g.gz_plus, g.g0_plus - g.gz_plus],
-            [g.g0_minus - g.gz_minus, g.g0_minus + g.gz_minus],
-        ]
-    )
+    g0, _, gz = gamma_coefficients(config.theta, config.vartheta)
+    return g0[:, None] + _SIGNS[:, None] * _SIGNS * gz[:, None]
 
 
 def invert_marginal_x(
@@ -252,28 +225,54 @@ def invert_joint_discrete(
 
 
 def delta_coefficients(
-    config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> DeltaCoefficients:
-    """delta(+1) = sin(2*vartheta)/D, delta(-1) = sin(2*vartheta - 2*theta)/D with D = cos(theta)*sin(2*vartheta - theta).
+    theta, vartheta, eps: float = SINGULARITY_EPS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fringe-amplitude factors delta(z) over any broadcast shape of the angles, with singular masks.
 
-    theta = 0 returns the analytic limit (1, 1), valid for every analyzer
-    angle; elsewhere a vanishing factor of D raises the matching
-    singularity error.
+    delta(+1) = sin(2*vartheta)/D and delta(-1) = sin(2*vartheta - 2*theta)/D
+    with D = cos(theta)*sin(2*vartheta - theta), both angles reduced mod pi
+    as in ``MarkerConfig``.  Returns ``(delta, marking, analyzer)``: delta
+    has a trailing analyzer axis z = (+1, -1) and sums to 2 along it, which
+    is what makes the reconstructed marginals exact.  The boolean masks,
+    shaped like the broadcast angles, mark |cos(theta)| <= eps (where the
+    scalar callers raise ``SingularMarking``) and
+    |sin(2*vartheta - theta)| <= eps (``SingularAnalyzer``); delta is NaN
+    under either mask.  theta = 0 returns (1, 1) for every analyzer angle
+    and is never masked.
     """
-    if config.theta == 0.0:
-        return DeltaCoefficients(1.0, 1.0)
-    c = _check_marking(config.theta, eps)
-    s2 = math.sin(2.0 * config.vartheta - config.theta)
-    if abs(s2) <= eps:
+    theta, vartheta = _reduce_mod_pi(theta), _reduce_mod_pi(vartheta)
+    c = np.cos(theta)
+    s2 = np.sin(2.0 * vartheta - theta)
+    limit = theta == 0.0
+    marking = np.broadcast_to(np.abs(c) <= eps, np.shape(s2))
+    analyzer = (np.abs(s2) <= eps) & ~limit
+    den = np.where(limit | marking | analyzer, np.nan, c * s2)
+    delta = _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
+    return np.where(limit[..., None], 1.0, delta), marking, analyzer
+
+
+def _config_delta(config: MarkerConfig, eps: float) -> np.ndarray:
+    """delta pair of one configuration; raises where ``delta_coefficients`` masks it."""
+    delta, marking, analyzer = delta_coefficients(config.theta, config.vartheta, eps)
+    if marking:
+        _check_marking(config.theta, eps)  # raises SingularMarking
+    if analyzer:
+        s2 = math.sin(2.0 * config.vartheta - config.theta)
         raise SingularAnalyzer(
             f"sin(2*vartheta - theta) = {s2:.3e} at theta = {config.theta!r}, "
             f"vartheta = {config.vartheta!r}; magnitude <= {eps:.1e} cannot be inverted"
         )
-    den = c * s2
-    return DeltaCoefficients(
-        math.sin(2.0 * config.vartheta) / den,
-        math.sin(2.0 * (config.vartheta - config.theta)) / den,
-    )
+    return delta
+
+
+def _quasi_entries(delta: np.ndarray, e: BlochExpectations):
+    """The entries [1 + x*delta(z)<X> + z<Z>]/4, one at a time in the (x, z) order of ``DiscreteJoint``.
+
+    Each is shaped like delta without its trailing z axis.
+    """
+    for x in OUTCOMES:
+        for k, z in enumerate(OUTCOMES):
+            yield 0.25 * (1.0 + x * delta[..., k] * e.ex + z * e.ez)
 
 
 def quasi_joint_closed_form(
@@ -285,13 +284,8 @@ def quasi_joint_closed_form(
     and additionally defined at theta = 0 through the delta limit, where it
     reduces to [1 + z<Z> + x<X>]/4.
     """
-    delta = delta_coefficients(config, eps)
-    e = bloch_from_state(state)
-
-    def cell(x: int, z: int) -> float:
-        return 0.25 * (1.0 + x * delta.for_z(z) * e.ex + z * e.ez)
-
-    return DiscreteJoint(cell(1, 1), cell(1, -1), cell(-1, 1), cell(-1, -1), kind=QUASI)
+    delta = _config_delta(config, eps)
+    return DiscreteJoint(*_quasi_entries(delta, bloch_from_state(state)), kind=QUASI)
 
 
 def quasi_joint_phase_closed_form(
@@ -302,19 +296,12 @@ def quasi_joint_phase_closed_form(
     The phase twin of ``quasi_joint_closed_form``, including the theta = 0
     limit, where delta(z) = 1 for both z.
     """
-    delta = delta_coefficients(config, eps)
+    delta = _config_delta(config, eps)
     e = bloch_from_state(state)
     four_pi = 2.0 * TWO_PI
-
-    def slice_for(z: int) -> PhaseDensity:
-        d = delta.for_z(z)
-        return PhaseDensity(
-            (1.0 + z * e.ez) / four_pi,
-            d * e.ex / four_pi,
-            d * e.ey / four_pi,
-        )
-
-    return PhaseJoint(slice_for(1), slice_for(-1), kind=QUASI)
+    return PhaseJoint.from_arrays(
+        (1.0 + _SIGNS * e.ez) / four_pi, delta * e.ex / four_pi, delta * e.ey / four_pi, QUASI
+    )
 
 
 def mu_phi_kernel(theta: float, eps: float = SINGULARITY_EPS) -> PhaseKernel:

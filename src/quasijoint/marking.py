@@ -32,7 +32,9 @@ from quasijoint.states import (
     BinaryDistribution,
     PhaseDensity,
     PureState,
-    _require_outcome,
+    _SIGNS,
+    _by_outcome,
+    _outcome_index,
     bloch_from_state,
 )
 
@@ -42,6 +44,12 @@ QUASI: Kind = "quasi"
 
 #: slack on normalization and (for operational tables) nonnegativity
 JOINT_TOL = 1e-12
+
+
+def _reduce_mod_pi(angle):
+    """Angle(s) reduced mod pi into [0, pi), elementwise; a scalar comes back a scalar."""
+    reduced = np.remainder(angle, math.pi)
+    return reduced * (reduced < math.pi)  # a tiny negative angle rounds up to pi: map it to 0
 
 
 @dataclass(frozen=True)
@@ -64,40 +72,7 @@ class MarkerConfig:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            reduced = value % math.pi
-            if reduced >= math.pi:  # guard against float-modulo edge rounding
-                reduced = 0.0
-            object.__setattr__(self, name, reduced)
-
-
-@dataclass(frozen=True)
-class GammaCoefficients:
-    """Per-analyzer-outcome coefficients of the measured joint.
-
-    gamma_0 weights the constant term, gamma_X the fringe/phase harmonic,
-    gamma_Z the path term.  gamma_X may be negative; gamma_Z(+1) equals
-    gamma_Z(-1) identically, which is why the fringe marginal carries no
-    path term.
-    """
-
-    g0_plus: float
-    g0_minus: float
-    gx_plus: float
-    gx_minus: float
-    gz_plus: float
-    gz_minus: float
-
-    def g0(self, z: int) -> float:
-        _require_outcome(z)
-        return self.g0_plus if z == 1 else self.g0_minus
-
-    def gx(self, z: int) -> float:
-        _require_outcome(z)
-        return self.gx_plus if z == 1 else self.gx_minus
-
-    def gz(self, z: int) -> float:
-        _require_outcome(z)
-        return self.gz_plus if z == 1 else self.gz_minus
+            object.__setattr__(self, name, float(_reduce_mod_pi(value)))
 
 
 @dataclass(frozen=True)
@@ -165,9 +140,7 @@ class DiscreteJoint:
             )
 
     def value(self, x: int, z: int) -> float:
-        _require_outcome(x)
-        _require_outcome(z)
-        return {(1, 1): self.pp, (1, -1): self.pm, (-1, 1): self.mp, (-1, -1): self.mm}[(x, z)]
+        return (self.pp, self.pm, self.mp, self.mm)[_outcome_index(x, z)]
 
     def items(self):
         """Fixed-order iteration: ((x, z), value) with x outer, +1 before -1."""
@@ -184,7 +157,7 @@ class DiscreteJoint:
         arr = np.asarray(table, dtype=float)
         if arr.shape != (2, 2):
             raise ValueError(f"expected a 2x2 table, got shape {arr.shape}")
-        return cls(float(arr[0, 0]), float(arr[0, 1]), float(arr[1, 0]), float(arr[1, 1]), kind=kind)
+        return cls(*arr.ravel().tolist(), kind=kind)
 
 
 @dataclass(frozen=True)
@@ -212,9 +185,14 @@ class PhaseJoint:
                         f"operational z={z} slice dips to {density.min_value!r}"
                     )
 
+    @classmethod
+    def from_arrays(cls, c0, c_cos, c_sin, kind: Kind) -> PhaseJoint:
+        """Joint from per-outcome coefficient pairs, each ordered z = (+1, -1)."""
+        plus, minus = (PhaseDensity(*triple) for triple in zip(c0, c_cos, c_sin))
+        return cls(plus, minus, kind=kind)
+
     def for_z(self, z: int) -> PhaseDensity:
-        _require_outcome(z)
-        return self.plus if z == 1 else self.minus
+        return (self.plus, self.minus)[_outcome_index(z)]
 
     def slice_weights(self) -> tuple[float, float]:
         """Total weight of the z = +1 and z = -1 slices (they sum to 1)."""
@@ -241,31 +219,34 @@ def analyzer_states(vartheta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c, s]), np.array([-s, c])
 
 
-def gamma_coefficients(config: MarkerConfig) -> GammaCoefficients:
-    """Analyzer coefficients, kept as the literal per-outcome trigonometric forms."""
-    cd = math.cos(config.vartheta - config.theta)
-    sd = math.sin(config.vartheta - config.theta)
-    cv = math.cos(config.vartheta)
-    sv = math.sin(config.vartheta)
-    return GammaCoefficients(
-        g0_plus=0.5 * (cd * cd + cv * cv),
-        g0_minus=0.5 * (sd * sd + sv * sv),
-        gx_plus=cd * cv,
-        gx_minus=sd * sv,
-        gz_plus=0.5 * (cd * cd - cv * cv),
-        gz_minus=0.5 * (sv * sv - sd * sd),
+def gamma_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analyzer coefficients (gamma_0, gamma_X, gamma_Z) over any broadcast shape of the angles.
+
+    Both angles are reduced mod pi as in ``MarkerConfig``.  Each coefficient
+    is an array with a trailing analyzer axis z = (+1, -1), kept as the
+    literal per-outcome trigonometric forms.  gamma_0 weights the constant
+    term, gamma_X the fringe/phase harmonic, gamma_Z the path term.
+    gamma_X may be negative; gamma_Z(+1) equals gamma_Z(-1) identically,
+    which is why the fringe marginal carries no path term.
+    """
+    theta, vartheta = _reduce_mod_pi(theta), _reduce_mod_pi(vartheta)
+    cd = np.cos(vartheta - theta)
+    sd = np.sin(vartheta - theta)
+    cv = np.cos(vartheta)
+    sv = np.sin(vartheta)
+    return (
+        _by_outcome(0.5 * (cd * cd + cv * cv), 0.5 * (sd * sd + sv * sv)),
+        _by_outcome(cd * cv, sd * sv),
+        _by_outcome(0.5 * (cd * cd - cv * cv), 0.5 * (sv * sv - sd * sd)),
     )
 
 
 def operational_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:
     """Measured joint P(x, z) = [gamma_0(z) + x*gamma_X(z)<X> + z*gamma_Z(z)<Z>]/2."""
-    g = gamma_coefficients(config)
+    g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
     e = bloch_from_state(state)
-
-    def cell(x: int, z: int) -> float:
-        return 0.5 * (g.g0(z) + x * g.gx(z) * e.ex + z * g.gz(z) * e.ez)
-
-    return DiscreteJoint(cell(1, 1), cell(1, -1), cell(-1, 1), cell(-1, -1), kind=OPERATIONAL)
+    table = 0.5 * (g0 + _SIGNS[:, None] * gx * e.ex + _SIGNS * gz * e.ez)
+    return DiscreteJoint.from_array(table, kind=OPERATIONAL)
 
 
 def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoint:
@@ -274,17 +255,11 @@ def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoin
     c0(z) = [gamma_0(z) + z*gamma_Z(z)<Z>]/(2*pi), and the harmonics carry
     gamma_X(z)<X> and gamma_X(z)<Y>.
     """
-    g = gamma_coefficients(config)
+    g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
     e = bloch_from_state(state)
-
-    def slice_for(z: int) -> PhaseDensity:
-        return PhaseDensity(
-            (g.g0(z) + z * g.gz(z) * e.ez) / TWO_PI,
-            g.gx(z) * e.ex / TWO_PI,
-            g.gx(z) * e.ey / TWO_PI,
-        )
-
-    return PhaseJoint(slice_for(1), slice_for(-1), kind=OPERATIONAL)
+    return PhaseJoint.from_arrays(
+        (g0 + _SIGNS * gz * e.ez) / TWO_PI, gx * e.ex / TWO_PI, gx * e.ey / TWO_PI, OPERATIONAL
+    )
 
 
 def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:

@@ -31,7 +31,7 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
 )
-from quasijoint.states import TWO_PI, PhaseDensity, _require_outcome, evaluate_phase_density
+from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, evaluate_phase_density
 
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
@@ -56,9 +56,7 @@ class ShotCounts:
             raise ValueError(f"counts sum to {sum(counts)}, expected total {self.total}")
 
     def count(self, x: int, z: int) -> int:
-        _require_outcome(x)
-        _require_outcome(z)
-        return {(1, 1): self.pp, (1, -1): self.pm, (-1, 1): self.mp, (-1, -1): self.mm}[(x, z)]
+        return (self.pp, self.pm, self.mp, self.mm)[_outcome_index(x, z)]
 
     def frequencies(self) -> DiscreteJoint:
         n = self.total
@@ -96,7 +94,7 @@ class PhaseShots:
         object.__setattr__(self, "z", z)
 
     def slice_count(self, z: int) -> int:
-        _require_outcome(z)
+        _outcome_index(z)  # validates z
         return int(np.sum(self.z == z))
 
     def to_csv(self) -> str:
@@ -120,11 +118,7 @@ class EstimatedQuasiJoint:
         return self.joint.value(x, z)
 
     def stderr(self, x: int, z: int) -> float:
-        _require_outcome(x)
-        _require_outcome(z)
-        return {(1, 1): self.se_pp, (1, -1): self.se_pm, (-1, 1): self.se_mp, (-1, -1): self.se_mm}[
-            (x, z)
-        ]
+        return (self.se_pp, self.se_pm, self.se_mp, self.se_mm)[_outcome_index(x, z)]
 
 
 def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:

@@ -39,9 +39,26 @@ class StateValidationError(ValueError):
     """Amplitudes non-finite or too far from unit norm to renormalize."""
 
 
-def _require_outcome(value: int) -> None:
-    if value not in OUTCOMES:
-        raise ValueError(f"outcome must be +1 or -1, got {value!r}")
+#: the outcomes as floats, for broadcasting against a (+1, -1) axis
+_SIGNS = np.array(OUTCOMES, dtype=float)
+
+
+def _outcome_index(*outcomes: int) -> int:
+    """Row-major position of an outcome tuple on (+1, -1) axes: (1, -1) -> 1, (-1, 1) -> 2."""
+    index = 0
+    for value in outcomes:
+        if value not in OUTCOMES:
+            raise ValueError(f"outcome must be +1 or -1, got {value!r}")
+        index = 2 * index + (value == -1)
+    return index
+
+
+def _by_outcome(plus, minus) -> np.ndarray:
+    """Stack two equally shaped arrays along a new trailing outcome axis (+1, -1)."""
+    out = np.empty(np.shape(plus) + (2,))
+    out[..., 0] = plus
+    out[..., 1] = minus
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,8 +137,7 @@ class BinaryDistribution:
         return cls(0.5 * (1.0 + expectation), 0.5 * (1.0 - expectation))
 
     def probability(self, outcome: int) -> float:
-        _require_outcome(outcome)
-        return self.p_plus if outcome == 1 else self.p_minus
+        return (self.p_plus, self.p_minus)[_outcome_index(outcome)]
 
     @property
     def expectation(self) -> float:
@@ -205,17 +221,6 @@ def evaluate_phase_density(density: PhaseDensity, phi):
     if values.ndim == 0:
         return float(values)
     return values
-
-
-def interference_state(x: int) -> np.ndarray:
-    """Fringe projector vector (1, x)/sqrt(2) in the aperture basis."""
-    _require_outcome(x)
-    return np.array([1.0, float(x)], dtype=np.complex128) / math.sqrt(2.0)
-
-
-def phase_state(phi: float) -> np.ndarray:
-    """Nonorthogonal phase POVM vector (1, exp(i*phi))/sqrt(2*pi)."""
-    return np.array([1.0, np.exp(1j * phi)], dtype=np.complex128) / math.sqrt(TWO_PI)
 
 
 def phase_grid(num: int) -> np.ndarray:

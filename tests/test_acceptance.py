@@ -86,14 +86,14 @@ def test_criterion_02_marginal_formulas():
         state = haar_state(rng)
         config = MarkerConfig(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi))
         e = bloch_from_state(state)
-        g = gamma_coefficients(config)
+        g0, _, gz = gamma_coefficients(config.theta, config.vartheta)
         joint = operational_joint_discrete(state, config)
         mx, mz = marginal_x(joint), marginal_z(joint)
         for x in (1, -1):
             expected = 0.5 * (1.0 + x * math.cos(config.theta) * e.ex)
             worst = max(worst, abs(mx.probability(x) - expected))
-        for z in (1, -1):
-            expected = g.g0(z) + z * g.gz(z) * e.ez
+        for k, z in enumerate((1, -1)):
+            expected = g0[k] + z * gz[k] * e.ez
             worst = max(worst, abs(mz.probability(z) - expected))
     assert worst <= 1e-12
     print(f"PASS criterion 2: marginal formulas (worst {worst:.2e})")
@@ -135,8 +135,9 @@ def test_criterion_04_delta_identity():
         for vartheta in varthetas:
             if abs(math.sin(2.0 * vartheta - theta)) < 0.05:  # stay off the singular lines
                 continue
-            d = delta_coefficients(MarkerConfig(theta, vartheta))
-            worst = max(worst, abs(d.d_plus + d.d_minus - 2.0))
+            config = MarkerConfig(theta, vartheta)
+            (d_plus, d_minus), _, _ = delta_coefficients(config.theta, config.vartheta)
+            worst = max(worst, abs(d_plus + d_minus - 2.0))
             checked += 1
     assert checked > 9000
     assert worst <= 1e-12

@@ -11,6 +11,7 @@ from hypothesis import given
 from quasijoint import (
     MarkerConfig,
     PureState,
+    SingularInversion,
     evaluate_phase_density,
     negativity_of,
     operational_joint_discrete,
@@ -22,7 +23,7 @@ from quasijoint import (
     quasi_joint_phase_closed_form,
     scan_negativity,
 )
-from helpers import pure_states, real_amplitude_state
+from helpers import haar_state, pure_states, real_amplitude_state
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -30,6 +31,11 @@ COS_PI_8 = 0.9238795325112867
 SIN_PI_8 = 0.3826834323650898
 P_MIN_PI_8 = -0.10355339059327379  # (1 - sqrt(2))/4
 P_MIN_PHASE_PI_8 = -0.0329620679736906  # (1 - sqrt(2))/(4*pi)
+
+# rows theta = 0 and pi/2, +-1e-20, and angles above pi and below 0;
+# (theta, vartheta) = (0.8, 0.4) sits on the line 2*vartheta = theta
+EDGE_THETAS = [0.0, math.pi / 2, 1e-20, -1e-20, 0.8, 3.5, -0.7, 7.0]
+EDGE_VARTHETAS = [0.0, 0.4, math.pi / 2, 1e-20, -1e-20, 3.5, -0.7, 2.9]
 
 
 class TestPMinDiscrete:
@@ -175,6 +181,28 @@ class TestScanNegativity:
         np.testing.assert_array_equal(
             a.min_values[~a.singular], b.min_values[~b.singular]
         )
+
+    def test_matches_per_cell_route_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(8):
+            state = haar_state(rng)
+            thetas = np.concatenate([EDGE_THETAS, rng.uniform(-1.0, 4.0, 12)])
+            varthetas = np.concatenate([EDGE_VARTHETAS, rng.uniform(-1.0, 4.0, 12)])
+            grid = scan_negativity(state, thetas, varthetas)
+            flags = np.zeros((thetas.size, varthetas.size), dtype=bool)
+            values = np.full((thetas.size, varthetas.size), np.nan)
+            for i, theta in enumerate(thetas):
+                for j, vartheta in enumerate(varthetas):
+                    try:
+                        joint = quasi_joint_closed_form(state, MarkerConfig(theta, vartheta))
+                    except SingularInversion:
+                        flags[i, j] = True
+                        continue
+                    values[i, j] = negativity_of(joint).min_value
+            assert flags.any() and not flags.all()
+            assert np.array_equal(grid.singular, flags)
+            assert np.array_equal(grid.min_values[~flags], values[~flags])
+            assert np.isnan(grid.min_values[flags]).all()
 
     def test_csv_layout(self):
         grid = scan_negativity(PureState(0.6, 0.8), [0.8], [0.4, 0.9])

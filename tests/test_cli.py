@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quasijoint.cli import main
+from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, main
 from cli_cases import CASES, TILTED_STATE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,6 +75,43 @@ class TestExitCodes:
         )
         assert code == 3
         assert "sin(" in err
+
+    # every size below is rejected before anything is allocated
+    def test_oversized_scan_grid_rejected(self, capsys):
+        for theta_grid, vartheta_grid in (
+            ("0:1:100000", "0:1:100000"),
+            ("0:1:1", f"0:1:{MAX_SCAN_CELLS + 1}"),
+        ):
+            code, out, err = run_cli(
+                capsys,
+                ["scan", "--state", "1,0,0,0", "--theta-grid", theta_grid, "--vartheta-grid", vartheta_grid],
+            )
+            assert code == 2
+            assert out == ""
+            assert str(MAX_SCAN_CELLS) in err
+
+    def test_oversized_phi_points_rejected(self, capsys):
+        too_many = str(MAX_PHI_POINTS + 1)
+        for argv in (
+            ["exact", "--state", "1,0,0,0", "--phi-points", too_many],
+            ["invert", "--state", "1,0,0,0", "--theta", "0.3", "--vartheta", "0.9",
+             "--mode", "phase", "--phi-points", too_many],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert str(MAX_PHI_POINTS) in err
+
+    def test_oversized_phase_sample_rejected(self, capsys):
+        for n in (MAX_PHASE_SHOTS + 1, 10**12):
+            code, out, err = run_cli(
+                capsys,
+                ["sample", "--state", "1,0,0,0", "--theta", "0.3", "--vartheta", "0.9",
+                 "--mode", "phase", "--n", str(n)],
+            )
+            assert code == 2
+            assert out == ""
+            assert str(MAX_PHASE_SHOTS) in err
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, ["exact", "--state", "1,0,0,0"])

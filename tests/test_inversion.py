@@ -175,23 +175,48 @@ class TestInvertMarginals:
 
 class TestDelta:
     def test_diagonal_configuration(self):
-        d = delta_coefficients(MarkerConfig(math.pi / 4, math.pi / 4))
-        assert d.d_plus == pytest.approx(2.0, abs=1e-12)
-        assert d.d_minus == pytest.approx(0.0, abs=1e-12)
+        cfg = MarkerConfig(math.pi / 4, math.pi / 4)
+        (d_plus, d_minus), _, _ = delta_coefficients(cfg.theta, cfg.vartheta)
+        assert d_plus == pytest.approx(2.0, abs=1e-12)
+        assert d_minus == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_marking_limit(self):
-        d = delta_coefficients(MarkerConfig(0.0, 1.234))
-        assert (d.d_plus, d.d_minus) == (1.0, 1.0)
+        cfg = MarkerConfig(0.0, 1.234)
+        (d_plus, d_minus), _, _ = delta_coefficients(cfg.theta, cfg.vartheta)
+        assert (d_plus, d_minus) == (1.0, 1.0)
 
     def test_thirty_sixty(self):
-        d = delta_coefficients(MarkerConfig(math.pi / 6, math.pi / 3))
-        assert d.d_plus == pytest.approx(1.0, abs=1e-12)
-        assert d.d_minus == pytest.approx(1.0, abs=1e-12)
+        cfg = MarkerConfig(math.pi / 6, math.pi / 3)
+        (d_plus, d_minus), _, _ = delta_coefficients(cfg.theta, cfg.vartheta)
+        assert d_plus == pytest.approx(1.0, abs=1e-12)
+        assert d_minus == pytest.approx(1.0, abs=1e-12)
+
+    def test_array_input_matches_scalar_calls(self):
+        rng = np.random.default_rng(12)
+        thetas = np.concatenate(
+            [[0.0, math.pi / 2, 0.8, 1e-20, -1e-20, 3.5, -0.7], rng.uniform(-4.0, 8.0, 10)]
+        )
+        varthetas = np.concatenate(
+            [[0.0, 0.4, math.pi / 2, 1e-20, -1e-20, 4.0, -2.5], rng.uniform(-4.0, 8.0, 10)]
+        )
+        delta, marking, analyzer = delta_coefficients(thetas[:, None], varthetas[None, :])
+        assert delta.shape == (17, 17, 2)
+        assert marking.shape == analyzer.shape == (17, 17)
+        assert marking.any() and analyzer.any()
+        for i, theta in enumerate(thetas):
+            for j, vartheta in enumerate(varthetas):
+                d, m, a = delta_coefficients(theta, vartheta)
+                assert np.array_equal(delta[i, j], d, equal_nan=True)
+                assert (marking[i, j], analyzer[i, j]) == (m, a)
+
+    def test_analyzer_mask_raises_in_the_phase_closed_form(self):
+        with pytest.raises(SingularAnalyzer, match="sin"):
+            quasi_joint_phase_closed_form(PureState(0.6, 0.8), MarkerConfig(0.8, 0.4))
 
     @given(invertible_configs())
     def test_sum_is_two(self, cfg):
-        d = delta_coefficients(cfg)
-        assert d.d_plus + d.d_minus == pytest.approx(2.0, abs=1e-12)
+        (d_plus, d_minus), _, _ = delta_coefficients(cfg.theta, cfg.vartheta)
+        assert d_plus + d_minus == pytest.approx(2.0, abs=1e-12)
 
     def test_sum_is_two_on_grid(self):
         # margins keep the shared denominator above ~2.5e-3 so that the
@@ -203,8 +228,9 @@ class TestDelta:
             for vartheta in varthetas:
                 if abs(math.sin(2 * vartheta - theta)) < 0.05:
                     continue
-                d = delta_coefficients(MarkerConfig(theta, vartheta))
-                assert abs(d.d_plus + d.d_minus - 2.0) <= 1e-12
+                cfg = MarkerConfig(theta, vartheta)
+                (d_plus, d_minus), _, _ = delta_coefficients(cfg.theta, cfg.vartheta)
+                assert abs(d_plus + d_minus - 2.0) <= 1e-12
                 checked += 1
         assert checked > 9000
 

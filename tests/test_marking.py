@@ -58,10 +58,10 @@ class TestMarkerConfig:
         # reproduces the literal statistics at theta + pi only after x -> -x
         theta, vartheta = 0.4, 1.1
         cfg = MarkerConfig(theta, vartheta)
-        g = gamma_coefficients(cfg)
+        _, gx, _ = gamma_coefficients(cfg.theta, cfg.vartheta)
         diff = vartheta - (theta + math.pi)
         literal_gx_plus = math.cos(diff) * math.cos(vartheta)
-        assert literal_gx_plus == pytest.approx(-g.gx_plus, abs=1e-12)
+        assert literal_gx_plus == pytest.approx(-gx[0], abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -94,33 +94,47 @@ class TestAnalyzerStates:
 
 class TestGammaCoefficients:
     def test_unmarked_aligned(self):
-        g = gamma_coefficients(MarkerConfig(0.0, 0.0))
-        assert (g.g0_plus, g.g0_minus) == (1.0, 0.0)
-        assert (g.gx_plus, g.gx_minus) == (1.0, 0.0)
-        assert (g.gz_plus, g.gz_minus) == (0.0, 0.0)
+        cfg = MarkerConfig(0.0, 0.0)
+        g0, gx, gz = gamma_coefficients(cfg.theta, cfg.vartheta)
+        assert tuple(g0) == (1.0, 0.0)
+        assert tuple(gx) == (1.0, 0.0)
+        assert tuple(gz) == (0.0, 0.0)
 
     def test_diagonal_marking_and_analyzer(self):
         # direct trigonometric evaluation: gamma_0 = (1 + 1/2)/2, etc.
-        g = gamma_coefficients(MarkerConfig(math.pi / 4, math.pi / 4))
-        assert g.g0_plus == pytest.approx(0.75, abs=1e-12)
-        assert g.g0_minus == pytest.approx(0.25, abs=1e-12)
-        assert g.gx_plus == pytest.approx(SQRT1_2, abs=1e-12)
-        assert g.gx_minus == pytest.approx(0.0, abs=1e-12)
-        assert g.gz_plus == pytest.approx(0.25, abs=1e-12)
-        assert g.gz_minus == pytest.approx(0.25, abs=1e-12)
+        cfg = MarkerConfig(math.pi / 4, math.pi / 4)
+        g0, gx, gz = gamma_coefficients(cfg.theta, cfg.vartheta)
+        assert g0[0] == pytest.approx(0.75, abs=1e-12)
+        assert g0[1] == pytest.approx(0.25, abs=1e-12)
+        assert gx[0] == pytest.approx(SQRT1_2, abs=1e-12)
+        assert gx[1] == pytest.approx(0.0, abs=1e-12)
+        assert gz[0] == pytest.approx(0.25, abs=1e-12)
+        assert gz[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_full_marking_gives_signed_fringe_weights(self):
-        g = gamma_coefficients(MarkerConfig(math.pi / 2, math.pi / 4))
-        assert g.gx_plus == pytest.approx(0.5, abs=1e-12)
-        assert g.gx_minus == pytest.approx(-0.5, abs=1e-12)
+        cfg = MarkerConfig(math.pi / 2, math.pi / 4)
+        _, gx, _ = gamma_coefficients(cfg.theta, cfg.vartheta)
+        assert gx[0] == pytest.approx(0.5, abs=1e-12)
+        assert gx[1] == pytest.approx(-0.5, abs=1e-12)
+
+    def test_array_input_matches_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        thetas = np.concatenate([[0.0, math.pi / 2, 1e-20, -1e-20, 3.5, -0.7], rng.uniform(-4.0, 8.0, 10)])
+        varthetas = np.concatenate([[0.0, math.pi / 4, 1e-20, -1e-20, 4.0, -2.5], rng.uniform(-4.0, 8.0, 10)])
+        arrays = gamma_coefficients(thetas[:, None], varthetas[None, :])
+        assert [a.shape for a in arrays] == [(16, 16, 2)] * 3
+        for i, theta in enumerate(thetas):
+            for j, vartheta in enumerate(varthetas):
+                for array, scalar in zip(arrays, gamma_coefficients(theta, vartheta)):
+                    assert np.array_equal(array[i, j], scalar)
 
     @given(any_configs())
     def test_invariants(self, cfg):
-        g = gamma_coefficients(cfg)
-        assert g.g0_plus + g.g0_minus == pytest.approx(1.0, abs=1e-12)
-        assert g.gx_plus + g.gx_minus == pytest.approx(math.cos(cfg.theta), abs=1e-12)
+        g0, gx, gz = gamma_coefficients(cfg.theta, cfg.vartheta)
+        assert g0[0] + g0[1] == pytest.approx(1.0, abs=1e-12)
+        assert gx[0] + gx[1] == pytest.approx(math.cos(cfg.theta), abs=1e-12)
         direct = 0.5 * (math.cos(2 * cfg.vartheta - 2 * cfg.theta) - math.cos(2 * cfg.vartheta))
-        assert g.gz_plus + g.gz_minus == pytest.approx(direct, abs=1e-12)
+        assert gz[0] + gz[1] == pytest.approx(direct, abs=1e-12)
 
 
 class TestEntangledState:
@@ -239,22 +253,22 @@ class TestMarginals:
     @given(pure_states(), any_configs())
     def test_analyzer_marginal_formula(self, state, cfg):
         e = bloch_from_state(state)
-        g = gamma_coefficients(cfg)
+        g0, _, gz = gamma_coefficients(cfg.theta, cfg.vartheta)
         joint = operational_joint_discrete(state, cfg)
-        for z in (1, -1):
-            expected = g.g0(z) + z * g.gz(z) * e.ez
+        for k, z in enumerate((1, -1)):
+            expected = g0[k] + z * gz[k] * e.ez
             assert marginal_z(joint).probability(z) == pytest.approx(expected, abs=1e-12)
 
     @given(pure_states(), any_configs())
     def test_phase_marginal_normalized_and_first_harmonic(self, state, cfg):
         e = bloch_from_state(state)
-        g = gamma_coefficients(cfg)
+        _, gx, _ = gamma_coefficients(cfg.theta, cfg.vartheta)
         joint = operational_joint_phase(state, cfg)
         total = marginal_phase(joint)
         assert total.integral == pytest.approx(1.0, abs=1e-12)
         assert TWO_PI * total.c_cos == pytest.approx(math.cos(cfg.theta) * e.ex, abs=1e-12)
-        for z in (1, -1):
-            assert TWO_PI * joint.for_z(z).c_cos == pytest.approx(g.gx(z) * e.ex, abs=1e-12)
+        for k, z in enumerate((1, -1)):
+            assert TWO_PI * joint.for_z(z).c_cos == pytest.approx(gx[k] * e.ex, abs=1e-12)
 
     @given(pure_states(), any_configs())
     def test_phase_z_marginal_equals_discrete_one(self, state, cfg):
