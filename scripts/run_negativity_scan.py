@@ -36,9 +36,12 @@ def main() -> int:
         handle.write(grid.to_csv())
 
     flagged = int(grid.singular.sum())
+    print(f"wrote {tn * vn} cells to {args.out} ({flagged} singular)")
+    if flagged == grid.singular.size:
+        print("most negative: none, every cell is singular (no unflagged cell)")
+        return 0
     valid = np.where(grid.singular, np.inf, grid.min_values)
     i, j = np.unravel_index(int(np.argmin(valid)), valid.shape)
-    print(f"wrote {tn * vn} cells to {args.out} ({flagged} singular)")
     print(
         f"most negative: {grid.min_values[i, j]:.6f} at "
         f"theta={grid.theta_values[i]:.6f}, vartheta={grid.vartheta_values[j]:.6f}"

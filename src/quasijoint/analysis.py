@@ -58,14 +58,25 @@ class ScanGrid:
     singular: np.ndarray  # bool, same shape
 
     def to_csv(self) -> str:
-        lines = [SCAN_CSV_HEADER]
-        for i, theta in enumerate(self.theta_values):
-            for j, vartheta in enumerate(self.vartheta_values):
-                if self.singular[i, j]:
-                    lines.append(f"{theta:.16e},{vartheta:.16e},,1")
-                else:
-                    lines.append(f"{theta:.16e},{vartheta:.16e},{self.min_values[i, j]:.16e},0")
-        return "\n".join(lines) + "\n"
+        """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``.
+
+        Each vartheta is formatted once and each theta once per row; a row's
+        lines are built from plain Python values and joined into one string,
+        so the text is byte-identical to formatting every cell on its own.
+        """
+        varthetas = [f"{v:.16e}," for v in self.vartheta_values.tolist()]
+        rows = [SCAN_CSV_HEADER + "\n"]
+        for i, theta in enumerate(self.theta_values.tolist()):
+            prefix = f"{theta:.16e},"
+            rows.append(
+                "".join(
+                    prefix + vartheta + (",1\n" if flagged else f"{value:.16e},0\n")
+                    for vartheta, value, flagged in zip(
+                        varthetas, self.min_values[i].tolist(), self.singular[i].tolist()
+                    )
+                )
+            )
+        return "".join(rows)
 
 
 def p_min_discrete(state: PureState) -> float:

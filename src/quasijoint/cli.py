@@ -589,10 +589,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 )
         text = render_json({"command": "scan", "config": config, "result": {"cells": cells}})
     else:
-        lines = _csv_config_lines(config)
-        body = grid.to_csv().rstrip("\n").split("\n")
-        assert body[0] == SCAN_CSV_HEADER
-        text = "\n".join(lines + body) + "\n"
+        body = grid.to_csv()
+        assert body.startswith(SCAN_CSV_HEADER + "\n")
+        text = "".join(line + "\n" for line in _csv_config_lines(config)) + body
     _emit(text, opts["output"])
     return 0
 

@@ -30,12 +30,10 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
     _reduce_mod_pi,
-    gamma_coefficients,
 )
 from quasijoint.states import (
     OUTCOMES,
     TWO_PI,
-    BinaryDistribution,
     BlochExpectations,
     PhaseDensity,
     PureState,
@@ -169,41 +167,6 @@ def mu_z_matrix(config: MarkerConfig, eps: float = SINGULARITY_EPS) -> Inversion
         -sd * sd / den,
         cd * cd / den,
     )
-
-
-def x_response_matrix(theta: float) -> np.ndarray:
-    """Forward fringe response R(x', x) = (1 + x'*x*cos(theta))/2, exact -> measured."""
-    c = math.cos(theta)
-    return np.array([[0.5 * (1.0 + c), 0.5 * (1.0 - c)], [0.5 * (1.0 - c), 0.5 * (1.0 + c)]])
-
-
-def z_response_matrix(config: MarkerConfig) -> np.ndarray:
-    """Forward analyzer response R(z, z') = gamma_0(z) + z*z'*gamma_Z(z), exact -> measured."""
-    g0, _, gz = gamma_coefficients(config.theta, config.vartheta)
-    return g0[:, None] + _SIGNS[:, None] * _SIGNS * gz[:, None]
-
-
-def invert_marginal_x(
-    p: BinaryDistribution, theta: float, eps: float = SINGULARITY_EPS
-) -> tuple[float, float]:
-    """Undo the fringe blurring on a measured fringe marginal.
-
-    Returns a plain (plus, minus) pair summing to 1: when ``p`` is the
-    operational fringe marginal of a valid state the result is its exact
-    distribution, but for arbitrary input it may leave [0, 1].
-    """
-    plus, minus = mu_x_matrix(theta, eps).apply((p.p_plus, p.p_minus))
-    total = plus + minus
-    return (plus / total, minus / total)
-
-
-def invert_marginal_z(
-    p: BinaryDistribution, config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> tuple[float, float]:
-    """Undo the analyzer blurring on a measured analyzer marginal; same contract as invert_marginal_x."""
-    plus, minus = mu_z_matrix(config, eps).apply((p.p_plus, p.p_minus))
-    total = plus + minus
-    return (plus / total, minus / total)
 
 
 def invert_joint_discrete(

@@ -1,4 +1,4 @@
-"""Shared ensembles and hypothesis strategies for the test suite."""
+"""Shared ensembles, hypothesis strategies and reference oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ import math
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import assume
 
-from quasijoint import MarkerConfig, PureState
+from quasijoint import MarkerConfig, PhaseShots, PureState, ScanGrid, gamma_coefficients
 
 
 def haar_state(rng: np.random.Generator) -> PureState:
@@ -62,3 +63,49 @@ def invertible_configs(draw) -> MarkerConfig:
     vartheta = draw(st.floats(0.0, math.pi, allow_nan=False, exclude_max=True))
     assume(abs(math.sin(2.0 * vartheta - theta)) > 0.05)
     return MarkerConfig(theta, vartheta)
+
+
+def x_response_matrix(theta: float) -> np.ndarray:
+    """Forward fringe response R(x', x) = (1 + x'*x*cos(theta))/2, exact -> measured."""
+    c = math.cos(theta)
+    return np.array([[0.5 * (1.0 + c), 0.5 * (1.0 - c)], [0.5 * (1.0 - c), 0.5 * (1.0 + c)]])
+
+
+def z_response_matrix(config: MarkerConfig) -> np.ndarray:
+    """Forward analyzer response R(z, z') = gamma_0(z) + z*z'*gamma_Z(z), exact -> measured."""
+    g0, _, gz = gamma_coefficients(config.theta, config.vartheta)
+    signs = np.array([1.0, -1.0])
+    return g0[:, None] + signs[:, None] * signs * gz[:, None]
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """String equality; a mismatch names its first differing line.
+
+    pytest's own diff of two long texts that differ on most lines runs for
+    minutes, so the comparison reports only the first difference.
+    """
+    if text == expected:
+        return
+    got, want = text.split("\n"), expected.split("\n")
+    line = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
+    pytest.fail(f"texts differ at line {line}: {got[line : line + 1]} != {want[line : line + 1]}")
+
+
+def phase_shots_csv_reference(shots: PhaseShots) -> str:
+    """Per-row formatter for PhaseShots.to_csv: one f-string per shot on numpy scalars."""
+    lines = ["phi,z"]
+    for value, outcome in zip(shots.phi, shots.z):
+        lines.append(f"{value:.16e},{outcome}")
+    return "\n".join(lines) + "\n"
+
+
+def scan_csv_reference(grid: ScanGrid) -> str:
+    """Per-cell formatter for ScanGrid.to_csv: three float formats per cell on numpy scalars."""
+    lines = ["theta,vartheta,min_value,flag"]
+    for i, theta in enumerate(grid.theta_values):
+        for j, vartheta in enumerate(grid.vartheta_values):
+            if grid.singular[i, j]:
+                lines.append(f"{theta:.16e},{vartheta:.16e},,1")
+            else:
+                lines.append(f"{theta:.16e},{vartheta:.16e},{grid.min_values[i, j]:.16e},0")
+    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from hypothesis import given
 from quasijoint import (
     MarkerConfig,
     PureState,
+    ScanGrid,
     SingularInversion,
     evaluate_phase_density,
     negativity_of,
@@ -23,7 +24,13 @@ from quasijoint import (
     quasi_joint_phase_closed_form,
     scan_negativity,
 )
-from helpers import haar_state, pure_states, real_amplitude_state
+from helpers import (
+    assert_same_text,
+    haar_state,
+    pure_states,
+    real_amplitude_state,
+    scan_csv_reference,
+)
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -216,3 +223,29 @@ class TestScanNegativity:
                 assert fields[2] == ""
             else:
                 float(fields[2])
+
+    @pytest.mark.parametrize(
+        "thetas, varthetas",
+        [
+            ([0.8], [0.4]),  # 1x1 on the analyzer line 2*vartheta = theta
+            ([0.8], EDGE_VARTHETAS),  # 1xN
+            (EDGE_THETAS, [0.9]),  # Nx1
+            ([math.pi / 2], [0.0, 1.2, 2.9]),  # a fully flagged row
+            (EDGE_THETAS, EDGE_VARTHETAS),
+        ],
+        ids=["1x1", "1xN", "Nx1", "flagged-row", "edges"],
+    )
+    def test_csv_matches_per_cell_formatter(self, thetas, varthetas):
+        grid = scan_negativity(haar_state(np.random.default_rng(5)), thetas, varthetas)
+        assert_same_text(grid.to_csv(), scan_csv_reference(grid))
+
+    def test_csv_of_signed_zero_and_tiny_minima(self):
+        grid = ScanGrid(
+            theta_values=np.array([0.1, 2.0]),
+            vartheta_values=np.array([0.3, 0.4, 0.5]),
+            min_values=np.array([[-0.0, 1e-100, np.nan], [-1e-100, 5e-324, 0.0]]),
+            singular=np.array([[False, False, True], [False, False, False]]),
+        )
+        text = grid.to_csv()
+        assert_same_text(text, scan_csv_reference(grid))
+        assert "-0.0000000000000000e+00,0\n" in text

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 
 from quasijoint import (
-    BinaryDistribution,
     MarkerConfig,
     PhaseDensity,
     PureState,
@@ -23,8 +22,6 @@ from quasijoint import (
     evaluate_phase_density,
     invert_joint_discrete,
     invert_joint_phase,
-    invert_marginal_x,
-    invert_marginal_z,
     invert_phase_density,
     marginal_phase,
     marginal_x,
@@ -38,10 +35,15 @@ from quasijoint import (
     phase_grid,
     quasi_joint_closed_form,
     quasi_joint_phase_closed_form,
+)
+from helpers import (
+    haar_state,
+    invertible_config,
+    invertible_configs,
+    pure_states,
     x_response_matrix,
     z_response_matrix,
 )
-from helpers import haar_state, invertible_config, invertible_configs, pure_states
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -144,31 +146,30 @@ class TestInvertMarginals:
         state = PureState(SQRT1_2, SQRT1_2)
         measured = marginal_x(operational_joint_discrete(state, MarkerConfig(math.pi / 3, 0.2)))
         assert measured.p_plus == pytest.approx(0.75, abs=1e-12)
-        recovered = invert_marginal_x(measured, math.pi / 3)
+        recovered = mu_x_matrix(math.pi / 3).apply((measured.p_plus, measured.p_minus))
         assert recovered[0] == pytest.approx(1.0, abs=1e-10)
         assert recovered[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_identity_configuration_for_z(self):
         cfg = MarkerConfig(math.pi / 2, math.pi / 2)
-        p = BinaryDistribution(0.3, 0.7)
-        assert invert_marginal_z(p, cfg) == pytest.approx((0.3, 0.7), abs=1e-12)
+        assert mu_z_matrix(cfg).apply((0.3, 0.7)) == pytest.approx((0.3, 0.7), abs=1e-12)
 
     def test_uniform_is_fixed_point(self):
         for theta in (0.1, 0.7, 1.3):
-            assert invert_marginal_x(BinaryDistribution(0.5, 0.5), theta) == pytest.approx(
-                (0.5, 0.5), abs=1e-12
-            )
+            assert mu_x_matrix(theta).apply((0.5, 0.5)) == pytest.approx((0.5, 0.5), abs=1e-12)
 
     @given(pure_states(), invertible_configs())
     def test_recovers_exact_marginals(self, state, cfg):
         op = operational_joint_discrete(state, cfg)
-        rx = invert_marginal_x(marginal_x(op), cfg.theta)
-        rz = invert_marginal_z(marginal_z(op), cfg)
+        mx = marginal_x(op)
+        mz = marginal_z(op)
+        rx = mu_x_matrix(cfg.theta).apply((mx.p_plus, mx.p_minus))
+        rz = mu_z_matrix(cfg).apply((mz.p_plus, mz.p_minus))
         assert rx[0] == pytest.approx(exact_interference_distribution(state).p_plus, abs=1e-10)
         assert rz[0] == pytest.approx(exact_path_distribution(state).p_plus, abs=1e-10)
 
     def test_output_may_leave_unit_interval(self):
-        recovered = invert_marginal_x(BinaryDistribution(1.0, 0.0), math.pi / 3)
+        recovered = mu_x_matrix(math.pi / 3).apply((1.0, 0.0))
         assert recovered[0] > 1.0
         assert recovered[0] + recovered[1] == pytest.approx(1.0, abs=1e-12)
 

@@ -10,6 +10,7 @@ import pytest
 from quasijoint import (
     DiscreteJoint,
     MarkerConfig,
+    PhaseShots,
     PureState,
     ShotCounts,
     estimate_quasi_joint,
@@ -20,12 +21,14 @@ from quasijoint import (
     sample_discrete,
     sample_phase,
 )
-from helpers import haar_state, invertible_config
+from quasijoint.sampling import _CSV_BLOCK
+from helpers import assert_same_text, haar_state, invertible_config, phase_shots_csv_reference
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 COS_PI_8 = 0.9238795325112867
 SIN_PI_8 = 0.3826834323650898
+EDGE_PHIS = [0.0, float(np.nextafter(TWO_PI, 0.0)), 5e-324, 1e-300, math.pi]
 
 
 def ks_statistic_uniform(phis: np.ndarray) -> float:
@@ -134,6 +137,26 @@ class TestSamplePhase:
             phi_text, z_text = line.split(",")
             assert 0.0 <= float(phi_text) < TWO_PI
             assert int(z_text) in (1, -1)
+
+
+class TestPhaseShotsCsv:
+    @pytest.mark.parametrize(
+        "total", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3]
+    )
+    def test_matches_per_row_formatter(self, total):
+        rng = np.random.default_rng(total)
+        phi = rng.uniform(0.0, TWO_PI, total)
+        phi[: len(EDGE_PHIS)] = EDGE_PHIS
+        phi[-len(EDGE_PHIS) :] = EDGE_PHIS[::-1]
+        z = np.where(rng.random(total) < 0.5, 1, -1)
+        shots = PhaseShots(phi=phi, z=z, total=total, seed=0)
+        assert_same_text(shots.to_csv(), phase_shots_csv_reference(shots))
+
+    @pytest.mark.parametrize("z", [1, -1])
+    @pytest.mark.parametrize("phi", EDGE_PHIS)
+    def test_single_shot_matches_per_row_formatter(self, phi, z):
+        shots = PhaseShots(phi=np.array([phi]), z=np.array([z]), total=1, seed=0)
+        assert_same_text(shots.to_csv(), phase_shots_csv_reference(shots))
 
 
 class TestEstimateQuasiJoint:
