@@ -18,7 +18,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "tests"))
 
-from cli_cases import CASES  # noqa: E402
+from cli_cases import CASES, REPORT_CASES  # noqa: E402
 
 from quasijoint.cli import main  # noqa: E402
 
@@ -26,7 +26,7 @@ from quasijoint.cli import main  # noqa: E402
 def run() -> None:
     golden = REPO / "tests" / "golden"
     golden.mkdir(parents=True, exist_ok=True)
-    for case in CASES:
+    for case in CASES + REPORT_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             cwd = os.getcwd()
             os.chdir(tmp)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, main
-from cli_cases import CASES, TILTED_STATE
+from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,7 +21,7 @@ def run_cli(capsys, argv):
 
 
 class TestGoldenFiles:
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
+    @pytest.mark.parametrize("case", CASES + REPORT_CASES, ids=lambda c: c["name"])
     def test_byte_identical(self, case, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, case["argv"])
