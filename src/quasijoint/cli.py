@@ -12,6 +12,10 @@ repeated runs are byte-identical; every report echoes the fully resolved
 configuration, including the seed, angles already converted to radians and
 the state normalized.
 
+Each ``cmd_*`` handler resolves its options, calls the library and returns a
+report: the config echo, the JSON result and the CSV table.  ``main`` renders
+it with ``render_json`` or ``render_csv`` and writes it out.
+
 Exit codes: 0 success, 2 invalid input, 3 singular inversion configuration.
 Inputs above the size caps below are invalid input, rejected before anything
 is allocated.
@@ -23,15 +27,11 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from quasijoint.analysis import (
-    SCAN_CSV_HEADER,
-    negativity_of,
-    scan_negativity,
-)
+from quasijoint.analysis import SCAN_CSV_HEADER, negativity_of, scan_negativity
 from quasijoint.inversion import (
     SingularInversion,
     delta_coefficients,
@@ -80,6 +80,17 @@ MAX_PHASE_SHOTS = 1_000_000
 # number formatting and report rendering
 
 
+class _Report(NamedTuple):
+    """A command's config echo, JSON ``result`` and CSV ``table``: rows with the header
+    first, or a library writer's CSV text.  Both are built only for their format.  The
+    optional ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
+
+    config: dict
+    result: Callable[[], dict]
+    table: Callable[[], list | str]
+    note: tuple[str, dict] | None = None
+
+
 def format_float(value: float) -> str:
     """Fixed scientific notation, 17 significant digits: byte-stable and round-trip exact."""
     value = float(value)
@@ -121,21 +132,25 @@ def render_json(report: dict) -> str:
     return _render_json_value(report, 0) + "\n"
 
 
-def _csv_config_lines(config: dict) -> list[str]:
-    lines = []
-    for key, value in config.items():
-        if isinstance(value, (list, tuple)):
-            rendered = ",".join(
-                format_float(v) if isinstance(v, float) else str(v) for v in value
-            )
-        elif isinstance(value, float):
-            rendered = format_float(value)
-        elif value is None:
-            rendered = ""
-        else:
-            rendered = str(value)
-        lines.append(f"# {key}={rendered}")
-    return lines
+def _csv_text(value) -> str:
+    """One CSV field, or a row when given a list or tuple; None prints empty."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_csv_text, value))
+    if isinstance(value, float):
+        return format_float(value)
+    return "" if value is None else str(value)
+
+
+def render_csv(report: _Report) -> str:
+    """``# key=value`` config lines, the optional note line, then the table."""
+    lines = [f"# {key}={_csv_text(value)}" for key, value in report.config.items()]
+    if report.note:
+        label, fields = report.note
+        lines.append(f"# {label} " + " ".join(f"{key}={_csv_text(v)}" for key, v in fields.items()))
+    table = report.table()
+    if not isinstance(table, str):
+        table = "".join(_csv_text(row) + "\n" for row in table)
+    return "".join(line + "\n" for line in lines) + table
 
 
 # ---------------------------------------------------------------------------
@@ -151,32 +166,32 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_CONVERTERS = {
-    "state": str,
-    "state_form": str,
-    "theta": float,
-    "vartheta": float,
-    "degrees": _parse_bool,
-    "mode": str,
-    "n": int,
-    "seed": int,
-    "format": str,
-    "phi_points": int,
-    "theta_grid": str,
-    "vartheta_grid": str,
-    "shots_out": str,
-    "output": str,
-}
-
-_DEFAULTS = {
-    "state_form": "reim",
-    "degrees": False,
-    "mode": DISCRETE_MODE,
-    "seed": 0,
-    "format": "json",
-    "phi_points": 256,
-    "shots_out": None,
-    "output": None,
+#: name -> (config-file converter, default, add_argument keywords).  Config
+#: echoes list the options in this order; ``config`` is no config-file key.
+_OPTIONS = {
+    "state": (str, None, dict(help="four comma-separated reals (see --state-form)")),
+    "state_form": (str, "reim", dict(
+        choices=("reim", "magphase"), help="re,im,re,im (default) or mag,phase_deg,mag,phase_deg"
+    )),
+    "theta": (float, None, dict(type=float, help="marking angle")),
+    "vartheta": (float, None, dict(type=float, help="analyzer angle")),
+    "theta_grid": (str, None, dict(help="start:stop:num")),
+    "vartheta_grid": (str, None, dict(
+        help=f"start:stop:num; the grid holds at most {MAX_SCAN_CELLS} cells in all"
+    )),
+    "degrees": (
+        _parse_bool, False, dict(action="store_true", default=None, help="angles given in degrees")
+    ),
+    "mode": (str, DISCRETE_MODE, dict(choices=(DISCRETE_MODE, PHASE_MODE), help="default discrete")),
+    "format": (str, "json", dict(choices=("json", "csv"), help="report format (default json)")),
+    "phi_points": (int, 256, dict(type=int, help=(
+        f"phase-grid resolution for density export (default 256, 0 disables, at most {MAX_PHI_POINTS})"
+    ))),
+    "output": (str, None, dict(help="write the report here instead of stdout")),
+    "n": (int, None, dict(type=int, help=f"number of shots (at most {MAX_PHASE_SHOTS} in phase mode)")),
+    "seed": (int, 0, dict(type=int, help="RNG seed (default 0)")),
+    "shots_out": (str, None, dict(help="write raw shots as CSV to this path")),
+    "config": (str, None, dict(help="key=value file; command-line flags win")),
 }
 
 
@@ -191,34 +206,33 @@ def load_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise ValueError(f"config line {raw!r} is not key=value")
         key = key.strip()
-        if key not in _CONVERTERS:
+        if key not in _OPTIONS or key == "config":
             raise ValueError(f"unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def resolve_options(args: argparse.Namespace, names: Sequence[str], required: Sequence[str]) -> dict:
-    """Merge command line over config file over built-in defaults."""
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+def resolve_options(args: argparse.Namespace, required: Sequence[str]) -> dict:
+    """The command's options in table order: command line over config file over defaults."""
+    file_values = load_config_file(args.config) if args.config else {}
+    options = _COMMON + _COMMANDS[args.command][2]
     resolved = {}
-    for name in names:
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in file_values:
-            resolved[name] = _CONVERTERS[name](file_values[name])
-        else:
-            resolved[name] = _DEFAULTS.get(name)
+    for name, (convert, default, _) in _OPTIONS.items():
+        if name in options and name != "config":
+            value = getattr(args, name)
+            if value is None:
+                value = convert(file_values[name]) if name in file_values else default
+            resolved[name] = value
     for name in required:
-        if resolved.get(name) is None:
+        if resolved[name] is None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    if resolved.get("format") not in (None, "json", "csv"):
-        raise ValueError(f"unknown format {resolved['format']!r}")
-    if resolved.get("mode") not in (None, DISCRETE_MODE, PHASE_MODE):
-        raise ValueError(f"unknown mode {resolved['mode']!r}")
-    if resolved.get("phi_points") is not None and resolved["phi_points"] < 0:
+    for name, value in resolved.items():
+        choices = _OPTIONS[name][2].get("choices")
+        if choices and value not in choices:
+            raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
+    if resolved.get("phi_points", 0) < 0:
         raise ValueError("phi-points must be >= 0")
-    if (resolved.get("phi_points") or 0) > MAX_PHI_POINTS:
+    if resolved.get("phi_points", 0) > MAX_PHI_POINTS:
         raise ValueError(f"phi-points must be <= {MAX_PHI_POINTS}")
     if resolved.get("mode") == PHASE_MODE and (resolved.get("n") or 0) > MAX_PHASE_SHOTS:
         raise ValueError(f"n must be <= {MAX_PHASE_SHOTS} in phase mode")
@@ -249,22 +263,28 @@ def parse_grid(spec: str, degrees: bool) -> tuple[float, float, int]:
         raise ValueError("grid needs at least one point")
     if degrees:
         start, stop = math.radians(start), math.radians(stop)
+    if not math.isfinite(stop - start):  # NaN or infinite bounds, or a span that overflows
+        raise ValueError(f"grid {spec!r} needs finite bounds")
     return (start, stop, num)
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
+def _echo(command: str, opts: dict, state: PureState, **parsed) -> dict:
+    """The config echo: resolved options in table order, parsed values in place of the
+    raw ones, without the input-only ``state_form`` and ``degrees``."""
+    parsed["state"] = [state.alpha.real, state.alpha.imag, state.beta.real, state.beta.imag]
+    return {
+        "command": command,
+        **{k: parsed.get(k, v) for k, v in opts.items() if k not in ("state_form", "degrees")},
+    }
 
 
-def _state_fields(state: PureState) -> list[float]:
-    return [state.alpha.real, state.alpha.imag, state.beta.real, state.beta.imag]
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _resolve_marked(args: argparse.Namespace, *required: str):
+    opts = resolve_options(args, ("state", "theta", "vartheta", *required))
+    state = parse_state(opts["state"], opts["state_form"])
+    to_radians = math.radians if opts["degrees"] else float
+    marker = MarkerConfig(to_radians(opts["theta"]), to_radians(opts["vartheta"]))
+    config = _echo(args.command, opts, state, theta=marker.theta, vartheta=marker.vartheta)
+    return opts, state, marker, config
 
 
 # ---------------------------------------------------------------------------
@@ -279,281 +299,143 @@ def _density_dict(density) -> dict:
     return {"c0": density.c0, "c_cos": density.c_cos, "c_sin": density.c_sin}
 
 
-def _joint_cells(joint) -> list[dict]:
-    return [{"x": x, "z": z, "value": value} for (x, z), value in joint.items()]
+def _density_grid(points: int, **densities) -> dict:
+    phi = phase_grid(points)
+    values = {name: evaluate_phase_density(d, phi).tolist() for name, d in densities.items()}
+    return {"phi": phi.tolist(), **values}
 
 
-def _phase_slices(joint) -> list[dict]:
-    return [{"z": z, **_density_dict(joint.for_z(z))} for z in (1, -1)]
+def _records(header: str, rows) -> list[dict]:
+    """CSV rows as JSON objects keyed by the header's column names."""
+    keys = header.split(",")
+    return [dict(zip(keys, row)) for row in rows]
 
 
-def _phase_grid_dict(joint, phi_points: int) -> dict:
-    phi = phase_grid(phi_points)
-    return {
-        "phi": [float(p) for p in phi],
-        "plus": [float(v) for v in evaluate_phase_density(joint.plus, phi)],
-        "minus": [float(v) for v in evaluate_phase_density(joint.minus, phi)],
-    }
+def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _Report:
+    """A discrete or phase joint with its marginals.
+
+    JSON: the joint, the command's ``first`` fields, the marginals, its ``last``
+    fields and, for a phase joint, the density grid.  CSV: one row per cell or slice.
+    """
+    discrete = config["mode"] == DISCRETE_MODE
+    if discrete:
+        header, rows = "x,z,value", [(x, z, value) for (x, z), value in joint.items()]
+    else:
+        header = "z,c0,c_cos,c_sin"
+        rows = [(z, *_density_dict(joint.for_z(z)).values()) for z in (1, -1)]
+
+    def result() -> dict:
+        cells = {"values" if discrete else "slices": _records(header, rows)}
+        fields = {"joint": {"kind": joint.kind, **cells}, **first}
+        if discrete:
+            fields["marginal_x"] = _binary_dict(marginal_x(joint))
+            fields["marginal_z"] = _binary_dict(marginal_z(joint))
+        else:
+            fields["marginal_phase"] = _density_dict(marginal_phase(joint))
+            fields["marginal_z"] = _binary_dict(marginal_z_of_phase(joint))
+        fields.update(last)
+        points = 0 if discrete else config["phi_points"]
+        if points:
+            fields["phase_grid"] = _density_grid(points, plus=joint.plus, minus=joint.minus)
+        return fields
+
+    return _Report(config, result, lambda: [header, *rows], note)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_exact(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args, ("state", "state_form", "format", "phi_points", "output"), required=("state",)
-    )
+def cmd_exact(args: argparse.Namespace) -> _Report:
+    opts = resolve_options(args, ("state",))
     state = parse_state(opts["state"], opts["state_form"])
-    config = {
-        "command": "exact",
-        "state": _state_fields(state),
-        "format": opts["format"],
-        "phi_points": opts["phi_points"],
-        "output": opts["output"],
-    }
     bloch = bloch_from_state(state)
     path = exact_path_distribution(state)
     fringe = exact_interference_distribution(state)
     density = exact_phase_distribution(state)
-    if opts["format"] == "json":
-        result = {
+
+    def result() -> dict:
+        fields = {
             "bloch": {"ex": bloch.ex, "ey": bloch.ey, "ez": bloch.ez},
             "path": _binary_dict(path),
             "interference": _binary_dict(fringe),
             "phase_density": _density_dict(density),
         }
         if opts["phi_points"]:
-            phi = phase_grid(opts["phi_points"])
-            result["phase_grid"] = {
-                "phi": [float(p) for p in phi],
-                "values": [float(v) for v in evaluate_phase_density(density, phi)],
-            }
-        text = render_json({"command": "exact", "config": config, "result": result})
-    else:
-        rows = [
-            ("ex", bloch.ex),
-            ("ey", bloch.ey),
-            ("ez", bloch.ez),
-            ("path_plus", path.p_plus),
-            ("path_minus", path.p_minus),
-            ("interference_plus", fringe.p_plus),
-            ("interference_minus", fringe.p_minus),
-            ("phase_c0", density.c0),
-            ("phase_c_cos", density.c_cos),
-            ("phase_c_sin", density.c_sin),
-        ]
-        lines = _csv_config_lines(config) + ["quantity,value"]
-        lines += [f"{name},{format_float(value)}" for name, value in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, opts["output"])
-    return 0
+            fields["phase_grid"] = _density_grid(opts["phi_points"], values=density)
+        return fields
+
+    rows = [
+        "quantity,value",
+        ("ex", bloch.ex), ("ey", bloch.ey), ("ez", bloch.ez),
+        ("path_plus", path.p_plus), ("path_minus", path.p_minus),
+        ("interference_plus", fringe.p_plus), ("interference_minus", fringe.p_minus),
+        ("phase_c0", density.c0), ("phase_c_cos", density.c_cos), ("phase_c_sin", density.c_sin),
+    ]
+    return _Report(_echo("exact", opts, state), result, lambda: rows)
 
 
-def _resolve_marked(args: argparse.Namespace, command: str, extra=(), extra_required=()):
-    names = (
-        "state",
-        "state_form",
-        "theta",
-        "vartheta",
-        "degrees",
-        "mode",
-        "format",
-        "phi_points",
-        "output",
-    ) + tuple(extra)
-    opts = resolve_options(args, names, required=("state", "theta", "vartheta") + tuple(extra_required))
-    state = parse_state(opts["state"], opts["state_form"])
-    marker = MarkerConfig(
-        _angle(opts["theta"], opts["degrees"]), _angle(opts["vartheta"], opts["degrees"])
-    )
-    config = {
-        "command": command,
-        "state": _state_fields(state),
-        "theta": marker.theta,
-        "vartheta": marker.vartheta,
-        "mode": opts["mode"],
-        "format": opts["format"],
-        "phi_points": opts["phi_points"],
-        "output": opts["output"],
-    }
-    return opts, state, marker, config
-
-
-def cmd_operational(args: argparse.Namespace) -> int:
-    opts, state, marker, config = _resolve_marked(args, "operational")
+def cmd_operational(args: argparse.Namespace) -> _Report:
+    opts, state, marker, config = _resolve_marked(args)
     g0, gx, gz = gamma_coefficients(marker.theta, marker.vartheta)
-    gamma_dict = {
+    gamma = {
         f"{name}_{sign}": float(value)
         for name, pair in (("g0", g0), ("gx", gx), ("gz", gz))
         for sign, value in zip(("plus", "minus"), pair)
     }
-    if opts["mode"] == DISCRETE_MODE:
-        joint = operational_joint_discrete(state, marker)
-        if opts["format"] == "json":
-            result = {
-                "joint": {"kind": joint.kind, "values": _joint_cells(joint)},
-                "marginal_x": _binary_dict(marginal_x(joint)),
-                "marginal_z": _binary_dict(marginal_z(joint)),
-                "gamma": gamma_dict,
-            }
-            text = render_json({"command": "operational", "config": config, "result": result})
-        else:
-            lines = _csv_config_lines(config) + ["x,z,value"]
-            lines += [f"{x},{z},{format_float(v)}" for (x, z), v in joint.items()]
-            text = "\n".join(lines) + "\n"
-    else:
-        joint = operational_joint_phase(state, marker)
-        if opts["format"] == "json":
-            result = {
-                "joint": {"kind": joint.kind, "slices": _phase_slices(joint)},
-                "marginal_phase": _density_dict(marginal_phase(joint)),
-                "marginal_z": _binary_dict(marginal_z_of_phase(joint)),
-                "gamma": gamma_dict,
-            }
-            if opts["phi_points"]:
-                result["phase_grid"] = _phase_grid_dict(joint, opts["phi_points"])
-            text = render_json({"command": "operational", "config": config, "result": result})
-        else:
-            lines = _csv_config_lines(config) + ["z,c0,c_cos,c_sin"]
-            for entry in _phase_slices(joint):
-                lines.append(
-                    f"{entry['z']},{format_float(entry['c0'])},"
-                    f"{format_float(entry['c_cos'])},{format_float(entry['c_sin'])}"
-                )
-            text = "\n".join(lines) + "\n"
-    _emit(text, opts["output"])
-    return 0
+    discrete = opts["mode"] == DISCRETE_MODE
+    joint = (operational_joint_discrete if discrete else operational_joint_phase)(state, marker)
+    return _joint_report(config, joint, {}, {"gamma": gamma})
 
 
-def cmd_invert(args: argparse.Namespace) -> int:
-    opts, state, marker, config = _resolve_marked(args, "invert")
+def cmd_invert(args: argparse.Namespace) -> _Report:
+    opts, state, marker, config = _resolve_marked(args)
     discrete = opts["mode"] == DISCRETE_MODE
     joint = (quasi_joint_closed_form if discrete else quasi_joint_phase_closed_form)(state, marker)
     delta, _, _ = delta_coefficients(marker.theta, marker.vartheta)  # singular configs raised above
-    delta_dict = {"plus": float(delta[0]), "minus": float(delta[1])}
     report = negativity_of(joint)
-    if discrete:
-        if opts["format"] == "json":
-            result = {
-                "joint": {"kind": joint.kind, "values": _joint_cells(joint)},
-                "delta": delta_dict,
-                "marginal_x": _binary_dict(marginal_x(joint)),
-                "marginal_z": _binary_dict(marginal_z(joint)),
-                "negativity": {
-                    "min_value": report.min_value,
-                    "argmin": {"x": report.argmin[0], "z": report.argmin[1]},
-                    "total_negativity": report.total_negativity,
-                },
-            }
-            text = render_json({"command": "invert", "config": config, "result": result})
-        else:
-            lines = _csv_config_lines(config)
-            lines.append(
-                f"# negativity min_value={format_float(report.min_value)} "
-                f"argmin_x={report.argmin[0]} argmin_z={report.argmin[1]} "
-                f"total={format_float(report.total_negativity)}"
-            )
-            lines.append("x,z,value")
-            lines += [f"{x},{z},{format_float(v)}" for (x, z), v in joint.items()]
-            text = "\n".join(lines) + "\n"
-    else:
-        if opts["format"] == "json":
-            result = {
-                "joint": {"kind": joint.kind, "slices": _phase_slices(joint)},
-                "delta": delta_dict,
-                "marginal_phase": _density_dict(marginal_phase(joint)),
-                "marginal_z": _binary_dict(marginal_z_of_phase(joint)),
-                "negativity": {
-                    "min_value": report.min_value,
-                    "argmin": {"phi": report.argmin[0], "z": report.argmin[1]},
-                    "total_negativity": report.total_negativity,
-                },
-            }
-            if opts["phi_points"]:
-                result["phase_grid"] = _phase_grid_dict(joint, opts["phi_points"])
-            text = render_json({"command": "invert", "config": config, "result": result})
-        else:
-            lines = _csv_config_lines(config)
-            lines.append(
-                f"# negativity min_value={format_float(report.min_value)} "
-                f"argmin_phi={format_float(report.argmin[0])} argmin_z={report.argmin[1]} "
-                f"total={format_float(report.total_negativity)}"
-            )
-            lines.append("z,c0,c_cos,c_sin")
-            for entry in _phase_slices(joint):
-                lines.append(
-                    f"{entry['z']},{format_float(entry['c0'])},"
-                    f"{format_float(entry['c_cos'])},{format_float(entry['c_sin'])}"
-                )
-            text = "\n".join(lines) + "\n"
-    _emit(text, opts["output"])
-    return 0
-
-
-def cmd_sample(args: argparse.Namespace) -> int:
-    opts, state, marker, config = _resolve_marked(
-        args, "sample", extra=("n", "seed", "shots_out"), extra_required=("n",)
+    (where, z), axis = report.argmin, "x" if discrete else "phi"
+    least, total = report.min_value, report.total_negativity
+    negativity = {"min_value": least, "argmin": {axis: where, "z": z}, "total_negativity": total}
+    note = {"min_value": least, f"argmin_{axis}": where, "argmin_z": z, "total": total}
+    delta_dict = {"plus": float(delta[0]), "minus": float(delta[1])}
+    return _joint_report(
+        config, joint, {"delta": delta_dict}, {"negativity": negativity}, ("negativity", note)
     )
-    config["n"] = opts["n"]
-    config["seed"] = opts["seed"]
-    config["shots_out"] = opts["shots_out"]
+
+
+def cmd_sample(args: argparse.Namespace) -> _Report:
+    opts, state, marker, config = _resolve_marked(args, "n")
     if opts["mode"] == DISCRETE_MODE:
-        measured = operational_joint_discrete(state, marker)
-        counts = sample_discrete(measured, opts["n"], opts["seed"])
-        estimate = estimate_quasi_joint(counts, marker)
-        if opts["shots_out"]:
-            Path(opts["shots_out"]).write_text(counts.to_csv())
-        if opts["format"] == "json":
-            result = {
-                "counts": [
-                    {"x": x, "z": z, "count": counts.count(x, z)}
-                    for (x, z), _ in counts.frequencies().items()
-                ],
-                "estimate": [
-                    {"x": x, "z": z, "value": estimate.value(x, z), "stderr": estimate.stderr(x, z)}
-                    for (x, z), _ in estimate.joint.items()
-                ],
-            }
-            text = render_json({"command": "sample", "config": config, "result": result})
-        else:
-            lines = _csv_config_lines(config) + ["x,z,value,stderr"]
-            for (x, z), _ in estimate.joint.items():
-                lines.append(
-                    f"{x},{z},{format_float(estimate.value(x, z))},{format_float(estimate.stderr(x, z))}"
-                )
-            text = "\n".join(lines) + "\n"
+        shots = sample_discrete(operational_joint_discrete(state, marker), opts["n"], opts["seed"])
+        estimate = estimate_quasi_joint(shots, marker)
+        header = "x,z,value,stderr"
+        rows = [(x, z, v, estimate.stderr(x, z)) for (x, z), v in estimate.joint.items()]
+
+        def result() -> dict:
+            counts = [(x, z, shots.count(x, z)) for x, z, *_ in rows]
+            return {"counts": _records("x,z,count", counts), "estimate": _records(header, rows)}
+
     else:
-        measured = operational_joint_phase(state, marker)
-        shots = sample_phase(measured, opts["n"], opts["seed"])
+        shots = sample_phase(operational_joint_phase(state, marker), opts["n"], opts["seed"])
         estimates = harmonic_estimates(shots)
-        if opts["shots_out"]:
-            Path(opts["shots_out"]).write_text(shots.to_csv())
-        if opts["format"] == "json":
-            result = {
-                "slice_counts": {"plus": shots.slice_count(1), "minus": shots.slice_count(-1)},
+        counts = {z: shots.slice_count(z) for z in (1, -1)}
+        header = "z,count,c0_hat,c_cos_hat,c_sin_hat"
+        rows = [(z, counts[z], *_density_dict(estimates[z]).values()) for z in (1, -1)]
+
+        def result() -> dict:
+            return {
+                "slice_counts": {"plus": counts[1], "minus": counts[-1]},
                 "harmonic_estimates": [{"z": z, **_density_dict(estimates[z])} for z in (1, -1)],
             }
-            text = render_json({"command": "sample", "config": config, "result": result})
-        else:
-            lines = _csv_config_lines(config) + ["z,count,c0_hat,c_cos_hat,c_sin_hat"]
-            for z in (1, -1):
-                d = estimates[z]
-                lines.append(
-                    f"{z},{shots.slice_count(z)},{format_float(d.c0)},"
-                    f"{format_float(d.c_cos)},{format_float(d.c_sin)}"
-                )
-            text = "\n".join(lines) + "\n"
-    _emit(text, opts["output"])
-    return 0
+
+    if opts["shots_out"]:
+        Path(opts["shots_out"]).write_text(shots.to_csv())
+    return _Report(config, result, lambda: [header, *rows])
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args,
-        ("state", "state_form", "theta_grid", "vartheta_grid", "degrees", "format", "output"),
-        required=("state", "theta_grid", "vartheta_grid"),
-    )
+def cmd_scan(args: argparse.Namespace) -> _Report:
+    opts = resolve_options(args, ("state", "theta_grid", "vartheta_grid"))
     state = parse_state(opts["state"], opts["state_form"])
     theta_spec = parse_grid(opts["theta_grid"], opts["degrees"])
     vartheta_spec = parse_grid(opts["vartheta_grid"], opts["degrees"])
@@ -561,43 +443,37 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError(
             f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}"
         )
-    grid = scan_negativity(
-        state,
-        np.linspace(theta_spec[0], theta_spec[1], theta_spec[2]),
-        np.linspace(vartheta_spec[0], vartheta_spec[1], vartheta_spec[2]),
-    )
-    config = {
-        "command": "scan",
-        "state": _state_fields(state),
-        "theta_grid": list(theta_spec),
-        "vartheta_grid": list(vartheta_spec),
-        "format": opts["format"],
-        "output": opts["output"],
-    }
-    if opts["format"] == "json":
-        cells = []
-        for i, theta in enumerate(grid.theta_values):
-            for j, vartheta in enumerate(grid.vartheta_values):
-                flagged = bool(grid.singular[i, j])
-                cells.append(
-                    {
-                        "theta": float(theta),
-                        "vartheta": float(vartheta),
-                        "min_value": None if flagged else float(grid.min_values[i, j]),
-                        "flag": 1 if flagged else 0,
-                    }
-                )
-        text = render_json({"command": "scan", "config": config, "result": {"cells": cells}})
-    else:
-        body = grid.to_csv()
-        assert body.startswith(SCAN_CSV_HEADER + "\n")
-        text = "".join(line + "\n" for line in _csv_config_lines(config)) + body
-    _emit(text, opts["output"])
-    return 0
+    grid = scan_negativity(state, np.linspace(*theta_spec), np.linspace(*vartheta_spec))
+
+    def result() -> dict:
+        varthetas = grid.vartheta_values.tolist()
+        rows = [
+            (theta, vartheta, None if flagged else value, int(flagged))
+            for theta, flags, values in zip(
+                grid.theta_values.tolist(), grid.singular.tolist(), grid.min_values.tolist()
+            )
+            for vartheta, flagged, value in zip(varthetas, flags, values)
+        ]
+        return {"cells": _records(SCAN_CSV_HEADER, rows)}
+
+    config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
+    return _Report(config, result, grid.to_csv)
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly and the entry point
+
+_COMMON = ("state", "state_form", "format", "output", "config")
+_ANGLE = ("theta", "vartheta", "degrees", "mode", "phi_points")
+
+#: command -> (handler, help, its options after _COMMON, in --help order)
+_COMMANDS = {
+    "exact": (cmd_exact, "exact statistics of the bare state", ("phi_points",)),
+    "operational": (cmd_operational, "the measured joint distribution", _ANGLE),
+    "invert": (cmd_invert, "the reconstructed quasi joint", _ANGLE),
+    "sample": (cmd_sample, "finite-shot simulation and estimation", _ANGLE + ("n", "seed", "shots_out")),
+    "scan": (cmd_scan, "negativity scan over an angle grid", ("theta_grid", "vartheta_grid", "degrees")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,79 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
         "interferometer and their inversion to quasi-probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--state", help="four comma-separated reals (see --state-form)")
-        p.add_argument(
-            "--state-form",
-            dest="state_form",
-            choices=("reim", "magphase"),
-            help="re,im,re,im (default) or mag,phase_deg,mag,phase_deg",
-        )
-        p.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--config", help="key=value file; command-line flags win")
-
-    def add_angles(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--theta", type=float, help="marking angle")
-        p.add_argument("--vartheta", type=float, help="analyzer angle")
-        p.add_argument(
-            "--degrees", action="store_true", default=None, help="angles given in degrees"
-        )
-        p.add_argument("--mode", choices=(DISCRETE_MODE, PHASE_MODE), help="default discrete")
-        p.add_argument(
-            "--phi-points",
-            dest="phi_points",
-            type=int,
-            help="phase-grid resolution for density export "
-            f"(default 256, 0 disables, at most {MAX_PHI_POINTS})",
-        )
-
-    p_exact = sub.add_parser("exact", help="exact statistics of the bare state")
-    add_common(p_exact)
-    p_exact.add_argument(
-        "--phi-points",
-        dest="phi_points",
-        type=int,
-        help=f"phase-grid resolution (default 256, at most {MAX_PHI_POINTS})",
-    )
-    p_exact.set_defaults(handler=cmd_exact)
-
-    p_oper = sub.add_parser("operational", help="the measured joint distribution")
-    add_common(p_oper)
-    add_angles(p_oper)
-    p_oper.set_defaults(handler=cmd_operational)
-
-    p_invert = sub.add_parser("invert", help="the reconstructed quasi joint")
-    add_common(p_invert)
-    add_angles(p_invert)
-    p_invert.set_defaults(handler=cmd_invert)
-
-    p_sample = sub.add_parser("sample", help="finite-shot simulation and estimation")
-    add_common(p_sample)
-    add_angles(p_sample)
-    p_sample.add_argument(
-        "--n", type=int, help=f"number of shots (at most {MAX_PHASE_SHOTS} in phase mode)"
-    )
-    p_sample.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p_sample.add_argument(
-        "--shots-out", dest="shots_out", help="write raw shots as CSV to this path"
-    )
-    p_sample.set_defaults(handler=cmd_sample)
-
-    p_scan = sub.add_parser("scan", help="negativity scan over an angle grid")
-    add_common(p_scan)
-    p_scan.add_argument("--theta-grid", dest="theta_grid", help="start:stop:num")
-    p_scan.add_argument(
-        "--vartheta-grid",
-        dest="vartheta_grid",
-        help=f"start:stop:num; the grid holds at most {MAX_SCAN_CELLS} cells in all",
-    )
-    p_scan.add_argument(
-        "--degrees", action="store_true", default=None, help="grid bounds given in degrees"
-    )
-    p_scan.set_defaults(handler=cmd_scan)
-
+    for command, (handler, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in _COMMON + options:
+            p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name][2])
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -690,7 +498,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        config = report.config
+        if config["format"] == "json":
+            text = render_json(
+                {"command": config["command"], "config": config, "result": report.result()}
+            )
+        else:
+            text = render_csv(report)
+        if config["output"]:
+            Path(config["output"]).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except SingularInversion as exc:
         print(f"error: singular configuration: {exc}", file=sys.stderr)
         return 3

@@ -89,7 +89,7 @@ class PhaseShots:
         z = np.asarray(self.z, dtype=int)
         if phi.shape != (self.total,) or z.shape != (self.total,):
             raise ValueError("phi and z must both have length total")
-        if phi.size and (phi.min() < 0.0 or phi.max() >= TWO_PI):
+        if phi.size and not (phi.min() >= 0.0 and phi.max() < TWO_PI):  # NaN fails both
             raise ValueError("phases must lie in [0, 2*pi)")
         if not np.all(np.abs(z) == 1):
             raise ValueError("z records must be +1 or -1")

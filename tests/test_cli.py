@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, main
+from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +114,26 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert str(MAX_PHASE_SHOTS) in err
+
+    def test_non_finite_grid_bounds_rejected(self, capsys):
+        for theta_grid, vartheta_grid, extra in (
+            ("0:inf:3", "0:1:2", []),
+            ("nan:1:3", "0:1:2", []),
+            ("0:1:3", "-inf:1:2", []),
+            ("0:1:3", "0:nan:2", ["--degrees"]),
+            ("-1e308:1e308:3", "0:1:2", []),  # finite bounds whose span overflows
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(  # '=' form: a grid may start with '-'
+                    capsys,
+                    ["scan", "--state", "1,0,0,0", f"--theta-grid={theta_grid}",
+                     f"--vartheta-grid={vartheta_grid}", *extra],
+                )
+            assert code == 2
+            assert out == ""
+            assert "finite bounds" in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, ["exact", "--state", "1,0,0,0"])
@@ -255,3 +277,79 @@ class TestOptionResolution:
         assert target.read_text() == (GOLDEN / "exact_basis.json").read_text().replace(
             '"output": null', f'"output": "{target}"'
         )
+
+
+class TestParserSurface:
+    """Each subcommand takes exactly these options, in this --help order."""
+
+    COMMON = [
+        ("--state", None, None),
+        ("--state-form", ("reim", "magphase"), None),
+        ("--format", ("json", "csv"), None),
+        ("--output", None, None),
+        ("--config", None, None),
+    ]
+    ANGLES = [
+        ("--theta", None, float),
+        ("--vartheta", None, float),
+        ("--degrees", None, "store_true"),
+        ("--mode", ("discrete", "phase"), None),
+        ("--phi-points", None, int),
+    ]
+    SURFACE = {
+        "exact": COMMON + [("--phi-points", None, int)],
+        "operational": COMMON + ANGLES,
+        "invert": COMMON + ANGLES,
+        "sample": COMMON + ANGLES + [
+            ("--n", None, int),
+            ("--seed", None, int),
+            ("--shots-out", None, None),
+        ],
+        "scan": COMMON + [
+            ("--theta-grid", None, None),
+            ("--vartheta-grid", None, None),
+            ("--degrees", None, "store_true"),
+        ],
+    }
+
+    def test_subcommands_take_exactly_these_options(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(self.SURFACE)
+        assert [len(options) for options in self.SURFACE.values()] == [6, 10, 10, 13, 8]
+        for command, parser in sub.choices.items():
+            actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+            surface = [
+                (
+                    *a.option_strings,
+                    a.choices,
+                    "store_true" if isinstance(a, argparse._StoreTrueAction) else a.type,
+                )
+                for a in actions
+            ]
+            assert surface == self.SURFACE[command], command
+            # a flag left out falls through to the config file, then to the built-in default
+            assert all(a.default is None for a in actions), command
+
+    def test_built_in_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, ["exact", "--state", "1,0,0,0"])
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "command": "exact",
+            "state": [1.0, 0.0, 0.0, 0.0],
+            "format": "json",
+            "phi_points": 256,
+            "output": None,
+        }
+        code, out, _ = run_cli(
+            capsys, ["sample", "--state", "1,0,0,0", "--theta", "0.6", "--vartheta", "1.1", "--n", "10"]
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["mode"], config["seed"], config["shots_out"]) == ("discrete", 0, None)
+        code, out, _ = run_cli(
+            capsys, ["scan", "--state", "1,0,0,0", "--theta-grid", "0:1:2", "--vartheta-grid", "0.3:1:2"]
+        )
+        assert code == 0
+        assert list(json.loads(out)["config"]) == [
+            "command", "state", "theta_grid", "vartheta_grid", "format", "output",
+        ]

@@ -158,6 +158,11 @@ class TestPhaseShotsCsv:
         shots = PhaseShots(phi=np.array([phi]), z=np.array([z]), total=1, seed=0)
         assert_same_text(shots.to_csv(), phase_shots_csv_reference(shots))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, TWO_PI])
+    def test_phase_outside_the_circle_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"phases must lie in \[0, 2\*pi\)"):
+            PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]), total=2, seed=0)
+
 
 class TestEstimateQuasiJoint:
     def test_exact_frequencies_reproduce_closed_form(self):

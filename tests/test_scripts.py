@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_negativity_scan.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCAN_SCRIPT = SCRIPTS / "run_negativity_scan.py"
+MC_SCRIPT = SCRIPTS / "mc_convergence.py"
 
 
 def run_scan_script(monkeypatch, capsys, *args: str) -> list[str]:
@@ -45,3 +48,34 @@ def test_scan_script_on_fully_flagged_grid(monkeypatch, capsys, tmp_path):
         f"wrote 3 cells to {out} (3 singular)",
         "most negative: none, every cell is singular (no unflagged cell)",
     ]
+
+
+def test_scan_script_rejects_non_finite_grid_bounds(monkeypatch):
+    monkeypatch.setattr(
+        sys,
+        "argv",
+        [str(SCAN_SCRIPT), "--state", "0.6,0,0.8,0", "--theta-grid", "0:inf:3", "--vartheta-grid",
+         "0:1:2"],
+    )
+    with pytest.raises(ValueError, match="finite bounds"):
+        runpy.run_path(str(SCAN_SCRIPT), run_name="__main__")
+
+
+def test_mc_convergence_script_writes_its_table(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "mc.csv"
+    monkeypatch.setattr(
+        sys, "argv", [str(MC_SCRIPT), "--seeds", "2", "--shots", "100,1000", "--out", str(out)]
+    )
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(MC_SCRIPT), run_name="__main__")
+    assert stop.value.code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [int(line.split("rms=")[0][2:]) for line in printed[:2]] == [100, 1000]
+    assert printed[2] == f"wrote {out}"
+    header, *rows = out.read_text().splitlines()
+    assert header == "n,rms,rms_sqrt_n"
+    assert [int(row.split(",")[0]) for row in rows] == [100, 1000]
+    for row in rows:
+        n, rms, scaled = (float(piece) for piece in row.split(","))
+        assert 0.0 < rms < 1.0
+        assert scaled == pytest.approx(rms * math.sqrt(n), rel=1e-15)
