@@ -133,6 +133,7 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "finite bounds" in err
+            assert repr(theta_grid) in err or repr(vartheta_grid) in err  # names the grid
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_success_is_zero(self, capsys):
