@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -40,7 +41,11 @@ def main() -> int:
     parser.add_argument("--out", default="mc_convergence.csv")
     args = parser.parse_args()
 
-    state = parse_state(args.state, "reim")
+    try:
+        state = parse_state(args.state, "reim")
+    except ValueError as exc:  # StateValidationError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = MarkerConfig(args.theta, args.vartheta)
     measured = operational_joint_discrete(state, config)
     truth = quasi_joint_closed_form(state, config).as_array()

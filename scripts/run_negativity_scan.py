@@ -12,6 +12,7 @@ negative cell.  Example:
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -27,9 +28,13 @@ def main() -> int:
     parser.add_argument("--out", default="negativity_scan.csv")
     args = parser.parse_args()
 
-    state = parse_state(args.state, "reim")
-    t0, t1, tn = parse_grid(args.theta_grid, degrees=False)
-    v0, v1, vn = parse_grid(args.vartheta_grid, degrees=False)
+    try:
+        state = parse_state(args.state, "reim")
+        t0, t1, tn = parse_grid(args.theta_grid, degrees=False)
+        v0, v1, vn = parse_grid(args.vartheta_grid, degrees=False)
+    except ValueError as exc:  # StateValidationError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     grid = scan_negativity(state, np.linspace(t0, t1, tn), np.linspace(v0, v1, vn))
 
     with open(args.out, "w") as handle:

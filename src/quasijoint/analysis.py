@@ -22,6 +22,7 @@ import numpy as np
 
 from quasijoint.inversion import _quasi_entries, delta_coefficients
 from quasijoint.marking import DiscreteJoint, PhaseJoint
+from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _format_e16
 from quasijoint.states import TWO_PI, PhaseDensity, PureState, bloch_from_state, evaluate_phase_density
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
@@ -60,23 +61,35 @@ class ScanGrid:
     def to_csv(self) -> str:
         """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``.
 
-        Each vartheta is formatted once and each theta once per row; a row's
-        lines are built from plain Python values and joined into one string,
-        so the text is byte-identical to formatting every cell on its own.
+        Each theta and each vartheta is formatted once by ``_format_e16`` and
+        copied into the cells' rows; the minima are written block by block
+        into one NUL-padded byte row buffer, so the text is byte-identical to
+        formatting every cell on its own.
         """
-        varthetas = [f"{v:.16e}," for v in self.vartheta_values.tolist()]
-        rows = [SCAN_CSV_HEADER + "\n"]
-        for i, theta in enumerate(self.theta_values.tolist()):
-            prefix = f"{theta:.16e},"
-            rows.append(
-                "".join(
-                    prefix + vartheta + (",1\n" if flagged else f"{value:.16e},0\n")
-                    for vartheta, value, flagged in zip(
-                        varthetas, self.min_values[i].tolist(), self.singular[i].tolist()
-                    )
-                )
-            )
-        return "".join(rows)
+        width = _E16_WIDTH
+        thetas = np.empty((self.theta_values.size, width), np.uint8)
+        varthetas = np.empty((self.vartheta_values.size, width), np.uint8)
+        _format_e16(self.theta_values, thetas)
+        _format_e16(self.vartheta_values, varthetas)
+        values = self.min_values.ravel()
+        flags = self.singular.ravel()
+        rows = np.empty((min(values.size, _CSV_BLOCK), 3 * width + 5), np.uint8)
+        rows[:, [width, 2 * width + 1, 3 * width + 2]] = 44  # ","
+        rows[:, -1] = 10  # "\n"
+        blocks = [SCAN_CSV_HEADER + "\n"]
+        for start in range(0, values.size, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, values.size)
+            block = rows[: stop - start]
+            i, j = np.divmod(np.arange(start, stop), varthetas.shape[0])
+            block[:, :width] = thetas[i]
+            block[:, width + 1 : 2 * width + 1] = varthetas[j]
+            flagged = flags[start:stop]
+            minima = block[:, 2 * width + 2 : 3 * width + 2]
+            _format_e16(np.where(flagged, 0.0, values[start:stop]), minima)
+            minima[flagged] = 0  # flagged cells leave min_value empty
+            block[:, -2] = flagged + 48  # "0" or "1"
+            blocks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+        return "".join(blocks)
 
 
 def p_min_discrete(state: PureState) -> float:

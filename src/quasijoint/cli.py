@@ -220,9 +220,12 @@ def resolve_options(args: argparse.Namespace, required: Sequence[str]) -> dict:
     for name, (convert, default, _) in _OPTIONS.items():
         if name in options and name != "config":
             value = getattr(args, name)
-            if value is None:
-                value = convert(file_values[name]) if name in file_values else default
-            resolved[name] = value
+            if value is None and name in file_values:
+                try:
+                    value = convert(file_values[name])
+                except ValueError as exc:
+                    raise ValueError(f"config key {name!r}: {exc}") from None
+            resolved[name] = default if value is None else value
     for name in required:
         if resolved[name] is None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")

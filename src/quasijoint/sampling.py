@@ -36,8 +36,80 @@ from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, evaluate_pha
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
 
-#: shots formatted per block by PhaseShots.to_csv
+#: rows formatted per block by PhaseShots.to_csv and ScanGrid.to_csv
 _CSV_BLOCK = 1 << 16
+
+#: bytes of the widest ``%.16e`` field, "-4.9406564584124654e-324"
+_E16_WIDTH = 24
+#: exact doubles 1e0 .. 1e22, each with its Dekker split by 2**27 + 1
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: ASCII "0000" .. "9999" as one 4-byte word per value
+_DIGITS4 = (
+    (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48)
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+#: ASCII "e-06" .. "e+16" as one 4-byte word per decimal exponent, from -6
+_EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-6, 17)).encode(), np.uint32)
+
+
+def _times_pow10(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact product a * 10**(16 - e) as p + err (Dekker's TwoProduct, no FMA)."""
+    k = 16 - e
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * _POW10[k]
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, err
+
+
+def _format_e16(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``f"{v:.16e}"`` of each float64 value as ASCII into its row of ``out``.
+
+    ``out`` is a uint8 array of shape (len(values), _E16_WIDTH), typically a
+    column slice of a CSV row buffer.  Every byte of it is written; the bytes
+    a field does not use are NUL.  The 17 significant digits are the exact
+    product |v| * 10**(16 - E) rounded half to even, which needs
+    10**(16 - E) to be an exact double: so 1e-6 < |v| < 1e17 and zeros are
+    written here, and every other value (NaN and inf included) is formatted
+    by Python.
+    """
+    a = np.abs(values)
+    fast = (a > 1e-6) & (a < 1e17)  # decimal exponents -6 .. 16; False for NaN
+    a = np.where(fast, a, 1.0)
+    # log10 is off by at most a few ulps, so the shifted floor is the decimal
+    # exponent or one below it; an exact product p + err >= 1e17 tells which
+    e = np.clip(np.floor(np.log10(a) - 1e-12).astype(np.int64), -6, 16)
+    p, err = _times_pow10(a, e)
+    short = np.flatnonzero((p > 1e17) | ((p == 1e17) & (err >= 0)))
+    e[short] += 1
+    p[short], err[short] = _times_pow10(a[short], e[short])
+    # p is an even integer >= 1e16, so adding rint(err) rounds half to even.
+    # n stays below 10**17: no double in (1e-6, 1e17) lies within half a
+    # 17th digit below a power of ten (the tests cover every such neighbour)
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    n[~fast] = 0  # zeros come out right; the rest is overwritten below
+    e[~fast] = 0
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    high = (rest // 10**8).astype(np.int32)
+    low = (rest - high * 10**8).astype(np.int32)
+    groups = np.stack([high // 10000, high % 10000, low // 10000, low % 10000], axis=1)
+    out[:, 0] = np.signbit(values) * np.uint8(45)  # "-"
+    out[:, 1] = lead + 48
+    out[:, 2] = 46  # "."
+    out[:, 3:19] = _DIGITS4[groups].view(np.uint8)
+    out[:, 19:23] = _EXPONENTS[e + 6].view(np.uint8).reshape(-1, 4)
+    out[:, 23] = 0
+    for i in np.flatnonzero(~fast & (values != 0.0)):
+        text = f"{values[i]:.16e}".encode("ascii")
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+        out[i, len(text) :] = 0
 
 
 @dataclass(frozen=True)
@@ -103,17 +175,21 @@ class PhaseShots:
     def to_csv(self) -> str:
         """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``.
 
-        Shots are formatted in blocks of ``_CSV_BLOCK`` from plain Python
-        values, one ``%`` operation per block; the text is byte-identical to
+        Each block of ``_CSV_BLOCK`` shots is written into one NUL-padded
+        byte row buffer by ``_format_e16``; the text is byte-identical to
         formatting each shot with ``f"{phi:.16e},{z}"``.
         """
+        rows = np.empty((min(self.total, _CSV_BLOCK), _E16_WIDTH + 4), np.uint8)
+        rows[:, _E16_WIDTH] = 44  # ","
+        rows[:, -2] = 49  # "1"
+        rows[:, -1] = 10  # "\n"
         blocks = [PHASE_CSV_HEADER + "\n"]
         for start in range(0, self.total, _CSV_BLOCK):
-            phi = self.phi[start : start + _CSV_BLOCK].tolist()
-            flat = [None] * (2 * len(phi))
-            flat[0::2] = phi
-            flat[1::2] = self.z[start : start + _CSV_BLOCK].tolist()
-            blocks.append(("%.16e,%d\n" * len(phi)) % tuple(flat))
+            phi = self.phi[start : start + _CSV_BLOCK]
+            block = rows[: phi.size]
+            _format_e16(phi, block[:, :_E16_WIDTH])
+            block[:, -3] = np.where(self.z[start : start + _CSV_BLOCK] < 0, 45, 0)
+            blocks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
         return "".join(blocks)
 
 

@@ -229,6 +229,27 @@ class TestOptionResolution:
         assert code == 2
         assert "thetta" in err
 
+    @pytest.mark.parametrize(
+        "line, commands",
+        [
+            ("phi_points=abc", ("exact", "operational", "invert", "sample")),
+            ("degrees=maybe", ("operational", "invert", "sample", "scan")),
+            ("theta=wide", ("operational", "invert", "sample")),
+            ("vartheta=1,2", ("operational", "invert", "sample")),
+            ("n=1e3", ("sample",)),
+            ("seed=0.5", ("sample",)),
+        ],
+    )
+    def test_unconvertible_config_value_names_its_key(self, capsys, tmp_path, line, commands):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"state={TILTED_STATE}\n{line}\n")
+        key = line.split("=")[0]
+        for command in commands:
+            code, out, err = run_cli(capsys, [command, "--config", str(config)])
+            assert code == 2, command
+            assert out == ""
+            assert err.startswith(f"error: config key '{key}': "), (command, err)
+
     def test_degrees_flag(self, capsys):
         code, out_deg, _ = run_cli(
             capsys,

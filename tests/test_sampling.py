@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from quasijoint import (
     DiscreteJoint,
@@ -21,7 +24,7 @@ from quasijoint import (
     sample_discrete,
     sample_phase,
 )
-from quasijoint.sampling import _CSV_BLOCK
+from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _format_e16
 from helpers import assert_same_text, haar_state, invertible_config, phase_shots_csv_reference
 
 TWO_PI = 2.0 * math.pi
@@ -162,6 +165,50 @@ class TestPhaseShotsCsv:
     def test_phase_outside_the_circle_is_rejected(self, bad):
         with pytest.raises(ValueError, match=r"phases must lie in \[0, 2\*pi\)"):
             PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]), total=2, seed=0)
+
+
+def assert_formats_like_python(values) -> None:
+    """``_format_e16`` writes each value's ``f"{v:.16e}"`` into a column slice of a wider buffer."""
+    values = np.asarray(values, dtype=float)
+    rows = np.full((values.size, _E16_WIDTH + 3), 0xFF, np.uint8)  # 0xFF: not written
+    _format_e16(values, rows[:, 1 : _E16_WIDTH + 1])
+    assert (rows[:, 0] == 0xFF).all() and (rows[:, _E16_WIDTH + 1 :] == 0xFF).all()
+    got = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows[:, 1 : _E16_WIDTH + 1]]
+    wrong = [(v, g) for v, g in zip(values.tolist(), got) if g != f"{v:.16e}"]
+    assert not wrong, wrong[:5]
+
+
+class TestFormatE16:
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
+    def test_matches_python_on_any_float(self, values):
+        assert_formats_like_python(values)
+
+    def test_signed_zeros(self):
+        assert_formats_like_python([0.0, -0.0, 0.0, -0.0])
+
+    def test_thousand_ulps_around_every_power_of_ten(self):
+        steps = np.arange(-1000, 1001)
+        for exponent in range(-7, 18):
+            bits = np.float64(float(f"1e{exponent}")).view(np.int64) + steps
+            near = bits.view(np.float64)
+            assert_formats_like_python(np.concatenate([near, -near]))
+
+    def test_exact_ties_round_half_to_even(self):
+        odd = np.random.default_rng(53).integers(2**52, 2**53, 400) | 1  # odd, below 2**53
+        # odd * 2**-2 has 16 integer digits and a .25 or .75 tail: 18 digits, the last a 5
+        ties = np.ldexp(odd.astype(float), -2)
+        assert all(len(Decimal(v).as_tuple().digits) == 18 for v in ties.tolist())
+        assert_formats_like_python(np.concatenate([ties, -ties]))
+        for shift in range(-72, 4):  # 1e-6 .. 1e17, across the fast path's decades
+            assert_formats_like_python(np.ldexp(odd.astype(float), shift))
+
+    def test_python_formatted_values_between_fast_rows(self):
+        values = np.random.default_rng(7).uniform(-TWO_PI, TWO_PI, 40)
+        edges = [float(np.nextafter(TWO_PI, 0.0)), 5e-324, 1e-300, -1e-300, 9.9e-7, 1e17, -1e300,
+                 math.nan, math.inf, -math.inf, 0.0, -0.0]
+        values[1::3][: len(edges)] = edges
+        assert_formats_like_python(values)
 
 
 class TestEstimateQuasiJoint:

@@ -50,15 +50,58 @@ def test_scan_script_on_fully_flagged_grid(monkeypatch, capsys, tmp_path):
     ]
 
 
-def test_scan_script_rejects_non_finite_grid_bounds(monkeypatch):
-    monkeypatch.setattr(
-        sys,
-        "argv",
-        [str(SCAN_SCRIPT), "--state", "0.6,0,0.8,0", "--theta-grid", "0:inf:3", "--vartheta-grid",
-         "0:1:2"],
+def run_failing_script(monkeypatch, capsys, script: Path, *args: str) -> str:
+    """Run a script that must stop with exit 2 and one ``error:`` line; return that line."""
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    return captured.err.rstrip("\n")
+
+
+def test_scan_script_rejects_non_finite_grid_bounds(monkeypatch, capsys):
+    line = run_failing_script(
+        monkeypatch, capsys, SCAN_SCRIPT, "--state", "0.6,0,0.8,0", "--theta-grid", "0:inf:3",
+        "--vartheta-grid", "0:1:2",
     )
-    with pytest.raises(ValueError, match="finite bounds"):
-        runpy.run_path(str(SCAN_SCRIPT), run_name="__main__")
+    assert line == "error: grid '0:inf:3' needs finite bounds"
+
+
+@pytest.mark.parametrize(
+    "state, vartheta_grid, message",
+    [
+        ("1,0,0", "0:1:2", "error: state needs 4 comma-separated numbers, got 3"),
+        ("1,0,0,1", "0:1:2", "error: |alpha|^2 + |beta|^2 = 2.0 is more than"),
+        ("nan,0,1,0", "0:1:2", "error: amplitudes must be finite"),
+        ("0.6,0,0.8,0", "0:1", "error: grid must be start:stop:num, got '0:1'"),
+    ],
+    ids=["short-state", "unnormalized-state", "nan-state", "malformed-grid"],
+)
+def test_scan_script_reports_invalid_input_on_one_line(
+    monkeypatch, capsys, state, vartheta_grid, message
+):
+    line = run_failing_script(
+        monkeypatch, capsys, SCAN_SCRIPT, "--state", state, "--theta-grid", "0:1:3",
+        "--vartheta-grid", vartheta_grid,
+    )
+    assert line.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("1,0,0", "error: state needs 4 comma-separated numbers, got 3"),
+        ("1,0,0,1", "error: |alpha|^2 + |beta|^2 = 2.0 is more than"),
+        ("1,0,x,0", "error: could not convert string to float: 'x'"),
+    ],
+    ids=["short-state", "unnormalized-state", "non-numeric-state"],
+)
+def test_mc_convergence_script_reports_invalid_state_on_one_line(monkeypatch, capsys, state, message):
+    line = run_failing_script(monkeypatch, capsys, MC_SCRIPT, "--state", state, "--seeds", "1")
+    assert line.startswith(message)
 
 
 def test_mc_convergence_script_writes_its_table(monkeypatch, capsys, tmp_path):
