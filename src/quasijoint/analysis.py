@@ -61,16 +61,16 @@ class ScanGrid:
     def to_csv(self) -> str:
         """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``.
 
-        Each theta and each vartheta is formatted once by ``_format_e16`` and
-        copied into the cells' rows; the minima are written block by block
-        into one NUL-padded byte row buffer, so the text is byte-identical to
-        formatting every cell on its own.
+        The thetas and varthetas are formatted once, in one ``_format_e16``
+        call, and copied into the cells' rows; the minima are written block by
+        block into one NUL-padded byte row buffer, so the text is
+        byte-identical to formatting every cell on its own.
         """
         width = _E16_WIDTH
-        thetas = np.empty((self.theta_values.size, width), np.uint8)
-        varthetas = np.empty((self.vartheta_values.size, width), np.uint8)
-        _format_e16(self.theta_values, thetas)
-        _format_e16(self.vartheta_values, varthetas)
+        angles = np.concatenate([self.theta_values, self.vartheta_values])
+        fields = np.empty((angles.size, width), np.uint8)
+        _format_e16(angles, fields)
+        thetas, varthetas = fields[: self.theta_values.size], fields[self.theta_values.size :]
         values = self.min_values.ravel()
         flags = self.singular.ravel()
         rows = np.empty((min(values.size, _CSV_BLOCK), 3 * width + 5), np.uint8)

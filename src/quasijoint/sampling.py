@@ -82,9 +82,10 @@ def _format_e16(values: np.ndarray, out: np.ndarray) -> None:
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e17)  # decimal exponents -6 .. 16; False for NaN
     a = np.where(fast, a, 1.0)
-    # log10 is off by at most a few ulps, so the shifted floor is the decimal
-    # exponent or one below it; an exact product p + err >= 1e17 tells which
-    e = np.clip(np.floor(np.log10(a) - 1e-12).astype(np.int64), -6, 16)
+    # log10 is off by at most a few ulps, so the floor of log10(a) - 1e-12 is
+    # the decimal exponent or one less (never 17); an exact product
+    # p + err >= 1e17 marks the ones that are one less
+    e = np.maximum(np.floor(np.log10(a) - 1e-12).astype(np.int64), -6)
     p, err = _times_pow10(a, e)
     short = np.flatnonzero((p > 1e17) | ((p == 1e17) & (err >= 0)))
     e[short] += 1
