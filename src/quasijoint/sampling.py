@@ -37,7 +37,7 @@ DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
 
 #: rows formatted per block by PhaseShots.to_csv and ScanGrid.to_csv
-_CSV_BLOCK = 1 << 16
+_CSV_BLOCK = 1 << 12
 
 #: bytes of the widest ``%.16e`` field, "-4.9406564584124654e-324"
 _E16_WIDTH = 24
@@ -45,10 +45,11 @@ _E16_WIDTH = 24
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-#: ASCII "0000" .. "9999" as one 4-byte word per value
+#: ASCII "0000" .. "9999" as one 4-byte word per value, built from uint8
+#: digits so that import allocates no large temporaries
 _DIGITS4 = (
-    (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48)
-    .astype(np.uint8)
+    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+    .reshape(-1, 4)
     .view(np.uint32)
     .ravel()
 )

@@ -24,6 +24,7 @@ from quasijoint import (
     quasi_joint_phase_closed_form,
     scan_negativity,
 )
+from quasijoint.sampling import _CSV_BLOCK
 from helpers import (
     assert_same_text,
     haar_state,
@@ -232,8 +233,11 @@ class TestScanNegativity:
             (EDGE_THETAS, [0.9]),  # Nx1
             ([math.pi / 2], [0.0, 1.2, 2.9]),  # a fully flagged row
             (EDGE_THETAS, EDGE_VARTHETAS),
+            # more cells than one block holds, the block ending inside a row; the
+            # last row is theta = pi/2, fully flagged
+            (np.linspace(0.0, math.pi / 2, _CSV_BLOCK // 61 + 2), np.linspace(-0.7, 3.5, 61)),
         ],
-        ids=["1x1", "1xN", "Nx1", "flagged-row", "edges"],
+        ids=["1x1", "1xN", "Nx1", "flagged-row", "edges", "two-blocks"],
     )
     def test_csv_matches_per_cell_formatter(self, thetas, varthetas):
         grid = scan_negativity(haar_state(np.random.default_rng(5)), thetas, varthetas)
