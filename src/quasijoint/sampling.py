@@ -36,7 +36,9 @@ from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, evaluate_pha
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
 
-#: rows formatted per block by PhaseShots.to_csv and ScanGrid.to_csv
+#: rows formatted per block by PhaseShots.to_csv and ScanGrid.to_csv; the row
+#: buffer and the formatter's temporaries (about 100 B a row) scale with it,
+#: so it is kept well below the size of a typical scan or shot file
 _CSV_BLOCK = 1 << 12
 
 #: bytes of the widest ``%.16e`` field, "-4.9406564584124654e-324"

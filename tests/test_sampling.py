@@ -143,8 +143,9 @@ class TestSamplePhase:
 
 
 class TestPhaseShotsCsv:
+    # many blocks, the last one short by one, full, or holding one or three shots
     @pytest.mark.parametrize(
-        "total", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3]
+        "total", [16 * _CSV_BLOCK - 1, 16 * _CSV_BLOCK, 16 * _CSV_BLOCK + 1, 32 * _CSV_BLOCK + 3]
     )
     def test_matches_per_row_formatter(self, total):
         rng = np.random.default_rng(total)
