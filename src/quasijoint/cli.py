@@ -24,6 +24,7 @@ is allocated.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -49,6 +50,8 @@ from quasijoint.marking import (
     operational_joint_phase,
 )
 from quasijoint.sampling import (
+    _E16_WIDTH,
+    _format_e16,
     estimate_quasi_joint,
     harmonic_estimates,
     sample_discrete,
@@ -125,7 +128,32 @@ def _render_json_value(value, level: int) -> str:
             return "[]"
         inner = ",\n".join(f"{pad}{_render_json_value(item, level + 1)}" for item in value)
         return "[\n" + inner + "\n" + "  " * level + "]"
+    if isinstance(value, np.ndarray):
+        return _render_json_floats(value, pad, level)
     raise TypeError(f"cannot render {type(value).__name__} in a report")
+
+
+def _render_json_floats(values: np.ndarray, pad: str, level: int) -> str:
+    """A 1-D float64 array as a JSON list, byte-identical to rendering ``values.tolist()``.
+
+    Every element becomes one ``pad + %.16e + ",\\n"`` row of a uint8 buffer,
+    formatted in one ``_format_e16`` call; the fields' NUL padding is dropped.
+    """
+    if values.dtype != np.float64 or values.ndim != 1:
+        raise TypeError(f"cannot render a {values.dtype} array of shape {values.shape} in a report")
+    if not values.size:
+        return "[]"
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(values[np.argmin(finite)])  # raises for the first non-finite element
+    indent = len(pad)
+    rows = np.empty((values.size, indent + _E16_WIDTH + 2), np.uint8)
+    rows[:, :indent] = 32  # " "
+    _format_e16(values, rows[:, indent:-2])
+    rows[:, -2] = 44  # ","
+    rows[:, -1] = 10  # "\n"
+    inner = rows.tobytes().translate(None, b"\0").decode("ascii")
+    return "[\n" + inner[:-2] + "\n" + "  " * level + "]"
 
 
 def render_json(report: dict) -> str:
@@ -304,8 +332,7 @@ def _density_dict(density) -> dict:
 
 def _density_grid(points: int, **densities) -> dict:
     phi = phase_grid(points)
-    values = {name: evaluate_phase_density(d, phi).tolist() for name, d in densities.items()}
-    return {"phi": phi.tolist(), **values}
+    return {"phi": phi, **{name: evaluate_phase_density(d, phi) for name, d in densities.items()}}
 
 
 def _records(header: str, rows) -> list[dict]:
@@ -494,10 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` reuses: built on the first call, not at import.  Parsing
+#: leaves it unchanged (no mutable defaults, no append actions, and help reads
+#: the terminal width only when it is formatted), so reuse changes no output
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given
 
+from quasijoint import cli
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
@@ -41,6 +46,90 @@ class TestGoldenFiles:
         values = {(cell["x"], cell["z"]): cell["value"] for cell in report["result"]["joint"]["values"]}
         assert values[(-1, -1)] == pytest.approx((1 - math.sqrt(2)) / 4, abs=1e-12)
         assert report["result"]["negativity"]["min_value"] == values[(-1, -1)]
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call leaves a trace on the next."""
+
+    def test_interleaved_reports_stay_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"state={TILTED_STATE}\ntheta=0.6\nvartheta=1.1\n")
+        golden_config = (GOLDEN / "operational_discrete.json").read_text()
+        interludes = itertools.cycle([  # argv, exit code, stdout check
+            (["invert", "--state", "1,0,0,0", "--theta", "0.3", "--bogus"], 2, lambda out: out == ""),
+            (["sample", "--help"], 0, lambda out: out.startswith("usage: quasijoint sample")),
+            (["operational", "--config", str(config)], 0, lambda out: out == golden_config),
+        ])
+        cases = CASES + REPORT_CASES
+        for case in [*cases, *reversed(cases)]:
+            code, out, err = run_cli(capsys, case["argv"])
+            assert code == 0, err
+            assert out == (GOLDEN / case["stdout"]).read_text(), case["name"]
+            for produced, stored in case["files"].items():
+                assert (tmp_path / produced).read_text() == (GOLDEN / stored).read_text(), case["name"]
+            argv, expected_code, check = next(interludes)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == expected_code, argv
+            assert check(out), argv
+        assert cli._parser.cache_info().currsize == 1
+
+    def test_help_follows_the_terminal_width_of_each_call(self, capsys, monkeypatch):
+        for columns in ("60", "140", "60"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run_cli(capsys, ["scan", "--help"])
+            assert code == 0
+            fresh = next(
+                a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+            ).choices["scan"]
+            assert out == fresh.format_help()
+        assert max(map(len, out.splitlines())) <= 60
+
+
+#: doubles that _format_e16 writes by its per-element fallback, or that sit at its edges
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-07, 1e-6,
+    1.0000000000000002e-06, 99999999999999984.0, 1e17, -1e17, 1e300, 1.7976931348623157e308,
+]
+
+
+@st.composite
+def _float_arrays(draw):
+    element = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and zeros
+        st.floats(-1e-6, 1e-6, exclude_min=True, exclude_max=True),
+        st.floats(1e17, 1e300) | st.floats(-1e300, -1e17),
+        st.sampled_from(_EDGE_FLOATS),
+    )
+    return np.array(draw(st.lists(element, max_size=40)), dtype=np.float64)
+
+
+class TestJsonFloatArrays:
+    """A float64 array renders exactly as its ``tolist()``."""
+
+    @given(_float_arrays(), st.integers(0, 3))
+    def test_matches_list_rendering(self, values, level):
+        assert cli._render_json_value(values, level) == cli._render_json_value(values.tolist(), level)
+
+    def test_empty_array(self):
+        for level in range(4):
+            assert cli._render_json_value(np.array([]), level) == "[]"
+
+    def test_only_one_dimensional_float64_arrays(self):
+        for values in (np.arange(3), np.zeros((2, 2)), np.zeros(3, np.float32)):
+            with pytest.raises(TypeError):
+                cli._render_json_value(values, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_element_raises_the_list_message(self, bad):
+        for values in ([bad], [0.5, -1e-9, bad, 2.0], [1.0, bad, -bad, math.nan]):
+            with pytest.raises(ValueError) as from_list:
+                cli._render_json_value(values, 1)
+            with pytest.raises(ValueError) as from_array:
+                cli._render_json_value(np.array(values), 1)
+            assert str(from_array.value) == str(from_list.value)
+            assert str(from_array.value) == f"refusing to print non-finite value {bad!r}"
 
 
 class TestExitCodes:
