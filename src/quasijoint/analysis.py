@@ -23,12 +23,14 @@ import numpy as np
 from quasijoint.inversion import _quasi_entries, delta_coefficients
 from quasijoint.marking import DiscreteJoint, PhaseJoint
 from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _format_e16
-from quasijoint.states import TWO_PI, PhaseDensity, PureState, bloch_from_state, evaluate_phase_density
+from quasijoint.states import TWO_PI, PhaseDensity, PureState, bloch_from_state
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
 
-#: panels of the trapezoid rule used for the negative-part integral
-_QUAD_PANELS = 1024
+#: below this t = sqrt(A^2 - c0^2) / c0 the negative mass of a phase slice is
+#: summed as a series, with this many terms (truncation below 2e-17 relative)
+_SERIES_BELOW = 0.1
+_SERIES_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class NegativityReport:
 
     ``argmin`` is (x, z) for discrete joints and (phi_star, z) for phase
     joints.  ``total_negativity`` is the sum (discrete) or integral
-    (continuous, 1024-panel trapezoid) of the negative part's magnitude.
+    (continuous, in closed form per slice) of the negative part's magnitude.
     """
 
     min_value: float
@@ -104,10 +106,27 @@ def p_min_phase(state: PureState) -> float:
     return (1.0 - abs(e.ez) - math.hypot(e.ex, e.ey)) / (2.0 * TWO_PI)
 
 
-def _negative_part_integral(density: PhaseDensity) -> float:
-    phi = np.linspace(0.0, TWO_PI, _QUAD_PANELS + 1)
-    values = np.clip(-evaluate_phase_density(density, phi), 0.0, None)
-    return float(np.sum(0.5 * (values[:-1] + values[1:])) * (TWO_PI / _QUAD_PANELS))
+def _negative_mass(density: PhaseDensity) -> float:
+    """Integral over a period of the negative part of c0 + A cos(phi - phi0), in closed form.
+
+    Where A > c0 the density is negative on an arc of half-width
+    atan2(s, c0), s = sqrt(A^2 - c0^2), and the mass is 2(s - c0 atan2(s, c0)).
+    Near tangency, where t = s/c0 is small, that difference cancels, so it is
+    summed as 2 c0 (t^3/3 - t^5/5 + ...) instead, which is never negative.
+    """
+    c0, amplitude = density.c0, density.amplitude
+    if amplitude <= c0:
+        return 0.0
+    if amplitude <= -c0:  # negative everywhere
+        return -TWO_PI * c0
+    s = math.sqrt((amplitude - c0) * (amplitude + c0))
+    if s < _SERIES_BELOW * c0:
+        t2 = (s / c0) ** 2
+        series = 0.0
+        for k in range(_SERIES_TERMS, 0, -1):  # Horner in t^2 of 1/3 - t^2/5 + t^4/7 - ...
+            series = 1.0 / (2 * k + 1) - t2 * series
+        return 2.0 * s * t2 * series
+    return 2.0 * (s - c0 * math.atan2(s, c0))
 
 
 def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
@@ -129,7 +148,7 @@ def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
             best_value = joint.minus.min_value
         slice_min = joint.for_z(best_z)
         phi_star = math.atan2(-slice_min.c_sin, -slice_min.c_cos) % TWO_PI
-        total = _negative_part_integral(joint.plus) + _negative_part_integral(joint.minus)
+        total = _negative_mass(joint.plus) + _negative_mass(joint.minus)
         return NegativityReport(
             min_value=best_value, argmin=(phi_star, best_z), total_negativity=total
         )

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from quasijoint import (
+    QUASI,
     MarkerConfig,
+    PhaseDensity,
+    PhaseJoint,
     PureState,
     ScanGrid,
     SingularInversion,
@@ -24,6 +30,7 @@ from quasijoint import (
     quasi_joint_phase_closed_form,
     scan_negativity,
 )
+from quasijoint.analysis import _negative_mass
 from quasijoint.sampling import _CSV_BLOCK
 from helpers import (
     assert_same_text,
@@ -154,6 +161,91 @@ class TestNegativityOf:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             negativity_of(0.5)
+
+
+def _load_benchmark_checker():
+    """perfbench/checker.py, which shares no code with the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _arc_quadrature(c0: float, c_cos: float, c_sin: float, panels: int = 4096) -> float:
+    """Negative mass by bisecting for the sign changes, then composite Simpson over the
+    negative arc, where the integrand is smooth, summed with math.fsum."""
+
+    def f(phi: float) -> float:
+        return c0 + c_cos * math.cos(phi) + c_sin * math.sin(phi)
+
+    low = math.atan2(-c_sin, -c_cos)  # the slice's minimum; its maximum is half a turn away
+    if f(low) >= 0.0:
+        return 0.0
+    if f(low + math.pi) <= 0.0:
+        start, stop = low - math.pi, low + math.pi
+    else:
+        ends = []
+        for outward in (-math.pi, math.pi):
+            inside, outside = low, low + outward  # f < 0 inside, f > 0 outside
+            for _ in range(200):
+                middle = 0.5 * (inside + outside)
+                if middle in (inside, outside):
+                    break
+                inside, outside = (middle, outside) if f(middle) < 0.0 else (inside, middle)
+            ends.append(inside)
+        start, stop = ends
+    h = (stop - start) / panels
+    weights = [1.0] + [4.0 if i % 2 else 2.0 for i in range(1, panels)] + [1.0]
+    return math.fsum(-w * f(start + i * h) for i, w in enumerate(weights)) * h / 3.0
+
+
+class TestNegativeMass:
+    """The closed-form negative mass of a phase slice c0 + c_cos cos(phi) + c_sin sin(phi)."""
+
+    def test_matches_arc_quadrature(self):
+        rng = np.random.default_rng(31)
+        slices = [(c0, *rng.uniform(-1.0, 1.0, 2)) for c0 in rng.uniform(-0.5, 1.0, 60)]
+        slices += [(0.0, 0.3, -0.4), (-0.2, 0.1, 0.05), (0.25, 0.0, 0.0), (0.3, 0.3, 0.0)]
+        for c0, c_cos, c_sin in slices:
+            mass = _negative_mass(PhaseDensity(c0, c_cos, c_sin))
+            assert mass == pytest.approx(_arc_quadrature(c0, c_cos, c_sin), abs=1e-12), (c0, c_cos, c_sin)
+
+    def test_nonnegative_and_continuous_at_tangency(self):
+        eps = 2.0**-52
+        for c0 in (0.3, 1.0 / (4.0 * math.pi), 1e-3, 7.0):
+            masses = []
+            for k in (0, 1, 2, 3, 5, 10, 100, 10**4, 10**6, 10**8, 10**10):
+                amplitude = c0 * (1.0 + k * eps)
+                mass = _negative_mass(PhaseDensity(c0, 0.0, -amplitude))
+                # t^2 = (A^2 - c0^2)/c0^2 exactly; the series 2 c0 t^3 (1/3 - t^2/5 + t^4/7)
+                t2 = float((Fraction(amplitude) ** 2 - Fraction(c0) ** 2) / Fraction(c0) ** 2)
+                expected = 2.0 * c0 * t2 * math.sqrt(t2) * (1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0)
+                assert mass >= 0.0
+                assert mass == pytest.approx(expected, rel=1e-12, abs=0.0), (c0, k)
+                masses.append(mass)
+            assert masses == sorted(masses)  # grows with the amplitude
+
+    def test_matches_benchmark_checker_away_from_tangency(self):
+        checker = _load_benchmark_checker()
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            c0 = float(rng.uniform(0.0, 0.2))
+            c_cos, c_sin = rng.uniform(-0.3, 0.3, 2)
+            if math.hypot(c_cos, c_sin) < c0 * (1.0 + 1e-3):
+                continue
+            mass = _negative_mass(PhaseDensity(c0, c_cos, c_sin))
+            assert mass == pytest.approx(checker.exact_negative_mass(c0, c_cos, c_sin), rel=1e-12, abs=1e-15)
+
+    def test_negativity_of_sums_both_slices(self):
+        minus = PhaseDensity(-0.05, 0.02, 0.01)  # negative over the whole period
+        plus = PhaseDensity(1.0 / TWO_PI + 0.05, 0.3, -0.1)
+        report = negativity_of(PhaseJoint(plus, minus, kind=QUASI))
+        assert report.total_negativity == _negative_mass(plus) + _negative_mass(minus)
+        assert _negative_mass(minus) == pytest.approx(0.05 * TWO_PI, rel=1e-15)
+        assert report.total_negativity == pytest.approx(
+            _arc_quadrature(plus.c0, plus.c_cos, plus.c_sin) + 0.05 * TWO_PI, abs=1e-12
+        )
 
 
 class TestScanNegativity:
