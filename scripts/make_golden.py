@@ -3,7 +3,10 @@
 
 Run from anywhere; the outputs are deterministic (fixed seeds, fixed float
 formatting), so a regeneration on the same platform must be a no-op unless
-the CLI surface intentionally changed.
+the CLI surface intentionally changed.  Nor do they depend on which SIMD code
+paths numpy dispatches to on the CPU: CI regenerates them a second time with
+numpy's AVX-512 paths disabled (``NPY_DISABLE_CPU_FEATURES``) and requires
+the same bytes.
 """
 
 from __future__ import annotations
