@@ -48,7 +48,7 @@ def main() -> int:
         return 2
     config = MarkerConfig(args.theta, args.vartheta)
     measured = operational_joint_discrete(state, config)
-    truth = quasi_joint_closed_form(state, config).as_array()
+    truth = quasi_joint_closed_form(state, config).table
 
     rows = []
     for n in (int(piece) for piece in args.shots.split(",")):
@@ -56,7 +56,7 @@ def main() -> int:
         for offset in range(args.seeds):
             counts = sample_discrete(measured, n, args.base_seed + offset)
             estimate = estimate_quasi_joint(counts, config)
-            squared.append(float(((estimate.joint.as_array() - truth) ** 2).mean()))
+            squared.append(float(((estimate.joint.table - truth) ** 2).mean()))
         rms = math.sqrt(float(np.mean(squared)))
         rows.append((n, rms, rms * math.sqrt(n)))
         print(f"N={n:>9d}  rms={rms:.3e}  rms*sqrt(N)={rms * math.sqrt(n):.4f}")

@@ -267,6 +267,8 @@ def resolve_options(args: argparse.Namespace, required: Sequence[str]) -> dict:
         raise ValueError(f"phi-points must be <= {MAX_PHI_POINTS}")
     if resolved.get("mode") == PHASE_MODE and (resolved.get("n") or 0) > MAX_PHASE_SHOTS:
         raise ValueError(f"n must be <= {MAX_PHASE_SHOTS} in phase mode")
+    if (resolved.get("n") or 0) > np.iinfo(np.int64).max:  # the multinomial draw takes an int64
+        raise ValueError(f"n must be <= {np.iinfo(np.int64).max}")
     return resolved
 
 

@@ -39,7 +39,6 @@ from quasijoint.states import (
     PureState,
     _SIGNS,
     _by_outcome,
-    _outcome_index,
     bloch_from_state,
 )
 
@@ -70,47 +69,6 @@ def _check_marking(theta: float, eps: float) -> float:
 
 
 @dataclass(frozen=True)
-class InversionMatrix:
-    """2x2 left inverse of a binary response matrix.
-
-    entry(a, a') maps the measured outcome a' to the exact outcome a; rows
-    and fields follow the same (p=+1, m=-1) naming as DiscreteJoint.  Both
-    columns sum to 1, so normalization survives the inversion.
-    """
-
-    label: str  # "mu_X" or "mu_Z"
-    pp: float
-    pm: float
-    mp: float
-    mm: float
-
-    def __post_init__(self) -> None:
-        if self.label not in ("mu_X", "mu_Z"):
-            raise ValueError(f"unknown kernel label {self.label!r}")
-        for name in ("pp", "pm", "mp", "mm"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def entry(self, a: int, a_prime: int) -> float:
-        return (self.pp, self.pm, self.mp, self.mm)[_outcome_index(a, a_prime)]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.pp, self.pm], [self.mp, self.mm]], dtype=float)
-
-    def apply(self, pair: tuple[float, float]) -> tuple[float, float]:
-        """Matrix-vector product on (value at +1, value at -1)."""
-        plus, minus = pair
-        return (self.pp * plus + self.pm * minus, self.mp * plus + self.mm * minus)
-
-    @property
-    def condition(self) -> float:
-        """Max |entry|; grows like the inverse denominator near singular configs."""
-        return max(abs(self.pp), abs(self.pm), abs(self.mp), abs(self.mm))
-
-
-@dataclass(frozen=True)
 class PhaseKernel:
     """First-harmonic deconvolution kernel k0 + g*cos(phi - phi').
 
@@ -133,22 +91,17 @@ class PhaseKernel:
             density.c_sin * gain,
         )
 
-    @property
-    def condition(self) -> float:
-        """Max |kernel value|."""
-        return abs(self.k0) + abs(self.g)
 
-
-def mu_x_matrix(theta: float, eps: float = SINGULARITY_EPS) -> InversionMatrix:
-    """Fringe kernel mu_X(x, x') = (1 + x*x'/cos(theta))/2."""
+def mu_x_matrix(theta: float, eps: float = SINGULARITY_EPS) -> np.ndarray:
+    """Fringe kernel mu_X(x, x') = (1 + x*x'/cos(theta))/2 as a 2x2 array indexed [x, x']."""
     c = _check_marking(theta, eps)
     lo = 0.5 * (1.0 - 1.0 / c)
     hi = 0.5 * (1.0 + 1.0 / c)
-    return InversionMatrix("mu_X", hi, lo, lo, hi)
+    return np.array([[hi, lo], [lo, hi]])
 
 
-def mu_z_matrix(config: MarkerConfig, eps: float = SINGULARITY_EPS) -> InversionMatrix:
-    """Analyzer kernel; all four entries share the denominator sin(theta)*sin(2*vartheta - theta)."""
+def mu_z_matrix(config: MarkerConfig, eps: float = SINGULARITY_EPS) -> np.ndarray:
+    """Analyzer kernel as a 2x2 array indexed [z, z'], denominator sin(theta)*sin(2*vartheta - theta)."""
     den = math.sin(config.theta) * math.sin(2.0 * config.vartheta - config.theta)
     if abs(den) <= eps:
         raise SingularAnalyzer(
@@ -160,13 +113,7 @@ def mu_z_matrix(config: MarkerConfig, eps: float = SINGULARITY_EPS) -> Inversion
     cv = math.cos(config.vartheta)
     sd = math.sin(config.vartheta - config.theta)
     cd = math.cos(config.vartheta - config.theta)
-    return InversionMatrix(
-        "mu_Z",
-        sv * sv / den,
-        -cv * cv / den,
-        -sd * sd / den,
-        cd * cd / den,
-    )
+    return np.array([[sv * sv / den, -cv * cv / den], [-sd * sd / den, cd * cd / den]])
 
 
 def invert_joint_discrete(
@@ -180,11 +127,11 @@ def invert_joint_discrete(
     """
     if joint.kind != OPERATIONAL:
         raise ValueError("only measured (operational) joints can be inverted")
-    mx = mu_x_matrix(config.theta, eps).as_array()
-    mz = mu_z_matrix(config, eps).as_array()
-    table = mx @ joint.as_array() @ mz.T
+    mx = mu_x_matrix(config.theta, eps)
+    mz = mu_z_matrix(config, eps)
+    table = mx @ joint.table @ mz.T
     table /= table.sum()
-    return DiscreteJoint.from_array(table, kind=QUASI)
+    return DiscreteJoint(table, kind=QUASI)
 
 
 def delta_coefficients(
@@ -248,7 +195,8 @@ def quasi_joint_closed_form(
     reduces to [1 + z<Z> + x<X>]/4.
     """
     delta = _config_delta(config, eps)
-    return DiscreteJoint(*_quasi_entries(delta, bloch_from_state(state)), kind=QUASI)
+    pp, pm, mp, mm = _quasi_entries(delta, bloch_from_state(state))
+    return DiscreteJoint([[pp, pm], [mp, mm]], kind=QUASI)
 
 
 def quasi_joint_phase_closed_form(
@@ -273,13 +221,6 @@ def mu_phi_kernel(theta: float, eps: float = SINGULARITY_EPS) -> PhaseKernel:
     return PhaseKernel(k0=1.0 / TWO_PI, g=2.0 / (TWO_PI * c))
 
 
-def invert_phase_density(
-    density: PhaseDensity, theta: float, eps: float = SINGULARITY_EPS
-) -> PhaseDensity:
-    """Undo the phase blurring: constant term kept, harmonics gain 1/cos(theta)."""
-    return mu_phi_kernel(theta, eps).apply(density)
-
-
 def invert_joint_phase(
     joint: PhaseJoint, config: MarkerConfig, eps: float = SINGULARITY_EPS
 ) -> PhaseJoint:
@@ -293,17 +234,10 @@ def invert_joint_phase(
     if joint.kind != OPERATIONAL:
         raise ValueError("only measured (operational) joints can be inverted")
     mz = mu_z_matrix(config, eps)
-    kernel = mu_phi_kernel(config.theta, eps)
-    mixed = {}
-    for z in (1, -1):
-        mixed[z] = PhaseDensity(
-            mz.entry(z, 1) * joint.plus.c0 + mz.entry(z, -1) * joint.minus.c0,
-            mz.entry(z, 1) * joint.plus.c_cos + mz.entry(z, -1) * joint.minus.c_cos,
-            mz.entry(z, 1) * joint.plus.c_sin + mz.entry(z, -1) * joint.minus.c_sin,
-        )
-    plus = kernel.apply(mixed[1])
-    minus = kernel.apply(mixed[-1])
-    total = TWO_PI * (plus.c0 + minus.c0)  # analytically 1; pin the float sum
-    plus = PhaseDensity(plus.c0 / total, plus.c_cos / total, plus.c_sin / total)
-    minus = PhaseDensity(minus.c0 / total, minus.c_cos / total, minus.c_sin / total)
-    return PhaseJoint(plus, minus, kind=QUASI)
+    gain = 1.0 / _check_marking(config.theta, eps)  # mu_Phi keeps c0, scales both harmonics
+    # rows z = (+1, -1), columns (c0, c_cos, c_sin)
+    slices = [(d.c0, d.c_cos, d.c_sin) for d in (joint.plus, joint.minus)]
+    mixed = mz @ np.array(slices)
+    mixed[:, 1:] *= gain
+    mixed /= TWO_PI * mixed[:, 0].sum()  # analytically 1; pin the float sum
+    return PhaseJoint.from_arrays(*mixed.T, QUASI)

@@ -20,6 +20,7 @@ against; downstream modules reuse it for the same role.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -35,6 +36,7 @@ from quasijoint.states import (
     _SIGNS,
     _by_outcome,
     _outcome_index,
+    _read_only_table,
     bloch_from_state,
 )
 
@@ -105,32 +107,26 @@ class CompositeState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Real-valued 2x2 table over the fringe outcome x and analyzer outcome z.
 
-    Field names spell the outcome pair: first letter x, second z, with
-    p = +1 and m = -1.  kind="operational" tables are genuinely measured
-    and nonnegative; kind="quasi" tables come out of the data inversion
-    and may hold negative values.
+    ``table`` is a read-only float64 copy of the input, rows x = (+1, -1)
+    and columns z = (+1, -1).  kind="operational" tables are genuinely
+    measured and nonnegative; kind="quasi" tables come out of the data
+    inversion and may hold negative values.
     """
 
-    pp: float
-    pm: float
-    mp: float
-    mm: float
+    table: np.ndarray
     kind: Kind = OPERATIONAL
 
     def __post_init__(self) -> None:
         if self.kind not in (OPERATIONAL, QUASI):
             raise ValueError(f"unknown joint kind {self.kind!r}")
-        values = []
-        for name in ("pp", "pm", "mp", "mm"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-            values.append(value)
+        table = _read_only_table(self.table, float)
+        values = table.ravel().tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"joint entries must be finite, got {values!r}")
         total = math.fsum(values)
         if abs(total - 1.0) > JOINT_TOL:
             raise ValueError(f"joint sums to {total!r}, must be 1")
@@ -138,26 +134,14 @@ class DiscreteJoint:
             raise ValueError(
                 f"operational joint has negative entry {min(values)!r}"
             )
+        object.__setattr__(self, "table", table)
 
     def value(self, x: int, z: int) -> float:
-        return (self.pp, self.pm, self.mp, self.mm)[_outcome_index(x, z)]
+        return self.table.item(_outcome_index(x, z))
 
     def items(self):
         """Fixed-order iteration: ((x, z), value) with x outer, +1 before -1."""
-        for x in OUTCOMES:
-            for z in OUTCOMES:
-                yield (x, z), self.value(x, z)
-
-    def as_array(self) -> np.ndarray:
-        """2x2 array, rows x = (+1, -1), columns z = (+1, -1)."""
-        return np.array([[self.pp, self.pm], [self.mp, self.mm]], dtype=float)
-
-    @classmethod
-    def from_array(cls, table: np.ndarray, kind: Kind) -> DiscreteJoint:
-        arr = np.asarray(table, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 table, got shape {arr.shape}")
-        return cls(*arr.ravel().tolist(), kind=kind)
+        return zip(itertools.product(OUTCOMES, OUTCOMES), self.table.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -246,7 +230,7 @@ def operational_joint_discrete(state: PureState, config: MarkerConfig) -> Discre
     g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
     e = bloch_from_state(state)
     table = 0.5 * (g0 + _SIGNS[:, None] * gx * e.ex + _SIGNS * gz * e.ez)
-    return DiscreteJoint.from_array(table, kind=OPERATIONAL)
+    return DiscreteJoint(table, kind=OPERATIONAL)
 
 
 def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoint:
@@ -278,7 +262,7 @@ def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint
             amp = vec[0] * spin[0] + vec[1] * spin[1]
             values[(x, z)] = abs(amp) ** 2
     return DiscreteJoint(
-        values[(1, 1)], values[(1, -1)], values[(-1, 1)], values[(-1, -1)], kind=OPERATIONAL
+        [[values[(1, 1)], values[(1, -1)]], [values[(-1, 1)], values[(-1, -1)]]], kind=OPERATIONAL
     )
 
 
@@ -301,12 +285,14 @@ def born_joint_phase(state: PureState, config: MarkerConfig, phi) -> np.ndarray:
 
 def marginal_x(joint: DiscreteJoint) -> BinaryDistribution:
     """Fringe marginal; for operational joints this is (1 + x*cos(theta)<X>)/2."""
-    return BinaryDistribution(joint.pp + joint.pm, joint.mp + joint.mm)
+    (pp, pm), (mp, mm) = joint.table.tolist()
+    return BinaryDistribution(pp + pm, mp + mm)
 
 
 def marginal_z(joint: DiscreteJoint) -> BinaryDistribution:
     """Analyzer marginal; for operational joints, gamma_0(z) + z*gamma_Z(z)<Z>."""
-    return BinaryDistribution(joint.pp + joint.mp, joint.pm + joint.mm)
+    (pp, pm), (mp, mm) = joint.table.tolist()
+    return BinaryDistribution(pp + mp, pm + mm)
 
 
 def marginal_phase(joint: PhaseJoint) -> PhaseDensity:

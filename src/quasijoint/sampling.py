@@ -31,7 +31,7 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
 )
-from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, evaluate_phase_density
+from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_table, evaluate_phase_density
 
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
@@ -116,32 +116,28 @@ def _format_e16(values: np.ndarray, out: np.ndarray) -> None:
         out[i, len(text) :] = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotCounts:
-    """Multinomial counts over the four (x, z) outcomes; field naming as in DiscreteJoint."""
+    """Multinomial counts over the four (x, z) outcomes, laid out like ``DiscreteJoint.table``."""
 
-    pp: int
-    pm: int
-    mp: int
-    mm: int
-    total: int
+    counts: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        counts = (self.pp, self.pm, self.mp, self.mm)
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        if sum(counts) != self.total:
-            raise ValueError(f"counts sum to {sum(counts)}, expected total {self.total}")
+        counts = _read_only_table(self.counts, np.int64)
+        if (counts < 0).any() or not np.array_equal(counts, self.counts):  # the cast truncates 1.5
+            raise ValueError("counts must be nonnegative integers")
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     def count(self, x: int, z: int) -> int:
-        return (self.pp, self.pm, self.mp, self.mm)[_outcome_index(x, z)]
+        return self.counts.item(_outcome_index(x, z))
 
     def frequencies(self) -> DiscreteJoint:
-        n = self.total
-        return DiscreteJoint(
-            self.pp / n, self.pm / n, self.mp / n, self.mm / n, kind=OPERATIONAL
-        )
+        return DiscreteJoint(self.counts / self.total, kind=OPERATIONAL)
 
     def to_csv(self) -> str:
         lines = [DISCRETE_CSV_HEADER]
@@ -197,21 +193,21 @@ class PhaseShots:
         return "".join(blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatedQuasiJoint:
-    """Inverted empirical frequencies with one standard error per entry."""
+    """Inverted empirical frequencies with one standard error per entry, laid out like ``joint.table``."""
 
     joint: DiscreteJoint
-    se_pp: float
-    se_pm: float
-    se_mp: float
-    se_mm: float
+    stderrs: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stderrs", _read_only_table(self.stderrs, float))
 
     def value(self, x: int, z: int) -> float:
         return self.joint.value(x, z)
 
     def stderr(self, x: int, z: int) -> float:
-        return (self.se_pp, self.se_pm, self.se_mp, self.se_mm)[_outcome_index(x, z)]
+        return self.stderrs.item(_outcome_index(x, z))
 
 
 def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
@@ -221,11 +217,9 @@ def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    weights = np.clip(joint.as_array().ravel(), 0.0, None)
+    weights = np.clip(joint.table.ravel(), 0.0, None)
     counts = rng.multinomial(n, weights / weights.sum())
-    return ShotCounts(
-        int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]), total=n, seed=seed
-    )
+    return ShotCounts(counts.reshape(2, 2), seed=seed)
 
 
 def _rejection_sample(rng: np.random.Generator, density: PhaseDensity, count: int) -> np.ndarray:
@@ -280,18 +274,12 @@ def estimate_quasi_joint(
     """
     freq = counts.frequencies()
     quasi = invert_joint_discrete(freq, config, eps)
-    kernel = np.kron(mu_x_matrix(config.theta, eps).as_array(), mu_z_matrix(config, eps).as_array())
-    p = freq.as_array().ravel()
+    kernel = np.kron(mu_x_matrix(config.theta, eps), mu_z_matrix(config, eps))
+    p = freq.table.ravel()
     cov = (np.diag(p) - np.outer(p, p)) / counts.total
     variances = np.einsum("ai,ij,aj->a", kernel, cov, kernel)
     se = np.sqrt(np.clip(variances, 0.0, None))
-    return EstimatedQuasiJoint(
-        joint=quasi,
-        se_pp=float(se[0]),
-        se_pm=float(se[1]),
-        se_mp=float(se[2]),
-        se_mm=float(se[3]),
-    )
+    return EstimatedQuasiJoint(quasi, se.reshape(2, 2))
 
 
 def harmonic_estimates(shots: PhaseShots) -> dict[int, PhaseDensity]:

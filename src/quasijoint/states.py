@@ -53,6 +53,15 @@ def _outcome_index(*outcomes: int) -> int:
     return index
 
 
+def _read_only_table(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as a 2x2 table, one (+1, -1) outcome axis per dimension."""
+    table = np.array(values, dtype=dtype)
+    if table.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 table, got shape {table.shape}")
+    table.flags.writeable = False
+    return table
+
+
 def _by_outcome(plus, minus) -> np.ndarray:
     """Stack two equally shaped arrays along a new trailing outcome axis (+1, -1)."""
     out = np.empty(np.shape(plus) + (2,))
@@ -76,7 +85,10 @@ class PureState:
     def __post_init__(self) -> None:
         alpha = complex(self.alpha)
         beta = complex(self.beta)
-        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+        try:
+            norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+        except OverflowError:
+            raise StateValidationError("amplitudes too large to normalize") from None
         if not math.isfinite(norm_sq):
             raise StateValidationError("amplitudes must be finite")
         norm = math.sqrt(norm_sq)

@@ -30,7 +30,6 @@ from quasijoint import (
     exact_phase_distribution,
     gamma_coefficients,
     invert_joint_discrete,
-    invert_phase_density,
     marginal_phase,
     marginal_x,
     marginal_z,
@@ -69,8 +68,8 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(1000):
         state = haar_state(rng)
         config = MarkerConfig(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi))
-        closed = operational_joint_discrete(state, config).as_array()
-        direct = born_joint_discrete(state, config).as_array()
+        closed = operational_joint_discrete(state, config).table
+        direct = born_joint_discrete(state, config).table
         worst = max(worst, float(np.abs(closed - direct).max()))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-12
@@ -108,7 +107,7 @@ def test_criterion_03_inversion_correctness():
         pipeline = invert_joint_discrete(measured, config)
         closed = quasi_joint_closed_form(state, config)
         worst_joint = max(
-            worst_joint, float(np.abs(pipeline.as_array() - closed.as_array()).max())
+            worst_joint, float(np.abs(pipeline.table - closed.table).max())
         )
         exact_x = exact_interference_distribution(state)
         exact_z = exact_path_distribution(state)
@@ -178,7 +177,7 @@ def test_criterion_06_continuous_phase_inversion():
         state = haar_state(rng)
         config = invertible_config(rng)
         measured = marginal_phase(operational_joint_phase(state, config))
-        recovered = invert_phase_density(measured, config.theta)
+        recovered = mu_phi_kernel(config.theta).apply(measured)
         exact = exact_phase_distribution(state)
         worst_exact = max(
             worst_exact,
@@ -243,13 +242,13 @@ def test_criterion_08_monte_carlo_convergence():
     state = PureState(COS_PI_8, SIN_PI_8)
     config = MarkerConfig(0.7, 1.1)
     measured = operational_joint_discrete(state, config)
-    truth = quasi_joint_closed_form(state, config).as_array()
+    truth = quasi_joint_closed_form(state, config).table
     normalized = []
     for n in (10**3, 10**4, 10**5, 10**6):
         squared = []
         for seed in range(32):
             estimate = estimate_quasi_joint(sample_discrete(measured, n, 9000 + seed), config)
-            squared.append(float(((estimate.joint.as_array() - truth) ** 2).mean()))
+            squared.append(float(((estimate.joint.table - truth) ** 2).mean()))
         normalized.append(math.sqrt(float(np.mean(squared))) * math.sqrt(n))
     spread = max(normalized) / min(normalized)
     elapsed = time.perf_counter() - started
@@ -271,11 +270,11 @@ def test_criterion_09_singularity_handling(capsys):
 
     # near-singular but legal configs stay finite (never NaN/Inf)
     for config in (MarkerConfig(1e-4, 0.9), MarkerConfig(0.8, 0.4 + 1e-4)):
-        assert np.isfinite(mu_z_matrix(config).as_array()).all()
+        assert np.isfinite(mu_z_matrix(config)).all()
         joint = invert_joint_discrete(
             operational_joint_discrete(PureState(0.6, 0.8), config), config
         )
-        assert np.isfinite(joint.as_array()).all()
+        assert np.isfinite(joint.table).all()
 
     # flagged scan cells carry no value, unflagged ones are finite
     grid = scan_negativity(PureState(0.6, 0.8), [0.8], [0.4, 0.9])

@@ -117,7 +117,8 @@ class TestJsonFloatArrays:
             assert cli._render_json_value(np.array([]), level) == "[]"
 
     def test_only_one_dimensional_float64_arrays(self):
-        for values in (np.arange(3), np.zeros((2, 2)), np.zeros(3, np.float32)):
+        # np.int64 is no Python int: library values reach reports as Python scalars
+        for values in (np.arange(3), np.zeros((2, 2)), np.zeros(3, np.float32), np.int64(3)):
             with pytest.raises(TypeError):
                 cli._render_json_value(values, 0)
 
@@ -224,6 +225,17 @@ class TestExitCodes:
             assert "finite bounds" in err
             assert repr(theta_grid) in err or repr(vartheta_grid) in err  # names the grid
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_inputs_rejected(self, capsys):
+        for argv in (
+            ["exact", "--state", "1e308,0,1e308,0"],
+            ["sample", "--state", "1,0,0,0", "--theta", "0.5", "--vartheta", "1",
+             "--n", "100000000000000000000"],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, ["exact", "--state", "1,0,0,0"])

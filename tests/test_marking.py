@@ -51,7 +51,7 @@ class TestMarkerConfig:
         state = PureState(0.6, 0.8)
         base = operational_joint_discrete(state, MarkerConfig(0.5, 0.9))
         shifted = operational_joint_discrete(state, MarkerConfig(0.5, 0.9 + math.pi))
-        np.testing.assert_allclose(base.as_array(), shifted.as_array(), atol=1e-12)
+        np.testing.assert_allclose(base.table, shifted.table, atol=1e-12)
 
     def test_marking_shift_by_pi_flips_the_fringe(self):
         # the documented caveat: the mod-pi representative of theta + pi
@@ -186,7 +186,7 @@ class TestOperationalJointDiscrete:
         assert joint.value(1, 1) == pytest.approx(0.5, abs=1e-12)
         assert joint.value(-1, 1) == pytest.approx(0.5, abs=1e-12)
         assert joint.value(1, -1) == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(joint.as_array(), oracle.as_array(), atol=1e-12)
+        np.testing.assert_allclose(joint.table, oracle.table, atol=1e-12)
 
     def test_lower_path_with_aligned_analyzer(self):
         joint = operational_joint_discrete(PureState(0, 1), MarkerConfig(0.77, 0.0))
@@ -199,7 +199,7 @@ class TestOperationalJointDiscrete:
     def test_matches_born_rule(self, state, cfg):
         closed = operational_joint_discrete(state, cfg)
         direct = born_joint_discrete(state, cfg)
-        np.testing.assert_allclose(closed.as_array(), direct.as_array(), atol=1e-12)
+        np.testing.assert_allclose(closed.table, direct.table, atol=1e-12)
 
 
 class TestOperationalJointPhase:
@@ -293,19 +293,35 @@ class TestMarginals:
 class TestJointValidation:
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError):
-            DiscreteJoint(0.5, 0.5, 0.5, 0.5)
+            DiscreteJoint(np.full((2, 2), 0.5))
+
+    def test_table_must_be_finite_and_2x2(self):
+        for bad in (
+            [0.25, 0.25, 0.25, 0.25],
+            np.full((2, 2, 1), 0.25),
+            [[0.5, 0.5], [math.nan, 0.0]],
+            [[math.inf, 0.0], [0.0, 0.0]],
+            [[0.5, 0.5], [-math.inf, math.inf]],
+        ):
+            with pytest.raises(ValueError):
+                DiscreteJoint(bad, kind="quasi")
 
     def test_operational_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            DiscreteJoint(0.6, 0.6, -0.1, -0.1, kind="operational")
+            DiscreteJoint([[0.6, 0.6], [-0.1, -0.1]], kind="operational")
 
     def test_quasi_may_be_negative(self):
-        joint = DiscreteJoint(0.6, 0.6, -0.1, -0.1, kind="quasi")
+        source = np.array([[0.6, 0.6], [-0.1, -0.1]])
+        joint = DiscreteJoint(source, kind="quasi")
+        source[1, 0] = 0.5  # the joint holds its own copy
         assert joint.value(-1, 1) == -0.1
+        with pytest.raises(ValueError):
+            joint.table[1, 0] = 0.5
+        assert all(type(value) is float for _, value in joint.items())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            DiscreteJoint(0.25, 0.25, 0.25, 0.25, kind="bogus")
+            DiscreteJoint(np.full((2, 2), 0.25), kind="bogus")
 
     def test_phase_joint_normalization(self):
         flat = PhaseDensity(0.25 / TWO_PI, 0.0, 0.0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from quasijoint import (
     DiscreteJoint,
+    EstimatedQuasiJoint,
     MarkerConfig,
     PhaseShots,
     PureState,
@@ -46,13 +47,13 @@ def ks_statistic_uniform(phis: np.ndarray) -> float:
 
 class TestSampleDiscrete:
     def test_point_mass(self):
-        joint = DiscreteJoint(1.0, 0.0, 0.0, 0.0)
+        joint = DiscreteJoint([[1.0, 0.0], [0.0, 0.0]])
         counts = sample_discrete(joint, 5000, 42)
         assert counts.count(1, 1) == 5000
         assert counts.total == 5000
 
     def test_uniform_frequencies_converge(self):
-        uniform = DiscreteJoint(0.25, 0.25, 0.25, 0.25)
+        uniform = DiscreteJoint(np.full((2, 2), 0.25))
         counts = sample_discrete(uniform, 10**6, 123)
         se = math.sqrt(0.25 * 0.75 / 10**6)  # multinomial standard error ~4.3e-4
         for (x, z), freq in counts.frequencies().items():
@@ -62,24 +63,31 @@ class TestSampleDiscrete:
         joint = operational_joint_discrete(PureState(0.6, 0.8), MarkerConfig(0.7, 1.1))
         first = sample_discrete(joint, 10**5, 99)
         second = sample_discrete(joint, 10**5, 99)
-        assert first == second
+        assert np.array_equal(first.counts, second.counts)
         different = sample_discrete(joint, 10**5, 100)
-        assert different != first
+        assert not np.array_equal(different.counts, first.counts)
 
     def test_rejects_quasi_joints(self):
-        quasi = DiscreteJoint(0.6, 0.6, -0.1, -0.1, kind="quasi")
+        quasi = DiscreteJoint([[0.6, 0.6], [-0.1, -0.1]], kind="quasi")
         with pytest.raises(ValueError, match="quasi"):
             sample_discrete(quasi, 100, 0)
 
     def test_rejects_empty_draws(self):
         with pytest.raises(ValueError):
-            sample_discrete(DiscreteJoint(1.0, 0.0, 0.0, 0.0), 0, 0)
+            sample_discrete(DiscreteJoint([[1.0, 0.0], [0.0, 0.0]]), 0, 0)
 
     def test_counts_validation_and_csv(self):
-        with pytest.raises(ValueError):
-            ShotCounts(1, 1, 1, 1, total=5, seed=0)
-        counts = ShotCounts(3, 2, 1, 0, total=6, seed=7)
+        for bad in ([[1, 1], [1, -1]], [[1.5, 1], [1, 1]], [1, 1, 1, 1], [[[1, 1], [1, 1]]]):
+            with pytest.raises(ValueError):
+                ShotCounts(bad, seed=0)
+        source = np.array([[3, 2], [1, 0]])
+        counts = ShotCounts(source, seed=7)
+        source[0, 0] = 99
         assert counts.to_csv() == "x,z,count\n1,1,3\n1,-1,2\n-1,1,1\n-1,-1,0\n"
+        with pytest.raises(ValueError):
+            counts.counts[0, 0] = 0
+        assert type(counts.count(1, 1)) is int and type(counts.total) is int
+        assert counts.total == 6
 
 
 class TestSamplePhase:
@@ -220,12 +228,12 @@ class TestEstimateQuasiJoint:
         cfg = MarkerConfig(math.pi / 3, math.pi / 2)
         measured = operational_joint_discrete(state, cfg)
         np.testing.assert_allclose(
-            measured.as_array().ravel(), [0.375, 0.125, 0.375, 0.125], atol=1e-15
+            measured.table.ravel(), [0.375, 0.125, 0.375, 0.125], atol=1e-15
         )
-        counts = ShotCounts(3000, 1000, 3000, 1000, total=8000, seed=0)
+        counts = ShotCounts([[3000, 1000], [3000, 1000]], seed=0)
         estimate = estimate_quasi_joint(counts, cfg)
         closed = quasi_joint_closed_form(state, cfg)
-        np.testing.assert_allclose(estimate.joint.as_array(), closed.as_array(), atol=1e-10)
+        np.testing.assert_allclose(estimate.joint.table, closed.table, atol=1e-10)
 
     def test_estimates_are_normalized(self):
         rng = np.random.default_rng(31)
@@ -235,6 +243,20 @@ class TestEstimateQuasiJoint:
         estimate = estimate_quasi_joint(counts, cfg)
         total = sum(v for _, v in estimate.joint.items())
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_stderrs_are_a_read_only_copy(self):
+        cfg = MarkerConfig(0.7, 1.1)
+        counts = sample_discrete(operational_joint_discrete(PureState(0.6, 0.8), cfg), 5000, 5)
+        estimate = estimate_quasi_joint(counts, cfg)
+        assert type(estimate.value(1, -1)) is float and type(estimate.stderr(1, -1)) is float
+        with pytest.raises(ValueError):
+            estimate.stderrs[0, 1] = 0.0
+        source = np.array(estimate.stderrs)
+        copied = EstimatedQuasiJoint(estimate.joint, source)
+        source[0, 1] = -1.0
+        assert copied.stderr(1, -1) == estimate.stderr(1, -1)
+        with pytest.raises(ValueError):
+            EstimatedQuasiJoint(estimate.joint, [0.1, 0.1, 0.1, 0.1])
 
     def test_consistency_at_large_n(self):
         rng = np.random.default_rng(2026)
@@ -261,7 +283,7 @@ class TestEstimateQuasiJoint:
     def test_singular_config_raises(self):
         from quasijoint import SingularMarking
 
-        counts = ShotCounts(250, 250, 250, 250, total=1000, seed=0)
+        counts = ShotCounts(np.full((2, 2), 250), seed=0)
         with pytest.raises(SingularMarking):
             estimate_quasi_joint(counts, MarkerConfig(math.pi / 2, math.pi / 2))
 
@@ -269,13 +291,13 @@ class TestEstimateQuasiJoint:
         state = PureState(COS_PI_8, SIN_PI_8)
         cfg = MarkerConfig(0.7, 1.1)
         measured = operational_joint_discrete(state, cfg)
-        truth = quasi_joint_closed_form(state, cfg).as_array()
+        truth = quasi_joint_closed_form(state, cfg).table
         normalized = []
         for n in (10**3, 10**4, 10**5, 10**6):
             squared = []
             for seed in range(32):
                 estimate = estimate_quasi_joint(sample_discrete(measured, n, 9000 + seed), cfg)
-                squared.append(float(((estimate.joint.as_array() - truth) ** 2).mean()))
+                squared.append(float(((estimate.joint.table - truth) ** 2).mean()))
             rms = math.sqrt(float(np.mean(squared)))
             normalized.append(rms * math.sqrt(n))
         assert max(normalized) / min(normalized) < 1.5

@@ -66,6 +66,9 @@ class TestPureState:
             PureState(1.0, 1.0)
         with pytest.raises(StateValidationError):
             PureState(0.0, 0.0)
+        for alpha, beta in ((1e308, 1e308), (1e200, 0.0), (complex(1e308, 1e308), 0.0)):
+            with pytest.raises(StateValidationError):  # |amplitude|^2 overflows a float
+                PureState(alpha, beta)
 
     def test_non_finite_is_rejected(self):
         with pytest.raises(StateValidationError):
