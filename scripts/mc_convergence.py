@@ -43,15 +43,22 @@ def main() -> int:
 
     try:
         state = parse_state(args.state, "reim")
+        shot_counts = [int(piece) for piece in args.shots.split(",")]
     except ValueError as exc:  # StateValidationError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.seeds < 1:
+        print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
+        return 2
+    if min(shot_counts) < 1:
+        print(f"error: every --shots entry must be >= 1, got {args.shots!r}", file=sys.stderr)
         return 2
     config = MarkerConfig(args.theta, args.vartheta)
     measured = operational_joint_discrete(state, config)
     truth = quasi_joint_closed_form(state, config).table
 
     rows = []
-    for n in (int(piece) for piece in args.shots.split(",")):
+    for n in shot_counts:
         squared = []
         for offset in range(args.seeds):
             counts = sample_discrete(measured, n, args.base_seed + offset)

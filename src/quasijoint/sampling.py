@@ -3,8 +3,11 @@
 Shots are drawn from operational (measured) distributions only; quasi
 joints have negative weights and are rejected.  All randomness flows from
 numpy's PCG64 generator seeded by the caller, so runs are reproducible
-bit-for-bit; the phase sampler splits the seed into independent streams
-for the analyzer draw and the phase draw.
+bit-for-bit.  The phase sampler draws each slice exactly, as a mixture of
+a uniform and a shifted cardioid part, with no retry loop: the seed spawns
+one stream for the analyzer outcome and mixture part and one for the
+phase, shots are drawn in fixed blocks, and the arcsine is built from
+correctly rounded operations, so the bits do not depend on the CPU.
 
 Empirical frequencies pushed through the discrete inversion give an
 estimate of the quasi joint; standard errors are first-order (delta
@@ -31,7 +34,7 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
 )
-from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_table, evaluate_phase_density
+from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_table
 
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
@@ -57,6 +60,20 @@ _DIGITS4 = (
 )
 #: ASCII "e-06" .. "e+16" as one 4-byte word per decimal exponent, from -6
 _EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-6, 17)).encode(), np.uint32)
+
+#: shots drawn per block by sample_phase; its per-block temporaries (a few
+#: arrays of this length) stay small whatever the shot count
+_SAMPLE_BLOCK = 1 << 15
+#: fdlibm's arcsin on |y| <= 0.5: y + y * P(y*y) / Q(y*y), P and Q in ascending
+#: powers (P without its zero constant term, Q without its leading 1)
+_ASIN_P = (
+    1.66666666666666657415e-01, -3.25565818622400915405e-01, 2.01212532134862925881e-01,
+    -4.00555345006794114027e-02, 7.91534994289814532176e-04, 3.47933107596021167570e-05,
+)
+_ASIN_Q = (
+    -2.40339491173441421878e00, 2.02094576023350569471e00, -6.88283971605453293030e-01,
+    7.70381505559019352791e-02,
+)
 
 
 def _times_pow10(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +141,11 @@ class ShotCounts:
     seed: int
 
     def __post_init__(self) -> None:
-        counts = _read_only_table(self.counts, np.int64)
+        try:
+            with np.errstate(invalid="raise"):
+                counts = _read_only_table(self.counts, np.int64)
+        except (OverflowError, FloatingPointError):  # beyond int64, or a non-finite float
+            raise ValueError("counts must be nonnegative integers") from None
         if (counts < 0).any() or not np.array_equal(counts, self.counts):  # the cast truncates 1.5
             raise ValueError("counts must be nonnegative integers")
         object.__setattr__(self, "counts", counts)
@@ -222,28 +243,77 @@ def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
     return ShotCounts(counts.reshape(2, 2), seed=seed)
 
 
-def _rejection_sample(rng: np.random.Generator, density: PhaseDensity, count: int) -> np.ndarray:
-    """Flat-envelope rejection at height c0 + amplitude; acceptance >= 1/2."""
-    cap = density.c0 + density.amplitude
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        batch = max(2 * (count - filled), 64)
-        candidates = rng.uniform(0.0, TWO_PI, batch)
-        heights = rng.uniform(0.0, cap, batch)
-        kept = candidates[heights <= evaluate_phase_density(density, candidates)]
-        take = min(kept.size, count - filled)
-        out[filled : filled + take] = kept[:take]
-        filled += take
-    return out
+def _asin(y: np.ndarray) -> np.ndarray:
+    """arcsin of each y in [-1, 1], written over y, from + - * / and sqrt only.
+
+    numpy's ``arcsin`` (like ``arctan2``, ``exp``, ``log`` and ``power``)
+    changes last bits with the SIMD paths numpy picks for the CPU; the
+    operations here are correctly rounded on every path.  Two half-angle
+    steps y -> y / sqrt(2 (1 + sqrt(1 - y**2))) bring |y| to at most
+    sin(pi/8), fdlibm's rational evaluates arcsin there, and the result is
+    four times that.  Within 3 ulps of ``math.asin`` (1 ulp below it at
+    +-1, so |result| < pi/2) and exact at 0; a subnormal y loses the bits
+    that y/4 drops.
+    """
+    scratch = np.empty_like(y)
+    for _ in range(2):
+        np.subtract(1.0, y, out=scratch)
+        scratch *= 1.0 + y  # 1 - y*y would lose the low bits near |y| = 1
+        np.sqrt(scratch, out=scratch)
+        scratch += 1.0
+        scratch *= 2.0
+        np.sqrt(scratch, out=scratch)
+        y /= scratch
+    t = np.multiply(y, y, out=scratch)
+    p = _ASIN_P[-1] * t
+    for coefficient in _ASIN_P[-2::-1]:
+        p += coefficient
+        p *= t
+    q = _ASIN_Q[-1] * t
+    for coefficient in _ASIN_Q[-2::-1]:
+        q += coefficient
+        q *= t
+    q += 1.0
+    p /= q
+    p *= y
+    y += p
+    y *= 4.0
+    return y
+
+
+def _wrap_phase(phi: np.ndarray) -> np.ndarray:
+    """Reduce phases in [-2*pi, 2*pi] into [0, 2*pi), in place.
+
+    A sum that rounds to 2*pi becomes 0, and -0.0 becomes 0.0.
+    """
+    # adding or subtracting 0.0 leaves every other phase as it is
+    phi += TWO_PI * (phi <= 0.0)
+    phi -= TWO_PI * (phi >= TWO_PI)
+    return phi
+
+
+def _cardioid_share(density: PhaseDensity) -> float:
+    """Weight A/c0 of the cardioid part of c0 + A cos(phi - phi0), clipped to [0, 1]."""
+    return min(density.amplitude / density.c0, 1.0) if density.c0 > 0.0 else 0.0
 
 
 def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
-    """Draw n (phi, z) records from a measured phase joint.
+    """Draw n (phi, z) records from a measured phase joint, exactly and without retries.
 
-    The analyzer outcome comes first from the slice weights, then phi is
-    rejection-sampled within the slice; the two draws use independent
-    streams spawned from the seed.
+    A slice c0 + A cos(phi - phi0) with A <= c0 is a mixture: with
+    probability A/c0 the cardioid (1 + cos u)/(2 pi) shifted by
+    phi0 = atan2(c_sin, c_cos), otherwise uniform.  The seed spawns two
+    PCG64 streams.  The z stream gives one uniform v per shot, which picks
+    both the outcome and the mixture part: [0, 1) is cut into +1 uniform,
+    +1 cardioid, -1 cardioid and -1 uniform, in that order.  Shots are
+    drawn in blocks of ``_SAMPLE_BLOCK``, so memory beyond the output stays
+    bounded.  For each block the phi stream gives one uniform U1 per shot,
+    phi = 2 pi U1 for a uniform shot, and then one uniform U2 per cardioid
+    shot, phi = phi0 + 2 asin(sqrt(U1) cos(2 pi U2)) reduced into
+    [0, 2 pi): the abscissa of a uniform point of the unit disk is
+    semicircle distributed, and twice its arcsine is the cardioid.  phi0
+    is one ``math.atan2`` per slice, and the per-shot arcsine is ``_asin``,
+    so the bits do not depend on which SIMD paths numpy picks.
     """
     if joint.kind != OPERATIONAL:
         raise ValueError("cannot sample a quasi joint: weights may be negative")
@@ -253,13 +323,27 @@ def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     z_rng = np.random.default_rng(z_seq)
     phi_rng = np.random.default_rng(phi_seq)
     w_plus = min(max(joint.plus.integral, 0.0), 1.0)
-    z = np.where(z_rng.random(n) < w_plus, 1, -1)
+    cardioid_low = w_plus * (1.0 - _cardioid_share(joint.plus))
+    cardioid_high = w_plus + (1.0 - w_plus) * _cardioid_share(joint.minus)
+    phase0 = np.array([math.atan2(d.c_sin, d.c_cos) for d in (joint.plus, joint.minus)])
     phi = np.empty(n)
-    for outcome, density in ((1, joint.plus), (-1, joint.minus)):
-        mask = z == outcome
-        count = int(mask.sum())
-        if count:
-            phi[mask] = _rejection_sample(phi_rng, density, count)
+    z = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, n)
+        v = z_rng.random(stop - start)
+        u1 = phi_rng.random(stop - start)
+        minus = v >= w_plus
+        np.multiply(minus, -2, out=z[start:stop])
+        z[start:stop] += 1
+        np.multiply(u1, TWO_PI, out=phi[start:stop])
+        cardioid = np.flatnonzero((v >= cardioid_low) & (v < cardioid_high))
+        if cardioid.size:
+            x = np.cos(TWO_PI * phi_rng.random(cardioid.size))
+            x *= np.sqrt(u1[cardioid])
+            u = _asin(x)
+            u *= 2.0
+            u += phase0.take(minus[cardioid].view(np.int8))
+            phi[start + cardioid] = _wrap_phase(u)
     return PhaseShots(phi=phi, z=z, total=n, seed=seed)
 
 

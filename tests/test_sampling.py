@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from decimal import Decimal
 
@@ -25,7 +26,7 @@ from quasijoint import (
     sample_discrete,
     sample_phase,
 )
-from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _format_e16
+from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _SAMPLE_BLOCK, _asin, _format_e16, _wrap_phase
 from helpers import assert_same_text, haar_state, invertible_config, phase_shots_csv_reference
 
 TWO_PI = 2.0 * math.pi
@@ -35,14 +36,24 @@ SIN_PI_8 = 0.3826834323650898
 EDGE_PHIS = [0.0, float(np.nextafter(TWO_PI, 0.0)), 5e-324, 1e-300, math.pi]
 
 
-def ks_statistic_uniform(phis: np.ndarray) -> float:
-    """Two-sided KS distance of sorted phases from the uniform CDF on [0, 2*pi)."""
+#: asymptotic two-sided KS critical value at the 0.1% level, sqrt(ln(2/0.001)/2)
+KS_CRITICAL_0_1_PERCENT = 1.9495
+
+
+def ks_statistic(phis: np.ndarray, cdf) -> float:
+    """Two-sided KS distance of the phases' empirical CDF from ``cdf`` on [0, 2*pi)."""
     phis = np.sort(phis)
     n = phis.size
-    theo = phis / TWO_PI
+    theo = cdf(phis)
     hi = np.abs(np.arange(1, n + 1) / n - theo).max()
     lo = np.abs(np.arange(0, n) / n - theo).max()
     return max(hi, lo)
+
+
+def slice_cdf(density):
+    """Exact CDF on [0, 2*pi) of the normalized slice c0 + c_cos cos(phi) + c_sin sin(phi)."""
+    c0, c_cos, c_sin = density.c0, density.c_cos, density.c_sin
+    return lambda phi: (c0 * phi + c_cos * np.sin(phi) + c_sin * (1.0 - np.cos(phi))) / (TWO_PI * c0)
 
 
 class TestSampleDiscrete:
@@ -89,6 +100,16 @@ class TestSampleDiscrete:
         assert type(counts.count(1, 1)) is int and type(counts.total) is int
         assert counts.total == 6
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[[2**70, 0], [0, 0]], [[-(2**70), 0], [0, 0]], [[math.inf, 0], [0, 0]],
+         np.array([[1e30, 0.0], [0.0, 0.0]]), np.array([[math.nan, 0.0], [0.0, 0.0]])],
+        ids=["above-int64", "below-int64", "inf", "huge-float-array", "nan-array"],
+    )
+    def test_counts_beyond_int64_are_rejected_like_other_bad_counts(self, bad):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            ShotCounts(bad, seed=0)
+
 
 class TestSamplePhase:
     def test_flat_slices_are_uniform(self):
@@ -97,7 +118,7 @@ class TestSamplePhase:
         shots = sample_phase(joint, 10**5, 7)
         for z in (1, -1):
             phis = shots.phi[shots.z == z]
-            assert ks_statistic_uniform(phis) < 1.628 / math.sqrt(phis.size)  # 1% level
+            assert ks_statistic(phis, lambda phi: phi / TWO_PI) < 1.628 / math.sqrt(phis.size)  # 1% level
 
     def test_full_fringe_harmonic(self):
         # slice z=+1 has c_cos = c0: density proportional to 1 + cos(phi)
@@ -148,6 +169,118 @@ class TestSamplePhase:
             phi_text, z_text = line.split(",")
             assert 0.0 <= float(phi_text) < TWO_PI
             assert int(z_text) in (1, -1)
+
+
+# every slice with weight in these joints is drawn and KS-tested against its exact CDF
+KS_JOINTS = {
+    "flat": (PureState(1, 0), MarkerConfig(0.3, 0.2)),  # A = 0 in both slices
+    "interior": (PureState(0.6, 0.64 + 0.48j), MarkerConfig(0.7, 1.1)),  # A/c0 = 0.92 and 0.59
+    "tangent": (PureState(SQRT1_2, SQRT1_2), MarkerConfig(0.0, 0.0)),  # A = c0, phi0 = 0
+    "tangent-turned": (PureState(SQRT1_2, SQRT1_2 * cmath.exp(2.5j)), MarkerConfig(0.0, 0.0)),
+}
+
+
+class TestPhaseSamplerExactness:
+    @pytest.mark.parametrize("seed", [101, 202, 303])
+    @pytest.mark.parametrize("name", list(KS_JOINTS))
+    def test_slices_pass_ks_against_exact_cdf(self, name, seed):
+        joint = operational_joint_phase(*KS_JOINTS[name])
+        shots = sample_phase(joint, 10**5, seed)
+        tested = 0
+        for z in (1, -1):
+            density = joint.for_z(z)
+            if density.integral < 1e-12:
+                assert shots.slice_count(z) == 0
+                continue
+            phis = shots.phi[shots.z == z]
+            assert ks_statistic(phis, slice_cdf(density)) < KS_CRITICAL_0_1_PERCENT / math.sqrt(phis.size)
+            tested += 1
+        assert tested == (1 if name.startswith("tangent") else 2)
+
+    def test_interior_joint_is_interior(self):
+        joint = operational_joint_phase(*KS_JOINTS["interior"])
+        for density in (joint.plus, joint.minus):
+            assert 0.5 < density.amplitude / density.c0 < 0.95
+
+    @pytest.mark.parametrize("n", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1])
+    def test_block_edges_replay_and_stay_in_range(self, n):
+        joint = operational_joint_phase(*KS_JOINTS["interior"])
+        first = sample_phase(joint, n, 8)
+        second = sample_phase(joint, n, 8)
+        np.testing.assert_array_equal(first.phi, second.phi)
+        np.testing.assert_array_equal(first.z, second.z)
+        assert first.phi.shape == first.z.shape == (n,)
+        assert first.phi.min() >= 0.0 and first.phi.max() < TWO_PI
+        assert not np.signbit(first.phi).any()
+        assert set(np.unique(first.z).tolist()) == {1, -1}
+
+    def test_blocks_are_drawn_in_sequence(self):
+        # the first block's draws do not depend on how many shots follow it
+        joint = operational_joint_phase(*KS_JOINTS["interior"])
+        one = sample_phase(joint, _SAMPLE_BLOCK, 8)
+        more = sample_phase(joint, _SAMPLE_BLOCK + 1, 8)
+        np.testing.assert_array_equal(more.phi[:_SAMPLE_BLOCK], one.phi)
+        np.testing.assert_array_equal(more.z[:_SAMPLE_BLOCK], one.z)
+
+    def test_outcomes_follow_the_z_stream_alone(self):
+        # z comes from the first spawned stream, one uniform per shot, v < weight of z = +1
+        joint = operational_joint_phase(*KS_JOINTS["interior"])
+        shots = sample_phase(joint, 5000, 13)
+        z_stream = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[0])
+        np.testing.assert_array_equal(shots.z, np.where(z_stream.random(5000) < joint.plus.integral, 1, -1))
+
+
+#: the asin helper's error bound against math.asin, in units of the spacing at math.asin's result
+ASIN_ULPS = 3.0
+
+
+def asin_ulps(y: np.ndarray) -> np.ndarray:
+    reference = np.array([math.asin(v) for v in y.tolist()])
+    got = _asin(y.copy())
+    return np.abs(got - reference) / np.spacing(np.abs(reference))
+
+
+class TestAsin:
+    def test_end_points_and_zeros(self):
+        got = _asin(np.array([1.0, -1.0, 0.0, -0.0]))
+        assert asin_ulps(np.array([1.0, -1.0])).max() <= 1.0
+        assert abs(got[0]) <= math.pi / 2 and got[1] == -got[0]
+        assert got[2] == 0.0 and not np.signbit(got[2])
+        assert got[3] == 0.0 and np.signbit(got[3])
+
+    def test_subnormals_and_tiny_normals(self):
+        tiny = np.concatenate([np.arange(1, 257) * 5e-324, [2.2250738585072014e-308, 1e-300, 1e-200, 1e-20]])
+        assert asin_ulps(np.concatenate([tiny, -tiny])).max() <= ASIN_ULPS
+
+    def test_dense_grid(self):
+        grid = np.linspace(-1.0, 1.0, 200_001)
+        near_one = 1.0 - np.logspace(-16, -1, 20_001)
+        assert asin_ulps(np.concatenate([grid, near_one, -near_one])).max() <= ASIN_ULPS
+
+    def test_random_arguments(self):
+        y = np.random.default_rng(5).uniform(-1.0, 1.0, 100_000)
+        assert asin_ulps(y).max() <= ASIN_ULPS
+
+
+class TestWrapPhase:
+    def test_sums_within_one_ulp_of_zero(self):
+        below = float(np.nextafter(0.0, -1.0))
+        got = _wrap_phase(np.array([below, -0.0, 0.0, 5e-324, -1e-16, -1e-15]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 5e-324, 0.0, -1e-15 + TWO_PI])
+        assert not np.signbit(got).any()
+
+    def test_sums_within_one_ulp_of_two_pi(self):
+        below, above = float(np.nextafter(TWO_PI, 0.0)), float(np.nextafter(TWO_PI, 8.0))
+        got = _wrap_phase(np.array([below, TWO_PI, above, -TWO_PI, float(np.nextafter(-TWO_PI, 0.0))]))
+        np.testing.assert_array_equal(got, [below, 0.0, above - TWO_PI, 0.0, float(np.nextafter(-TWO_PI, 0.0)) + TWO_PI])
+        assert not np.signbit(got).any()
+
+    def test_range_over_the_whole_domain(self):
+        phi = np.random.default_rng(9).uniform(-TWO_PI, TWO_PI, 10_000)
+        got = _wrap_phase(phi.copy())
+        assert got.min() >= 0.0 and got.max() < TWO_PI
+        np.testing.assert_allclose(np.cos(got), np.cos(phi), atol=1e-14)
+        np.testing.assert_allclose(np.sin(got), np.sin(phi), atol=1e-14)
 
 
 class TestPhaseShotsCsv:

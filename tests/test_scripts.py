@@ -104,6 +104,24 @@ def test_mc_convergence_script_reports_invalid_state_on_one_line(monkeypatch, ca
     assert line.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--seeds", "0"), "error: --seeds must be >= 1, got 0"),
+        (("--seeds", "-3"), "error: --seeds must be >= 1, got -3"),
+        (("--shots", "0"), "error: every --shots entry must be >= 1, got '0'"),
+        (("--shots", "100,-5,1000"), "error: every --shots entry must be >= 1, got '100,-5,1000'"),
+        (("--shots", "100,x"), "error: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["zero-seeds", "negative-seeds", "zero-shots", "negative-shots-entry", "non-integer-shots"],
+)
+def test_mc_convergence_script_rejects_bad_seeds_and_shots(monkeypatch, capsys, tmp_path, args, message):
+    out = tmp_path / "mc.csv"
+    line = run_failing_script(monkeypatch, capsys, MC_SCRIPT, *args, "--out", str(out))
+    assert line == message
+    assert not out.exists()
+
+
 def test_mc_convergence_script_writes_its_table(monkeypatch, capsys, tmp_path):
     out = tmp_path / "mc.csv"
     monkeypatch.setattr(
