@@ -68,10 +68,14 @@ def main() -> int:
         rows.append((n, rms, rms * math.sqrt(n)))
         print(f"N={n:>9d}  rms={rms:.3e}  rms*sqrt(N)={rms * math.sqrt(n):.4f}")
 
-    with open(args.out, "w") as handle:
-        handle.write("n,rms,rms_sqrt_n\n")
-        for n, rms, scaled in rows:
-            handle.write(f"{n},{rms:.16e},{scaled:.16e}\n")
+    try:
+        with open(args.out, "w") as handle:
+            handle.write("n,rms,rms_sqrt_n\n")
+            for n, rms, scaled in rows:
+                handle.write(f"{n},{rms:.16e},{scaled:.16e}\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}")
     return 0
 

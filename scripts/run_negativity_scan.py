@@ -37,8 +37,12 @@ def main() -> int:
         return 2
     grid = scan_negativity(state, np.linspace(t0, t1, tn), np.linspace(v0, v1, vn))
 
-    with open(args.out, "w") as handle:
-        handle.write(grid.to_csv())
+    try:
+        with open(args.out, "wb") as handle:
+            grid.write_csv(handle)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     flagged = int(grid.singular.sum())
     print(f"wrote {tn * vn} cells to {args.out} ({flagged} singular)")

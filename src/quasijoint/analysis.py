@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -60,14 +62,15 @@ class ScanGrid:
     min_values: np.ndarray  # shape (len(theta), len(vartheta)), NaN where flagged
     singular: np.ndarray  # bool, same shape
 
-    def to_csv(self) -> str:
-        """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``.
+    def _csv_blocks(self) -> Iterator[bytes]:
+        """The header line, then the rows of each block of ``_CSV_BLOCK`` cells.
 
         The thetas and varthetas are formatted once, in one ``_format_e16``
         call, and copied into the cells' rows; the minima are written block by
-        block into one NUL-padded byte row buffer, so the text is
-        byte-identical to formatting every cell on its own.
+        block into one NUL-padded byte row buffer, and the NULs are dropped, so
+        the text is byte-identical to formatting every cell on its own.
         """
+        yield SCAN_CSV_HEADER.encode("ascii") + b"\n"
         width = _E16_WIDTH
         angles = np.concatenate([self.theta_values, self.vartheta_values])
         fields = np.empty((angles.size, width), np.uint8)
@@ -78,7 +81,6 @@ class ScanGrid:
         rows = np.empty((min(values.size, _CSV_BLOCK), 3 * width + 5), np.uint8)
         rows[:, [width, 2 * width + 1, 3 * width + 2]] = 44  # ","
         rows[:, -1] = 10  # "\n"
-        blocks = [SCAN_CSV_HEADER + "\n"]
         for start in range(0, values.size, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, values.size)
             block = rows[: stop - start]
@@ -90,8 +92,16 @@ class ScanGrid:
             _format_e16(np.where(flagged, 0.0, values[start:stop]), minima)
             minima[flagged] = 0  # flagged cells leave min_value empty
             block[:, -2] = flagged + 48  # "0" or "1"
-            blocks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-        return "".join(blocks)
+            yield block.tobytes().translate(None, b"\0")
+
+    def to_csv(self) -> str:
+        """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``."""
+        return b"".join(self._csv_blocks()).decode("ascii")
+
+    def write_csv(self, file: BinaryIO) -> None:
+        """Write the bytes of ``to_csv()`` to a binary file, each block once it is formatted."""
+        for block in self._csv_blocks():
+            file.write(block)
 
 
 def p_min_discrete(state: PureState) -> float:

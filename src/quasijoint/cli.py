@@ -462,7 +462,8 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
             }
 
     if opts["shots_out"]:
-        Path(opts["shots_out"]).write_text(shots.to_csv())
+        with open(opts["shots_out"], "wb") as handle:
+            shots.write_csv(handle)
     return _Report(config, result, lambda: [header, *rows])
 
 

@@ -18,7 +18,9 @@ through the fixed tensor-product kernel.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_t
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
 
-#: rows formatted per block by PhaseShots.to_csv and ScanGrid.to_csv; the row
+#: rows formatted per block by the PhaseShots and ScanGrid CSV writers; the row
 #: buffer and the formatter's temporaries (about 100 B a row) scale with it,
 #: so it is kept well below the size of a typical scan or shot file
 _CSV_BLOCK = 1 << 12
@@ -160,12 +162,19 @@ class ShotCounts:
     def frequencies(self) -> DiscreteJoint:
         return DiscreteJoint(self.counts / self.total, kind=OPERATIONAL)
 
+    def _csv_blocks(self) -> Iterator[bytes]:
+        yield DISCRETE_CSV_HEADER.encode("ascii") + b"\n"
+        rows = (f"{x},{z},{self.count(x, z)}\n" for x in (1, -1) for z in (1, -1))
+        yield "".join(rows).encode("ascii")
+
     def to_csv(self) -> str:
-        lines = [DISCRETE_CSV_HEADER]
-        for x in (1, -1):
-            for z in (1, -1):
-                lines.append(f"{x},{z},{self.count(x, z)}")
-        return "\n".join(lines) + "\n"
+        """One ``x,z,count`` line per outcome, in table order."""
+        return b"".join(self._csv_blocks()).decode("ascii")
+
+    def write_csv(self, file: BinaryIO) -> None:
+        """Write the bytes of ``to_csv()`` to a binary file."""
+        for block in self._csv_blocks():
+            file.write(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,25 +202,37 @@ class PhaseShots:
         _outcome_index(z)  # validates z
         return int(np.sum(self.z == z))
 
-    def to_csv(self) -> str:
-        """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``.
+    def _csv_blocks(self) -> Iterator[bytes]:
+        """The header line, then the rows of each block of ``_CSV_BLOCK`` shots.
 
-        Each block of ``_CSV_BLOCK`` shots is written into one NUL-padded
-        byte row buffer by ``_format_e16``; the text is byte-identical to
-        formatting each shot with ``f"{phi:.16e},{z}"``.
+        Each block is written into one NUL-padded byte row buffer by
+        ``_format_e16``, and the NULs are dropped; the text is byte-identical
+        to formatting each shot with ``f"{phi:.16e},{z}"``.
         """
+        yield PHASE_CSV_HEADER.encode("ascii") + b"\n"
         rows = np.empty((min(self.total, _CSV_BLOCK), _E16_WIDTH + 4), np.uint8)
         rows[:, _E16_WIDTH] = 44  # ","
         rows[:, -2] = 49  # "1"
         rows[:, -1] = 10  # "\n"
-        blocks = [PHASE_CSV_HEADER + "\n"]
         for start in range(0, self.total, _CSV_BLOCK):
             phi = self.phi[start : start + _CSV_BLOCK]
             block = rows[: phi.size]
             _format_e16(phi, block[:, :_E16_WIDTH])
             block[:, -3] = np.where(self.z[start : start + _CSV_BLOCK] < 0, 45, 0)
-            blocks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-        return "".join(blocks)
+            yield block.tobytes().translate(None, b"\0")
+
+    def to_csv(self) -> str:
+        """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``."""
+        return b"".join(self._csv_blocks()).decode("ascii")
+
+    def write_csv(self, file: BinaryIO) -> None:
+        """Write the bytes of ``to_csv()`` to a binary file, each block as soon as it is formatted.
+
+        Beyond the shots themselves, memory stays at one block's buffers
+        whatever the shot count.
+        """
+        for block in self._csv_blocks():
+            file.write(block)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import hypothesis.strategies as st
@@ -89,6 +90,13 @@ def assert_same_text(text: str, expected: str) -> None:
     got, want = text.split("\n"), expected.split("\n")
     line = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
     pytest.fail(f"texts differ at line {line}: {got[line : line + 1]} != {want[line : line + 1]}")
+
+
+def written_csv(table) -> bytes:
+    """The bytes ``table.write_csv`` writes into a binary file."""
+    buffer = io.BytesIO()
+    table.write_csv(buffer)
+    return buffer.getvalue()
 
 
 def phase_shots_csv_reference(shots: PhaseShots) -> str:

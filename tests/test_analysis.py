@@ -38,6 +38,7 @@ from helpers import (
     pure_states,
     real_amplitude_state,
     scan_csv_reference,
+    written_csv,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -333,7 +334,9 @@ class TestScanNegativity:
     )
     def test_csv_matches_per_cell_formatter(self, thetas, varthetas):
         grid = scan_negativity(haar_state(np.random.default_rng(5)), thetas, varthetas)
-        assert_same_text(grid.to_csv(), scan_csv_reference(grid))
+        text = grid.to_csv()
+        assert_same_text(text, scan_csv_reference(grid))
+        assert written_csv(grid) == text.encode("ascii")
 
     def test_csv_of_signed_zero_and_tiny_minima(self):
         grid = ScanGrid(

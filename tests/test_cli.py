@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from quasijoint import cli
+from quasijoint import MarkerConfig, cli, operational_joint_phase, sample_phase
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
+from quasijoint.sampling import _CSV_BLOCK
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -237,6 +238,21 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("option", ["--shots-out", "--output"])
+    @pytest.mark.parametrize("mode", ["discrete", "phase"])
+    def test_unwritable_path_is_one_error_line(self, capsys, tmp_path, mode, option):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sample", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1",
+             "--mode", mode, "--n", "1000", option, str(target)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(target) in err
+        assert not target.parent.exists()
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, ["exact", "--state", "1,0,0,0"])
         assert code == 0
@@ -269,6 +285,18 @@ class TestReproducibility:
         report_a = (tmp_path / "report_a.json").read_text()
         report_b = (tmp_path / "report_b.json").read_text()
         assert report_a.replace("a.csv", "b.csv").replace("report_a", "report_b") == report_b
+
+    def test_phase_shots_file_is_the_library_csv(self, capsys, tmp_path):
+        n = 3 * _CSV_BLOCK + 1
+        target = tmp_path / "shots.csv"
+        code, _, err = run_cli(
+            capsys,
+            ["sample", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1",
+             "--mode", "phase", "--n", str(n), "--seed", "11", "--shots-out", str(target)],
+        )
+        assert code == 0, err
+        joint = operational_joint_phase(cli.parse_state(TILTED_STATE, "reim"), MarkerConfig(0.6, 1.1))
+        assert target.read_bytes() == sample_phase(joint, n, 11).to_csv().encode("ascii")
 
     def test_config_echo_round_trips(self, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from decimal import Decimal
 
 import hypothesis.strategies as st
@@ -27,7 +28,13 @@ from quasijoint import (
     sample_phase,
 )
 from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _SAMPLE_BLOCK, _asin, _format_e16, _wrap_phase
-from helpers import assert_same_text, haar_state, invertible_config, phase_shots_csv_reference
+from helpers import (
+    assert_same_text,
+    haar_state,
+    invertible_config,
+    phase_shots_csv_reference,
+    written_csv,
+)
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -95,6 +102,7 @@ class TestSampleDiscrete:
         counts = ShotCounts(source, seed=7)
         source[0, 0] = 99
         assert counts.to_csv() == "x,z,count\n1,1,3\n1,-1,2\n-1,1,1\n-1,-1,0\n"
+        assert written_csv(counts) == counts.to_csv().encode("ascii")
         with pytest.raises(ValueError):
             counts.counts[0, 0] = 0
         assert type(counts.count(1, 1)) is int and type(counts.total) is int
@@ -283,6 +291,13 @@ class TestWrapPhase:
         np.testing.assert_allclose(np.sin(got), np.sin(phi), atol=1e-14)
 
 
+class DiscardingSink:
+    """A binary file that drops what is written to it."""
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+
 class TestPhaseShotsCsv:
     # many blocks, the last one short by one, full, or holding one or three shots
     @pytest.mark.parametrize(
@@ -295,13 +310,31 @@ class TestPhaseShotsCsv:
         phi[-len(EDGE_PHIS) :] = EDGE_PHIS[::-1]
         z = np.where(rng.random(total) < 0.5, 1, -1)
         shots = PhaseShots(phi=phi, z=z, total=total, seed=0)
-        assert_same_text(shots.to_csv(), phase_shots_csv_reference(shots))
+        text = shots.to_csv()
+        assert_same_text(text, phase_shots_csv_reference(shots))
+        assert written_csv(shots) == text.encode("ascii")
 
     @pytest.mark.parametrize("z", [1, -1])
     @pytest.mark.parametrize("phi", EDGE_PHIS)
     def test_single_shot_matches_per_row_formatter(self, phi, z):
         shots = PhaseShots(phi=np.array([phi]), z=np.array([z]), total=1, seed=0)
-        assert_same_text(shots.to_csv(), phase_shots_csv_reference(shots))
+        text = shots.to_csv()
+        assert_same_text(text, phase_shots_csv_reference(shots))
+        assert written_csv(shots) == text.encode("ascii")
+
+    # to_csv holds about 10 MB at 2e5 shots; the writer holds one block's buffers
+    @pytest.mark.parametrize("total", [1 << 16, 1 << 19])
+    def test_writing_holds_one_block_whatever_the_shot_count(self, total):
+        rng = np.random.default_rng(total)
+        z = np.where(rng.random(total) < 0.5, 1, -1)
+        shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z, total=total, seed=0)
+        tracemalloc.start()
+        try:
+            shots.write_csv(DiscardingSink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, TWO_PI])
     def test_phase_outside_the_circle_is_rejected(self, bad):

@@ -70,6 +70,15 @@ def test_scan_script_rejects_non_finite_grid_bounds(monkeypatch, capsys):
     assert line == "error: grid '0:inf:3' needs finite bounds"
 
 
+def test_scan_script_reports_an_unwritable_out_on_one_line(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "missing" / "scan.csv"
+    line = run_failing_script(
+        monkeypatch, capsys, SCAN_SCRIPT, "--state", "0.6,0,0.8,0", "--theta-grid", "0:1:3",
+        "--vartheta-grid", "0:1:2", "--out", str(out),
+    )
+    assert line.startswith("error: [Errno 2] No such file or directory") and str(out) in line
+
+
 @pytest.mark.parametrize(
     "state, vartheta_grid, message",
     [
@@ -140,3 +149,17 @@ def test_mc_convergence_script_writes_its_table(monkeypatch, capsys, tmp_path):
         n, rms, scaled = (float(piece) for piece in row.split(","))
         assert 0.0 < rms < 1.0
         assert scaled == pytest.approx(rms * math.sqrt(n), rel=1e-15)
+
+
+def test_mc_convergence_script_reports_an_unwritable_out_on_one_line(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "missing" / "mc.csv"
+    monkeypatch.setattr(
+        sys, "argv", [str(MC_SCRIPT), "--seeds", "1", "--shots", "100", "--out", str(out)]
+    )
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(MC_SCRIPT), run_name="__main__")
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert [line.split("rms=")[0] for line in captured.out.splitlines()] == ["N=      100  "]
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: [Errno 2] No such file or directory") and str(out) in line
