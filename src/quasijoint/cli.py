@@ -28,7 +28,7 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +50,10 @@ from quasijoint.marking import (
     operational_joint_phase,
 )
 from quasijoint.sampling import (
-    _E16_WIDTH,
+    _E16_WORDS,
     _format_e16,
+    _join_rows,
+    _words,
     estimate_quasi_joint,
     harmonic_estimates,
     sample_discrete,
@@ -77,6 +79,8 @@ MAX_SCAN_CELLS = 250_000
 MAX_PHI_POINTS = 100_000
 #: most shots of a phase-mode sample, each of which is kept in memory
 MAX_PHASE_SHOTS = 1_000_000
+#: the end of a row of a JSON float array
+_JSON_TAIL = _words(",\n\0\0")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +89,12 @@ MAX_PHASE_SHOTS = 1_000_000
 
 class _Report(NamedTuple):
     """A command's config echo, JSON ``result`` and CSV ``table``: rows with the header
-    first, or a library writer's CSV text.  Both are built only for their format.  The
+    first, or a library writer's CSV byte blocks.  Both are built only for their format.  The
     optional ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
 
     config: dict
     result: Callable[[], dict]
-    table: Callable[[], list | str]
+    table: Callable[[], list | Iterable[bytes]]
     note: tuple[str, dict] | None = None
 
 
@@ -136,8 +140,8 @@ def _render_json_value(value, level: int) -> str:
 def _render_json_floats(values: np.ndarray, pad: str, level: int) -> str:
     """A 1-D float64 array as a JSON list, byte-identical to rendering ``values.tolist()``.
 
-    Every element becomes one ``pad + %.16e + ",\\n"`` row of a uint8 buffer,
-    formatted in one ``_format_e16`` call; the fields' NUL padding is dropped.
+    Every element becomes one row of a word-major buffer: the indent's words,
+    the ``_format_e16`` field and a ``,\\n`` word; the NULs are dropped.
     """
     if values.dtype != np.float64 or values.ndim != 1:
         raise TypeError(f"cannot render a {values.dtype} array of shape {values.shape} in a report")
@@ -146,13 +150,12 @@ def _render_json_floats(values: np.ndarray, pad: str, level: int) -> str:
     finite = np.isfinite(values)
     if not finite.all():
         format_float(values[np.argmin(finite)])  # raises for the first non-finite element
-    indent = len(pad)
-    rows = np.empty((values.size, indent + _E16_WIDTH + 2), np.uint8)
-    rows[:, :indent] = 32  # " "
-    _format_e16(values, rows[:, indent:-2])
-    rows[:, -2] = 44  # ","
-    rows[:, -1] = 10  # "\n"
-    inner = rows.tobytes().translate(None, b"\0").decode("ascii")
+    indent = _words(pad.ljust(-(-len(pad) // 4) * 4, "\0"))
+    words = np.zeros((indent.size + _E16_WORDS + 1, values.size), np.uint32)
+    words[: indent.size] = indent[:, None]
+    wide = _format_e16(values, words[indent.size : -1])
+    words[-1] = _JSON_TAIL
+    inner = _join_rows(words, wide, lambda r: f"{pad}{values[r]:.16e},\n").decode("ascii")
     return "[\n" + inner[:-2] + "\n" + "  " * level + "]"
 
 
@@ -170,15 +173,22 @@ def _csv_text(value) -> str:
 
 
 def render_csv(report: _Report) -> str:
-    """``# key=value`` config lines, the optional note line, then the table."""
+    """``# key=value`` config lines, the optional note line, then the table.
+
+    A library writer's byte blocks are joined with the encoded lines and
+    decoded once.  The table is ASCII, and the lines (which echo paths) round
+    trip through UTF-8 with surrogates passed, so the text is the same as
+    joining the lines and the decoded table.
+    """
     lines = [f"# {key}={_csv_text(value)}" for key, value in report.config.items()]
     if report.note:
         label, fields = report.note
         lines.append(f"# {label} " + " ".join(f"{key}={_csv_text(v)}" for key, v in fields.items()))
+    head = "".join(line + "\n" for line in lines)
     table = report.table()
-    if not isinstance(table, str):
-        table = "".join(_csv_text(row) + "\n" for row in table)
-    return "".join(line + "\n" for line in lines) + table
+    if isinstance(table, list):
+        return head + "".join(_csv_text(row) + "\n" for row in table)
+    return b"".join([head.encode("utf-8", "surrogatepass"), *table]).decode("utf-8", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +500,7 @@ def cmd_scan(args: argparse.Namespace) -> _Report:
         return {"cells": _records(SCAN_CSV_HEADER, rows)}
 
     config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
-    return _Report(config, result, grid.to_csv)
+    return _Report(config, result, grid._csv_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ through the fixed tensor-product kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -46,12 +46,25 @@ PHASE_CSV_HEADER = "phi,z"
 #: so it is kept well below the size of a typical scan or shot file
 _CSV_BLOCK = 1 << 12
 
-#: bytes of the widest ``%.16e`` field, "-4.9406564584124654e-324"
-_E16_WIDTH = 24
+
+def _words(text: str) -> np.ndarray:
+    """ASCII text as 4-byte words (uint32 in native order), so that words written in
+    a row buffer come out of ``tobytes`` as the text."""
+    return np.frombuffer(text.encode("ascii"), np.uint32)
+
+
+#: words of one ``%.16e`` field: [separator|sign|lead|"."], the 16 digits after
+#: the point as four words of four, and the exponent "e+dd"; the widest text
+#: that fits after the separator is 23 characters
+_E16_WORDS = 6
+#: byte 0 of a field's first word, the separator the caller sets
+_SEPARATOR_MASK = np.frombuffer(b"\xff\0\0\0", np.uint32)[0]
 #: exact doubles 1e0 .. 1e22, each with its Dekker split by 2**27 + 1
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
+#: bytes 1..3 of a field's first word, "d." for d = 0 .. 9, then "-d." for the same
+_LEAD_WORDS = _words("".join(f"\0\0{d}." for d in range(10)) + "".join(f"\0-{d}." for d in range(10)))
 #: ASCII "0000" .. "9999" as one 4-byte word per value, built from uint8
 #: digits so that import allocates no large temporaries
 _DIGITS4 = (
@@ -60,8 +73,11 @@ _DIGITS4 = (
     .view(np.uint32)
     .ravel()
 )
-#: ASCII "e-06" .. "e+16" as one 4-byte word per decimal exponent, from -6
-_EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-6, 17)).encode(), np.uint32)
+#: "e+16" .. "e-06" as one word per power 10**k, k = 0 .. 22, scaling the
+#: decimal exponent 16 - k into 17 integer digits
+_EXPONENTS = _words("".join(f"e{16 - k:+03d}" for k in range(23)))
+#: the end of a shot row, ",1\n" or ",-1\n", by whether z is negative
+_Z_TAILS = _words(",\x001\n,-1\n")
 
 #: shots drawn per block by sample_phase; its per-block temporaries (a few
 #: arrays of this length) stay small whatever the shot count
@@ -78,61 +94,108 @@ _ASIN_Q = (
 )
 
 
-def _times_pow10(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact product a * 10**(16 - e) as p + err (Dekker's TwoProduct, no FMA)."""
-    k = 16 - e
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact product a * 10**k as p + err (Dekker's TwoProduct, no FMA)."""
     c = a * 134217729.0
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    p = a * _POW10[k]
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    p = a * _POW10.take(k)
+    err = a_hi * b_hi
+    err -= p
+    err += a_hi * b_lo
+    err += a_lo * b_hi
+    err += a_lo * b_lo
     return p, err
 
 
-def _format_e16(values: np.ndarray, out: np.ndarray) -> None:
-    """Write ``f"{v:.16e}"`` of each float64 value as ASCII into its row of ``out``.
+def _format_e16(values: np.ndarray, out: np.ndarray) -> list[int]:
+    """Write ``f"{v:.16e}"`` of each float64 value as the ``_E16_WORDS`` words of its column of ``out``.
 
-    ``out`` is a uint8 array of shape (len(values), _E16_WIDTH), typically a
-    column slice of a CSV row buffer.  Every byte of it is written; the bytes
-    a field does not use are NUL.  The 17 significant digits are the exact
-    product |v| * 10**(16 - E) rounded half to even, which needs
-    10**(16 - E) to be an exact double: so 1e-6 < |v| < 1e17 and zeros are
-    written here, and every other value (NaN and inf included) is formatted
-    by Python.
+    ``out`` is a uint32 array of shape (_E16_WORDS, len(values)) whose rows
+    are contiguous, typically rows of a word-major row buffer.  Byte 0 of
+    each column's first word, the separator, is left as the caller set it;
+    every other byte of the column is written, NUL where the text is
+    shorter (no sign, or a short Python-formatted field).  The 17
+    significant digits are the exact product |v| * 10**(16 - E) rounded half
+    to even, which needs 10**(16 - E) to be an exact double: so
+    1e-6 < |v| < 1e17 and zeros are written here, and every other value
+    (NaN and inf included) is formatted by Python.
+
+    Returns the indices of the values whose text has 24 characters, a
+    negative value with a three-digit exponent such as -1e-100: it does not
+    fit after the separator, so their columns hold only the separator and
+    NULs, and the caller writes those rows some other way.
     """
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e17)  # decimal exponents -6 .. 16; False for NaN
-    a = np.where(fast, a, 1.0)
+    slow = ~fast
+    np.copyto(a, 1.0, where=slow)
     # log10 is off by at most a few ulps, so the floor of log10(a) - 1e-12 is
-    # the decimal exponent or one less (never 17); an exact product
+    # the decimal exponent E or one less (never 17); an exact product
     # p + err >= 1e17 marks the ones that are one less
-    e = np.maximum(np.floor(np.log10(a) - 1e-12).astype(np.int64), -6)
-    p, err = _times_pow10(a, e)
-    short = np.flatnonzero((p > 1e17) | ((p == 1e17) & (err >= 0)))
-    e[short] += 1
-    p[short], err[short] = _times_pow10(a[short], e[short])
+    e = np.log10(a)
+    e -= 1e-12
+    np.floor(e, out=e)
+    k = e.astype(np.intp)
+    np.subtract(16, k, out=k)
+    np.minimum(k, 22, out=k)  # E >= -6
+    p, err = _times_pow10(a, k)
+    big = np.flatnonzero(p >= 1e17)
+    if big.size:
+        short = big[(p[big] > 1e17) | (err[big] >= 0)]
+        k[short] -= 1
+        p[short], err[short] = _times_pow10(a[short], k[short])
     # p is an even integer >= 1e16, so adding rint(err) rounds half to even.
     # n stays below 10**17: no double in (1e-6, 1e17) lies within half a
     # 17th digit below a power of ten (the tests cover every such neighbour)
-    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    n[~fast] = 0  # zeros come out right; the rest is overwritten below
-    e[~fast] = 0
-    lead = n // 10**16
-    rest = n - lead * 10**16
-    high = (rest // 10**8).astype(np.int32)
-    low = (rest - high * 10**8).astype(np.int32)
-    groups = np.stack([high // 10000, high % 10000, low // 10000, low % 10000], axis=1)
-    out[:, 0] = np.signbit(values) * np.uint8(45)  # "-"
-    out[:, 1] = lead + 48
-    out[:, 2] = 46  # "."
-    out[:, 3:19] = _DIGITS4[groups].view(np.uint8)
-    out[:, 19:23] = _EXPONENTS[e + 6].view(np.uint8).reshape(-1, 4)
-    out[:, 23] = 0
-    for i in np.flatnonzero(~fast & (values != 0.0)):
+    n = p.astype(np.int64)
+    n += np.rint(err).astype(np.int64)
+    np.copyto(n, 0, where=slow)  # zeros come out right (a = 1 gives E = 0); the rest is overwritten below
+    high = n // 10**8
+    low = (n - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)  # below 10**9
+    lead = high // 10**8
+    high -= lead * 10**8
+    lead += np.signbit(values) * np.int32(10)
+    first = out[0]
+    first &= _SEPARATOR_MASK
+    first |= _LEAD_WORDS.take(lead)
+    for row, group in ((1, high), (3, low)):
+        quotient = group // 10_000
+        _DIGITS4.take(quotient, out=out[row], mode="clip")
+        group -= quotient * 10_000
+        _DIGITS4.take(group, out=out[row + 1], mode="clip")
+    _EXPONENTS.take(k, out=out[5], mode="clip")
+    wide = []
+    for i in np.flatnonzero(slow & (values != 0.0)).tolist():
         text = f"{values[i]:.16e}".encode("ascii")
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
-        out[i, len(text) :] = 0
+        if len(text) >= 4 * _E16_WORDS:
+            wide.append(i)
+            text = b""
+        field = out[:1, i].tobytes()[:1] + text.ljust(4 * _E16_WORDS - 1, b"\0")
+        out[:, i] = np.frombuffer(field, np.uint32)
+    return wide
+
+
+def _join_rows(
+    words: np.ndarray, wide: list[int], row_text: Callable[[int], str], *, sparse: bool = False
+) -> bytes:
+    """The rows of a word-major buffer, ``words[:, r]`` being row r, as ASCII with the NULs dropped.
+
+    Each row r in ``wide`` holds a field that ``_format_e16`` could not fit
+    and is replaced by ``row_text(r)``.  ``bytes.translate`` drops the NULs
+    at a table lookup per byte, ``bytes.replace`` (``sparse``) at about a
+    memchr and a memcpy per NUL: the latter is faster for rows with less
+    than about one NUL in 15 bytes, such as the scan's.
+    """
+    pieces, start = [], 0
+    for r in sorted(set(wide)):
+        pieces += [words[:, start:r].T.tobytes(), row_text(r).encode("ascii")]
+        start = r + 1
+    pieces.append(words[:, start:].T.tobytes())
+    text = b"".join(pieces)
+    return text.replace(b"\0", b"") if sparse else text.translate(None, b"\0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +251,23 @@ class PhaseShots:
 
     def __post_init__(self) -> None:
         phi = np.asarray(self.phi, dtype=float)
-        z = np.asarray(self.z, dtype=int)
+        try:
+            with np.errstate(invalid="raise"):
+                z = np.asarray(self.z, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError, FloatingPointError):  # not a number, or beyond int64
+            raise ValueError("z records must be +1 or -1") from None
         if phi.shape != (self.total,) or z.shape != (self.total,):
             raise ValueError("phi and z must both have length total")
         if phi.size and not (phi.min() >= 0.0 and phi.max() < TWO_PI):  # NaN fails both
             raise ValueError("phases must lie in [0, 2*pi)")
-        if not np.all(np.abs(z) == 1):
+        # the range and a nonzero count leave only +-1 without a temporary the
+        # size of z; comparing with the input rejects a z the cast truncated, like 1.5
+        if z.size and not (
+            z.min() >= -1
+            and z.max() <= 1
+            and np.count_nonzero(z) == z.size
+            and (z is self.z or np.array_equal(z, self.z))
+        ):
             raise ValueError("z records must be +1 or -1")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "z", z)
@@ -205,21 +279,20 @@ class PhaseShots:
     def _csv_blocks(self) -> Iterator[bytes]:
         """The header line, then the rows of each block of ``_CSV_BLOCK`` shots.
 
-        Each block is written into one NUL-padded byte row buffer by
-        ``_format_e16``, and the NULs are dropped; the text is byte-identical
-        to formatting each shot with ``f"{phi:.16e},{z}"``.
+        Each block is written into one word-major row buffer, 7 words a row:
+        the phase by ``_format_e16`` and the ``,z\\n`` tail from ``_Z_TAILS``;
+        the NULs are dropped, so the text is byte-identical to formatting
+        each shot with ``f"{phi:.16e},{z}"``.
         """
         yield PHASE_CSV_HEADER.encode("ascii") + b"\n"
-        rows = np.empty((min(self.total, _CSV_BLOCK), _E16_WIDTH + 4), np.uint8)
-        rows[:, _E16_WIDTH] = 44  # ","
-        rows[:, -2] = 49  # "1"
-        rows[:, -1] = 10  # "\n"
+        words = np.zeros((_E16_WORDS + 1, min(self.total, _CSV_BLOCK)), np.uint32)
         for start in range(0, self.total, _CSV_BLOCK):
             phi = self.phi[start : start + _CSV_BLOCK]
-            block = rows[: phi.size]
-            _format_e16(phi, block[:, :_E16_WIDTH])
-            block[:, -3] = np.where(self.z[start : start + _CSV_BLOCK] < 0, 45, 0)
-            yield block.tobytes().translate(None, b"\0")
+            z = self.z[start : start + _CSV_BLOCK]
+            block = words[:, : phi.size]
+            wide = _format_e16(phi, block[:_E16_WORDS])
+            _Z_TAILS.take(z < 0, out=block[-1], mode="clip")
+            yield _join_rows(block, wide, lambda r: f"{phi[r]:.16e},{z[r]}\n")
 
     def to_csv(self) -> str:
         """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``."""
@@ -391,9 +464,12 @@ def harmonic_estimates(shots: PhaseShots) -> dict[int, PhaseDensity]:
     """Moment estimators of each slice's Fourier triple from phase shots.
 
     c0(z) ~ n_z/(2*pi*N), c_cos(z) ~ sum(cos phi_i)/(pi*N) over shots with
-    outcome z, and likewise for sin.
+    outcome z, and likewise for sin.  An empty record (total 0) has no
+    estimate and raises ``ValueError``.
     """
     n = shots.total
+    if not n:
+        raise ValueError("cannot estimate harmonics from an empty shot record (total=0)")
     out: dict[int, PhaseDensity] = {}
     for z in (1, -1):
         mask = shots.z == z

@@ -92,6 +92,13 @@ def assert_same_text(text: str, expected: str) -> None:
     pytest.fail(f"texts differ at line {line}: {got[line : line + 1]} != {want[line : line + 1]}")
 
 
+class DiscardingSink:
+    """A binary file that drops what is written to it."""
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+
 def written_csv(table) -> bytes:
     """The bytes ``table.write_csv`` writes into a binary file."""
     buffer = io.BytesIO()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from quasijoint import (
 from quasijoint.analysis import _negative_mass
 from quasijoint.sampling import _CSV_BLOCK
 from helpers import (
+    DiscardingSink,
     assert_same_text,
     haar_state,
     pure_states,
@@ -329,14 +331,66 @@ class TestScanNegativity:
             # more cells than one block holds, the block ending inside a row; the
             # last row is theta = pi/2, fully flagged
             (np.linspace(0.0, math.pi / 2, _CSV_BLOCK // 61 + 2), np.linspace(-0.7, 3.5, 61)),
+            # theta rows wider than a block, each split in two; theta = pi/2 is flagged
+            ([0.3, math.pi / 2, 1.0], np.linspace(-0.7, 3.5, _CSV_BLOCK + 37)),
+            # 97 cells a row: 42 rows (4,074 cells) a block, and a short last block
+            (np.linspace(0.0, math.pi / 2, 150), np.linspace(0.0, 3.1, 97)),
         ],
-        ids=["1x1", "1xN", "Nx1", "flagged-row", "edges", "two-blocks"],
+        ids=["1x1", "1xN", "Nx1", "flagged-row", "edges", "two-blocks", "split-rows", "uneven-width"],
     )
     def test_csv_matches_per_cell_formatter(self, thetas, varthetas):
         grid = scan_negativity(haar_state(np.random.default_rng(5)), thetas, varthetas)
         text = grid.to_csv()
         assert_same_text(text, scan_csv_reference(grid))
         assert written_csv(grid) == text.encode("ascii")
+        assert all(block.count(b"\n") <= _CSV_BLOCK for block in grid._csv_blocks())
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 2 * _CSV_BLOCK + 5), (3, _CSV_BLOCK + 1), (_CSV_BLOCK + 3, 1), (2, _CSV_BLOCK), (5, _CSV_BLOCK // 2 + 1), (64, 64)],
+    )
+    def test_no_block_holds_more_than_one_block_of_cells(self, shape):
+        rng = np.random.default_rng(shape[1])
+        singular = rng.random(shape) < 0.1
+        grid = ScanGrid(
+            theta_values=rng.uniform(-1.0, 4.0, shape[0]),
+            vartheta_values=rng.uniform(-1.0, 4.0, shape[1]),
+            min_values=np.where(singular, np.nan, rng.uniform(-0.3, 0.3, shape)),
+            singular=singular,
+        )
+        lines = [block.count(b"\n") for block in grid._csv_blocks()]
+        assert lines[0] == 1 and max(lines[1:]) <= _CSV_BLOCK and sum(lines) == singular.size + 1
+        assert_same_text(grid.to_csv(), scan_csv_reference(grid))
+
+    def test_csv_of_24_character_fields_inside_blocks(self):
+        # a negative value with a three-digit exponent prints 24 characters, one
+        # more than a field holds after its separator; its row is written by Python
+        rng = np.random.default_rng(8)
+        shape = (3, _CSV_BLOCK // 2 + 3)
+        singular = np.zeros(shape, bool)
+        singular[1, [0, 6, 8]] = True
+        min_values = np.where(singular, np.nan, rng.uniform(-0.3, 0.3, shape))
+        min_values[0, [100, 101, 2000]] = [-1e-100, -1.7976931348623157e308, -5e-324]
+        min_values[2, [7, _CSV_BLOCK // 2]] = [-1e300, 1e-300]
+        varthetas = rng.uniform(-1.0, 4.0, shape[1])
+        varthetas[[5, 6]] = [-1e-200, -2e-150]
+        grid = ScanGrid(np.array([0.1, -1e-100, 0.7]), varthetas, min_values, singular)
+        text = grid.to_csv()
+        assert_same_text(text, scan_csv_reference(grid))
+        assert "-1.0000000000000000e-100,-2.0000000000000000e-150,,1\n" in text
+        assert written_csv(grid) == text.encode("ascii")
+
+    def test_writing_a_500_by_500_grid_holds_one_block(self):
+        grid = scan_negativity(
+            PureState(COS_PI_8, SIN_PI_8), np.linspace(0.0, math.pi / 2, 500), np.linspace(0.0, 3.1, 500)
+        )
+        tracemalloc.start()
+        try:
+            grid.write_csv(DiscardingSink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # the file is 19 MB
 
     def test_csv_of_signed_zero_and_tiny_minima(self):
         grid = ScanGrid(

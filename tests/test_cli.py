@@ -91,6 +91,7 @@ class TestParserReuse:
 _EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-07, 1e-6,
     1.0000000000000002e-06, 99999999999999984.0, 1e17, -1e17, 1e300, 1.7976931348623157e308,
+    -1e-100, -1e300, -5e-324,  # 24 characters, rendered by Python
 ]
 
 
@@ -427,6 +428,18 @@ class TestOptionResolution:
         assert code == 0
         assert target.read_text() == (GOLDEN / "exact_basis.json").read_text().replace(
             '"output": null', f'"output": "{target}"'
+        )
+
+
+    def test_scan_csv_output_under_a_non_ascii_path(self, capsys, tmp_path):
+        # the config echo holds the path, and the scan table is joined to it as bytes
+        argv = ["scan", "--state", TILTED_STATE, "--theta-grid", "0:1.4:5", "--vartheta-grid",
+                "0.35:2.8:4", "--format", "csv"]
+        target = tmp_path / "négativité.csv"
+        code, _, err = run_cli(capsys, [*argv, "--output", str(target)])
+        assert code == 0, err
+        assert target.read_text() == (GOLDEN / "scan.csv").read_text().replace(
+            "# output=\n", f"# output={target}\n"
         )
 
 

@@ -27,8 +27,9 @@ from quasijoint import (
     sample_discrete,
     sample_phase,
 )
-from quasijoint.sampling import _CSV_BLOCK, _E16_WIDTH, _SAMPLE_BLOCK, _asin, _format_e16, _wrap_phase
+from quasijoint.sampling import _CSV_BLOCK, _E16_WORDS, _SAMPLE_BLOCK, _asin, _format_e16, _wrap_phase
 from helpers import (
+    DiscardingSink,
     assert_same_text,
     haar_state,
     invertible_config,
@@ -291,13 +292,6 @@ class TestWrapPhase:
         np.testing.assert_allclose(np.sin(got), np.sin(phi), atol=1e-14)
 
 
-class DiscardingSink:
-    """A binary file that drops what is written to it."""
-
-    def write(self, data: bytes) -> int:
-        return len(data)
-
-
 class TestPhaseShotsCsv:
     # many blocks, the last one short by one, full, or holding one or three shots
     @pytest.mark.parametrize(
@@ -313,6 +307,12 @@ class TestPhaseShotsCsv:
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
         assert written_csv(shots) == text.encode("ascii")
+
+    def test_blocks_hold_at_most_one_block_of_rows(self):
+        total = 3 * _CSV_BLOCK + 5
+        shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64), total=total, seed=0)
+        lines = [block.count(b"\n") for block in shots._csv_blocks()]
+        assert lines == [1, _CSV_BLOCK, _CSV_BLOCK, _CSV_BLOCK, 5]
 
     @pytest.mark.parametrize("z", [1, -1])
     @pytest.mark.parametrize("phi", EDGE_PHIS)
@@ -341,15 +341,66 @@ class TestPhaseShotsCsv:
         with pytest.raises(ValueError, match=r"phases must lie in \[0, 2\*pi\)"):
             PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]), total=2, seed=0)
 
+    @pytest.mark.parametrize(
+        "bad", [[1.5], [-0.5], [0.5], [1.0 + 2**-52], [0], [2], [-2], [math.nan], [math.inf], [2**70], [1, 1.5], [None]]
+    )
+    def test_z_other_than_plus_or_minus_one_is_rejected(self, bad):
+        # a non-integral z used to be truncated by the int cast and accepted
+        with pytest.raises(ValueError, match=r"z records must be \+1 or -1"):
+            PhaseShots(phi=np.full(len(bad), 1.0), z=bad, total=len(bad), seed=0)
+        with pytest.raises(ValueError, match=r"z records must be \+1 or -1"):
+            PhaseShots(phi=np.full(len(bad), 1.0), z=np.array(bad), total=len(bad), seed=0)
+
+    def test_integral_z_of_any_type_is_kept_as_int64(self):
+        for z in ([1.0, -1.0], np.array([1, -1], np.int8), [True, -1]):
+            shots = PhaseShots(phi=np.array([1.0, 2.0]), z=z, total=2, seed=0)
+            assert shots.z.dtype == np.int64 and shots.z.tolist() == [1, -1]
+
+    def test_validation_holds_no_copy_of_the_records(self):
+        total = 1 << 20
+        phi = np.full(total, 1.0)
+        z = np.where(np.random.default_rng(3).random(total) < 0.5, 1, -1)
+        tracemalloc.start()
+        try:
+            shots = PhaseShots(phi=phi, z=z, total=total, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shots.phi is phi and shots.z is z
+        assert peak < 2**16  # np.abs(z) == 1 held 9 B a shot, 9.4 MB here
+
+
+#: a word whose bytes are not ASCII, so never one the formatter writes
+SENTINEL = np.frombuffer(b"\xa5\xa5\xa5\xa5", np.uint32)[0]
+
 
 def assert_formats_like_python(values) -> None:
-    """``_format_e16`` writes each value's ``f"{v:.16e}"`` into a column slice of a wider buffer."""
+    """``_format_e16`` writes each value's ``f"{v:.16e}"`` after the separator of its column.
+
+    The fields sit between two rows of sentinel words in a wider word-major
+    buffer, and the columns' separator bytes cycle through ",", " ", ";" and
+    NUL, with sentinel bytes after them.  The formatter must leave the
+    sentinel rows and the separators as they are, write the rest of each
+    field as its text and NULs, and return exactly the columns whose
+    24-character text does not fit after the separator (left all NUL).
+    """
     values = np.asarray(values, dtype=float)
-    rows = np.full((values.size, _E16_WIDTH + 3), 0xFF, np.uint8)  # 0xFF: not written
-    _format_e16(values, rows[:, 1 : _E16_WIDTH + 1])
-    assert (rows[:, 0] == 0xFF).all() and (rows[:, _E16_WIDTH + 1 :] == 0xFF).all()
-    got = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows[:, 1 : _E16_WIDTH + 1]]
-    wrong = [(v, g) for v, g in zip(values.tolist(), got) if g != f"{v:.16e}"]
+    separators = np.resize(np.frombuffer(b", ;\0", np.uint8), values.size)
+    words = np.full((_E16_WORDS + 2, values.size), SENTINEL, np.uint32)
+    words[1].view(np.uint8).reshape(-1, 4)[:, 0] = separators
+    wide = _format_e16(values, words[1:-1])
+    assert (words[0] == SENTINEL).all() and (words[-1] == SENTINEL).all()
+    texts = [f"{v:.16e}".encode("ascii") for v in values.tolist()]
+    assert wide == [i for i, text in enumerate(texts) if len(text) == 4 * _E16_WORDS]
+    fields = words[1:-1].T.tobytes()
+    width = 4 * _E16_WORDS
+    wrong = []
+    for i, text in enumerate(texts):
+        field = fields[i * width : (i + 1) * width]
+        if field[:1] != separators[i : i + 1].tobytes() or field[1:].replace(b"\0", b"") != (
+            b"" if i in wide else text
+        ):
+            wrong.append((values[i], field, text))
     assert not wrong, wrong[:5]
 
 
@@ -384,6 +435,12 @@ class TestFormatE16:
                  math.nan, math.inf, -math.inf, 0.0, -0.0]
         values[1::3][: len(edges)] = edges
         assert_formats_like_python(values)
+
+    def test_every_24_character_text_is_returned(self):
+        values = [-1e-100, 1e-100, -1e100, 1e100, -5e-324, -1.7976931348623157e308, -1e-99, -9.9e99]
+        assert_formats_like_python(values)
+        columns = np.zeros((_E16_WORDS, len(values)), np.uint32)
+        assert _format_e16(np.array(values), columns) == [0, 2, 4, 5]
 
 
 class TestEstimateQuasiJoint:
@@ -470,6 +527,12 @@ class TestEstimateQuasiJoint:
 
 
 class TestHarmonicEstimates:
+    def test_empty_record_is_rejected(self):
+        empty = PhaseShots(phi=np.array([]), z=np.array([], np.int64), total=0, seed=0)
+        assert empty.to_csv() == "phi,z\n"
+        with pytest.raises(ValueError, match="empty shot record"):
+            harmonic_estimates(empty)
+
     def test_recovers_slice_triples(self):
         state = PureState(SQRT1_2, SQRT1_2)
         joint = operational_joint_phase(state, MarkerConfig(0.0, 0.0))
