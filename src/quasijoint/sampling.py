@@ -18,7 +18,7 @@ through the fixed tensor-product kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -40,6 +40,7 @@ from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_t
 
 DISCRETE_CSV_HEADER = "x,z,count"
 PHASE_CSV_HEADER = "phi,z"
+_PHASE_HEADER = PHASE_CSV_HEADER.encode("ascii") + b"\n"
 
 #: rows formatted per block by the PhaseShots and ScanGrid CSV writers; the row
 #: buffer and the formatter's temporaries (about 100 B a row) scale with it,
@@ -79,8 +80,8 @@ _EXPONENTS = _words("".join(f"e{16 - k:+03d}" for k in range(23)))
 #: the end of a shot row, ",1\n" or ",-1\n", by whether z is negative
 _Z_TAILS = _words(",\x001\n,-1\n")
 
-#: shots drawn per block by sample_phase; its per-block temporaries (a few
-#: arrays of this length) stay small whatever the shot count
+#: shots drawn per block by _phase_blocks, into a few buffers of this length
+#: allocated once, so they stay small whatever the shot count
 _SAMPLE_BLOCK = 1 << 15
 #: fdlibm's arcsin on |y| <= 0.5: y + y * P(y*y) / Q(y*y), P and Q in ascending
 #: powers (P without its zero constant term, Q without its leading 1)
@@ -198,6 +199,33 @@ def _join_rows(
     return text.replace(b"\0", b"") if sparse else text.translate(None, b"\0")
 
 
+def _shot_rows(phis: np.ndarray, zs: np.ndarray) -> Iterator[bytes]:
+    """The ``phi,z`` rows of the shots, one ``bytes`` per slice of ``_CSV_BLOCK`` shots.
+
+    Each slice is written into one word-major row buffer, 7 words a row:
+    the phase by ``_format_e16`` and the ``,z\\n`` tail from ``_Z_TAILS``;
+    the NULs are dropped, so the text is byte-identical to formatting each
+    shot with ``f"{phi:.16e},{z}"``.
+    """
+    words = np.zeros((_E16_WORDS + 1, min(phis.size, _CSV_BLOCK)), np.uint32)
+    for start in range(0, phis.size, _CSV_BLOCK):
+        phi = phis[start : start + _CSV_BLOCK]
+        z = zs[start : start + _CSV_BLOCK]
+        block = words[:, : phi.size]
+        wide = _format_e16(phi, block[:_E16_WORDS])
+        _Z_TAILS.take(z < 0, out=block[-1], mode="clip")
+        yield _join_rows(block, wide, lambda r: f"{phi[r]:.16e},{z[r]}\n")
+
+
+def _check_records(phi: np.ndarray, z: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every phase lies in [0, 2*pi) and every int64 z is +-1."""
+    if phi.size and not (phi.min() >= 0.0 and phi.max() < TWO_PI):  # NaN fails both
+        raise ValueError("phases must lie in [0, 2*pi)")
+    # the range and a nonzero count leave only +-1 without a temporary the size of z
+    if z.size and not (z.min() >= -1 and z.max() <= 1 and np.count_nonzero(z) == z.size):
+        raise ValueError("z records must be +1 or -1")
+
+
 @dataclass(frozen=True, eq=False)
 class ShotCounts:
     """Multinomial counts over the four (x, z) outcomes, laid out like ``DiscreteJoint.table``."""
@@ -258,16 +286,8 @@ class PhaseShots:
             raise ValueError("z records must be +1 or -1") from None
         if phi.shape != (self.total,) or z.shape != (self.total,):
             raise ValueError("phi and z must both have length total")
-        if phi.size and not (phi.min() >= 0.0 and phi.max() < TWO_PI):  # NaN fails both
-            raise ValueError("phases must lie in [0, 2*pi)")
-        # the range and a nonzero count leave only +-1 without a temporary the
-        # size of z; comparing with the input rejects a z the cast truncated, like 1.5
-        if z.size and not (
-            z.min() >= -1
-            and z.max() <= 1
-            and np.count_nonzero(z) == z.size
-            and (z is self.z or np.array_equal(z, self.z))
-        ):
+        _check_records(phi, z)
+        if not (z is self.z or np.array_equal(z, self.z)):  # the cast truncated a z like 1.5
             raise ValueError("z records must be +1 or -1")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "z", z)
@@ -277,22 +297,8 @@ class PhaseShots:
         return int(np.sum(self.z == z))
 
     def _csv_blocks(self) -> Iterator[bytes]:
-        """The header line, then the rows of each block of ``_CSV_BLOCK`` shots.
-
-        Each block is written into one word-major row buffer, 7 words a row:
-        the phase by ``_format_e16`` and the ``,z\\n`` tail from ``_Z_TAILS``;
-        the NULs are dropped, so the text is byte-identical to formatting
-        each shot with ``f"{phi:.16e},{z}"``.
-        """
-        yield PHASE_CSV_HEADER.encode("ascii") + b"\n"
-        words = np.zeros((_E16_WORDS + 1, min(self.total, _CSV_BLOCK)), np.uint32)
-        for start in range(0, self.total, _CSV_BLOCK):
-            phi = self.phi[start : start + _CSV_BLOCK]
-            z = self.z[start : start + _CSV_BLOCK]
-            block = words[:, : phi.size]
-            wide = _format_e16(phi, block[:_E16_WORDS])
-            _Z_TAILS.take(z < 0, out=block[-1], mode="clip")
-            yield _join_rows(block, wide, lambda r: f"{phi[r]:.16e},{z[r]}\n")
+        yield _PHASE_HEADER
+        yield from _shot_rows(self.phi, self.z)
 
     def to_csv(self) -> str:
         """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``."""
@@ -325,12 +331,16 @@ class EstimatedQuasiJoint:
         return self.stderrs.item(_outcome_index(x, z))
 
 
-def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
-    """Draw n shots from a measured joint; deterministic for a fixed seed."""
+def _check_draw(joint: DiscreteJoint | PhaseJoint, n: int) -> None:
     if joint.kind != OPERATIONAL:
         raise ValueError("cannot sample a quasi joint: weights may be negative")
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
+    """Draw n shots from a measured joint; deterministic for a fixed seed."""
+    _check_draw(joint, n)
     rng = np.random.default_rng(seed)
     weights = np.clip(joint.table.ravel(), 0.0, None)
     counts = rng.multinomial(n, weights / weights.sum())
@@ -409,10 +419,18 @@ def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     is one ``math.atan2`` per slice, and the per-shot arcsine is ``_asin``,
     so the bits do not depend on which SIMD paths numpy picks.
     """
-    if joint.kind != OPERATIONAL:
-        raise ValueError("cannot sample a quasi joint: weights may be negative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_draw(joint, n)
+    phi, z = np.empty(n), np.empty(n, dtype=np.int64)
+    for start, (block_phi, block_z) in zip(range(0, n, _SAMPLE_BLOCK), _phase_blocks(joint, n, seed)):
+        phi[start : start + _SAMPLE_BLOCK], z[start : start + _SAMPLE_BLOCK] = block_phi, block_z
+    return PhaseShots(phi=phi, z=z, total=n, seed=seed)
+
+
+def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The shots of ``sample_phase``, each (phi, z) block checked like a record and valid until the next.
+
+    Every block is drawn into the same buffers; the caller checks joint and n first (``_check_draw``).
+    """
     z_seq, phi_seq = np.random.SeedSequence(seed).spawn(2)
     z_rng = np.random.default_rng(z_seq)
     phi_rng = np.random.default_rng(phi_seq)
@@ -420,25 +438,55 @@ def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     cardioid_low = w_plus * (1.0 - _cardioid_share(joint.plus))
     cardioid_high = w_plus + (1.0 - w_plus) * _cardioid_share(joint.minus)
     phase0 = np.array([math.atan2(d.c_sin, d.c_cos) for d in (joint.plus, joint.minus)])
-    phi = np.empty(n)
-    z = np.empty(n, dtype=np.int64)
+    v_buf, u1_buf, u2_buf, phi_buf = (np.empty(min(n, _SAMPLE_BLOCK)) for _ in range(4))
+    z_buf = np.empty(phi_buf.size, dtype=np.int64)
     for start in range(0, n, _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, n)
-        v = z_rng.random(stop - start)
-        u1 = phi_rng.random(stop - start)
+        k = min(_SAMPLE_BLOCK, n - start)
+        v, u1, phi, z = v_buf[:k], u1_buf[:k], phi_buf[:k], z_buf[:k]
+        z_rng.random(out=v)
+        phi_rng.random(out=u1)
         minus = v >= w_plus
-        np.multiply(minus, -2, out=z[start:stop])
-        z[start:stop] += 1
-        np.multiply(u1, TWO_PI, out=phi[start:stop])
+        np.multiply(minus, -2, out=z)
+        z += 1
+        np.multiply(u1, TWO_PI, out=phi)
         cardioid = np.flatnonzero((v >= cardioid_low) & (v < cardioid_high))
         if cardioid.size:
-            x = np.cos(TWO_PI * phi_rng.random(cardioid.size))
+            x = phi_rng.random(out=u2_buf[: cardioid.size])
+            x *= TWO_PI
+            np.cos(x, out=x)
             x *= np.sqrt(u1[cardioid])
             u = _asin(x)
             u *= 2.0
             u += phase0.take(minus[cardioid].view(np.int8))
-            phi[start + cardioid] = _wrap_phase(u)
-    return PhaseShots(phi=phi, z=z, total=n, seed=seed)
+            phi[cardioid] = _wrap_phase(u)
+        _check_records(phi, z)
+        yield phi, z
+
+
+def _phase_pass(blocks: Iterable[tuple[np.ndarray, np.ndarray]], file: BinaryIO | None = None) -> tuple[dict, dict]:
+    """Slice counts and ``harmonic_estimates`` of (phi, z) blocks, each summed and then written to ``file`` if given.
+
+    Per slice, ``math.fsum`` adds the blocks' ``np.sum`` of cos(phi) and sin(phi), so past one block
+    (``_SAMPLE_BLOCK`` shots) the last bits depend on the blocking.
+    """
+    counts, cos_sums, sin_sums = {1: 0, -1: 0}, {1: [], -1: []}, {1: [], -1: []}
+    if file is not None:
+        file.write(_PHASE_HEADER)
+    for phi, z in blocks:
+        for outcome in (1, -1):
+            phis = phi[z == outcome]
+            counts[outcome] += phis.size
+            cos_sums[outcome].append(float(np.sum(np.cos(phis))))
+            sin_sums[outcome].append(float(np.sum(np.sin(phis))))
+        for chunk in _shot_rows(phi, z) if file is not None else ():
+            file.write(chunk)
+    n = counts[1] + counts[-1]
+    if not n:
+        raise ValueError("cannot estimate harmonics from an empty shot record (total=0)")
+    return counts, {
+        z: PhaseDensity(counts[z] / (TWO_PI * n), math.fsum(cos_sums[z]) / (math.pi * n), math.fsum(sin_sums[z]) / (math.pi * n))
+        for z in (1, -1)
+    }
 
 
 def estimate_quasi_joint(
@@ -467,16 +515,5 @@ def harmonic_estimates(shots: PhaseShots) -> dict[int, PhaseDensity]:
     outcome z, and likewise for sin.  An empty record (total 0) has no
     estimate and raises ``ValueError``.
     """
-    n = shots.total
-    if not n:
-        raise ValueError("cannot estimate harmonics from an empty shot record (total=0)")
-    out: dict[int, PhaseDensity] = {}
-    for z in (1, -1):
-        mask = shots.z == z
-        phis = shots.phi[mask]
-        out[z] = PhaseDensity(
-            phis.size / (TWO_PI * n),
-            float(np.sum(np.cos(phis))) / (math.pi * n),
-            float(np.sum(np.sin(phis))) / (math.pi * n),
-        )
-    return out
+    starts = range(0, shots.total, _SAMPLE_BLOCK)
+    return _phase_pass((shots.phi[i : i + _SAMPLE_BLOCK], shots.z[i : i + _SAMPLE_BLOCK]) for i in starts)[1]

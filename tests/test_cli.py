@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from quasijoint import MarkerConfig, cli, operational_joint_phase, sample_phase
+from quasijoint import MarkerConfig, cli, harmonic_estimates, operational_joint_phase, sample_phase
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
-from quasijoint.sampling import _CSV_BLOCK
+from quasijoint.sampling import _CSV_BLOCK, _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +207,19 @@ class TestExitCodes:
             assert out == ""
             assert str(MAX_PHASE_SHOTS) in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejected_phase_sample_writes_no_file(self, capsys, tmp_path, n):
+        target = tmp_path / "shots.csv"
+        code, out, err = run_cli(  # '=' form: the count may start with '-'
+            capsys,
+            ["sample", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1",
+             "--mode", "phase", f"--n={n}", "--shots-out", str(target)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be >= 1\n"
+        assert not target.exists()
+
     def test_non_finite_grid_bounds_rejected(self, capsys):
         for theta_grid, vartheta_grid, extra in (
             ("0:inf:3", "0:1:2", []),
@@ -298,6 +311,36 @@ class TestReproducibility:
         assert code == 0, err
         joint = operational_joint_phase(cli.parse_state(TILTED_STATE, "reim"), MarkerConfig(0.6, 1.1))
         assert target.read_bytes() == sample_phase(joint, n, 11).to_csv().encode("ascii")
+
+    @pytest.mark.parametrize("shots_out", [False, True])
+    @pytest.mark.parametrize("n", [1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7])
+    def test_phase_sample_matches_the_library(self, capsys, tmp_path, n, shots_out):
+        # the CLI draws, sums and writes block by block without a record; the
+        # library builds the record and sums it in the same blocks
+        target = tmp_path / "shots.csv"
+        argv = ["sample", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1",
+                "--mode", "phase", "--n", str(n), "--seed", "11"]
+        code, out, err = run_cli(capsys, argv + (["--shots-out", str(target)] if shots_out else []))
+        assert code == 0, err
+        joint = operational_joint_phase(cli.parse_state(TILTED_STATE, "reim"), MarkerConfig(0.6, 1.1))
+        shots = sample_phase(joint, n, 11)
+        estimates = harmonic_estimates(shots)
+        result = json.loads(out)["result"]
+        assert result["slice_counts"] == {"plus": shots.slice_count(1), "minus": shots.slice_count(-1)}
+        assert result["harmonic_estimates"] == [
+            {"z": z, "c0": estimates[z].c0, "c_cos": estimates[z].c_cos, "c_sin": estimates[z].c_sin}
+            for z in (1, -1)
+        ]
+        assert target.exists() == shots_out
+        if shots_out:
+            assert target.read_bytes() == shots.to_csv().encode("ascii")
+        start = 0
+        for phi, z in _phase_blocks(joint, n, 11):
+            assert phi.size == z.size == min(_SAMPLE_BLOCK, n - start)
+            np.testing.assert_array_equal(phi, shots.phi[start : start + phi.size])
+            np.testing.assert_array_equal(z, shots.z[start : start + z.size])
+            start += phi.size
+        assert start == n
 
     def test_config_echo_round_trips(self, capsys):
         code, out, _ = run_cli(

@@ -27,7 +27,16 @@ from quasijoint import (
     sample_discrete,
     sample_phase,
 )
-from quasijoint.sampling import _CSV_BLOCK, _E16_WORDS, _SAMPLE_BLOCK, _asin, _format_e16, _wrap_phase
+from quasijoint.sampling import (
+    _CSV_BLOCK,
+    _E16_WORDS,
+    _SAMPLE_BLOCK,
+    _asin,
+    _format_e16,
+    _phase_blocks,
+    _phase_pass,
+    _wrap_phase,
+)
 from helpers import (
     DiscardingSink,
     assert_same_text,
@@ -230,6 +239,19 @@ class TestPhaseSamplerExactness:
         more = sample_phase(joint, _SAMPLE_BLOCK + 1, 8)
         np.testing.assert_array_equal(more.phi[:_SAMPLE_BLOCK], one.phi)
         np.testing.assert_array_equal(more.z[:_SAMPLE_BLOCK], one.z)
+
+    def test_fused_pass_memory_is_flat_in_the_shot_count(self):
+        # the record alone would be 16 MiB; the pass holds one block's buffers
+        joint = operational_joint_phase(*KS_JOINTS["interior"])
+        _phase_pass(_phase_blocks(joint, 1, 8), DiscardingSink())  # numpy.random imports lazily
+        tracemalloc.start()
+        try:
+            counts, _ = _phase_pass(_phase_blocks(joint, 1 << 20, 8), DiscardingSink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts[1] + counts[-1] == 1 << 20
+        assert peak < 3 * 2**20
 
     def test_outcomes_follow_the_z_stream_alone(self):
         # z comes from the first spawned stream, one uniform per shot, v < weight of z = +1
