@@ -34,14 +34,15 @@ def run() -> None:
             cwd = os.getcwd()
             os.chdir(tmp)
             try:
-                buffer = io.StringIO()
-                with contextlib.redirect_stdout(buffer):
+                stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # main writes to its buffer
+                with contextlib.redirect_stdout(stdout):
                     code = main(case["argv"])
                 if code != 0:
                     raise SystemExit(f"case {case['name']} exited with {code}")
-                (golden / case["stdout"]).write_text(buffer.getvalue())
+                stdout.flush()
+                (golden / case["stdout"]).write_bytes(stdout.buffer.getvalue())
                 for produced, stored in case["files"].items():
-                    (golden / stored).write_text(Path(produced).read_text())
+                    (golden / stored).write_bytes(Path(produced).read_bytes())
             finally:
                 os.chdir(cwd)
         print(f"wrote golden outputs for {case['name']}")

@@ -39,7 +39,7 @@ def main() -> int:
 
     try:
         with open(args.out, "wb") as handle:
-            grid.write_csv(handle)
+            handle.writelines(grid.csv_blocks())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -68,8 +67,8 @@ class ScanGrid:
     min_values: np.ndarray  # shape (len(theta), len(vartheta)), NaN where flagged
     singular: np.ndarray  # bool, same shape
 
-    def _csv_blocks(self) -> Iterator[bytes]:
-        """The header line, then the rows of each block of at most ``_CSV_BLOCK`` cells.
+    def csv_blocks(self) -> Iterator[bytes]:
+        """The ASCII bytes of ``to_csv()``: the header line, then one block per ``_CSV_BLOCK`` cells at most.
 
         A row is 19 words of a word-major buffer: the theta, vartheta and
         min_value fields of ``_format_e16`` (the last two with their ","
@@ -130,12 +129,7 @@ class ScanGrid:
 
     def to_csv(self) -> str:
         """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``."""
-        return b"".join(self._csv_blocks()).decode("ascii")
-
-    def write_csv(self, file: BinaryIO) -> None:
-        """Write the bytes of ``to_csv()`` to a binary file, each block once it is formatted."""
-        for block in self._csv_blocks():
-            file.write(block)
+        return b"".join(self.csv_blocks()).decode("ascii")
 
 
 def p_min_discrete(state: PureState) -> float:

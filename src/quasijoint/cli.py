@@ -14,7 +14,8 @@ the state normalized.
 
 Each ``cmd_*`` handler resolves its options, calls the library and returns a
 report: the config echo, the JSON result and the CSV table.  ``main`` renders
-it with ``render_json`` or ``render_csv`` and writes it out.
+it with ``render_json`` or ``render_csv`` and writes the UTF-8 bytes to the
+``--output`` file or to the binary buffer of ``sys.stdout``.
 
 Exit codes: 0 success, 2 invalid input, 3 singular inversion configuration.
 Inputs above the size caps below are invalid input, rejected before anything
@@ -26,8 +27,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -91,13 +94,13 @@ _JSON_TAIL = _words(",\n\0\0")[0]
 
 
 class _Report(NamedTuple):
-    """A command's config echo, JSON ``result`` and CSV ``table``: rows with the header
-    first, or a library writer's CSV byte blocks.  Both are built only for their format.  The
-    optional ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
+    """A command's config echo, JSON ``result`` and CSV ``table``, the table's byte blocks
+    from its header on.  Both are built only for their format.  The optional
+    ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
 
     config: dict
     result: Callable[[], dict]
-    table: Callable[[], list | Iterable[bytes]]
+    table: Callable[[], Iterable[bytes]]
     note: tuple[str, dict] | None = None
 
 
@@ -120,9 +123,7 @@ def _render_json_value(value, level: int) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        # no exotic characters in this CLI's strings, plain quoting suffices
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return encode_basestring(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -175,23 +176,35 @@ def _csv_text(value) -> str:
     return "" if value is None else str(value)
 
 
-def render_csv(report: _Report) -> str:
-    """``# key=value`` config lines, the optional note line, then the table.
+def _csv_bytes(rows: Iterable) -> bytes:
+    """CSV lines of the rows (see ``_csv_text``) as UTF-8."""
+    return "".join(_csv_text(row) + "\n" for row in rows).encode("utf-8")
 
-    A library writer's byte blocks are joined with the encoded lines and
-    decoded once.  The table is ASCII, and the lines (which echo paths) round
-    trip through UTF-8 with surrogates passed, so the text is the same as
-    joining the lines and the decoded table.
+
+def render_csv(report: _Report) -> Iterable[bytes]:
+    """``# key=value`` config lines, the optional note line, then the table, as UTF-8 byte blocks.
+
+    The lines are encoded here, so a path that UTF-8 cannot encode raises
+    before anything is written; a library writer's blocks follow as it yields them.
     """
     lines = [f"# {key}={_csv_text(value)}" for key, value in report.config.items()]
     if report.note:
         label, fields = report.note
         lines.append(f"# {label} " + " ".join(f"{key}={_csv_text(v)}" for key, v in fields.items()))
-    head = "".join(line + "\n" for line in lines)
-    table = report.table()
-    if isinstance(table, list):
-        return head + "".join(_csv_text(row) + "\n" for row in table)
-    return b"".join([head.encode("utf-8", "surrogatepass"), *table]).decode("utf-8", "surrogatepass")
+    return itertools.chain([_csv_bytes(lines)], report.table())
+
+
+def _write(path: str | None, blocks: Iterable[bytes]) -> None:
+    """Write the blocks to the file at ``path``, or to the binary buffer of ``sys.stdout`` if none."""
+    if path:
+        with open(path, "wb") as handle:
+            handle.writelines(blocks)
+    else:
+        sys.stdout.flush()  # text already written keeps its place before the blocks
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.writelines(blocks)
+        else:  # a text-only stream such as io.StringIO; every block ends on a whole character
+            sys.stdout.writelines(block.decode("utf-8") for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +397,7 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
             fields["phase_grid"] = _density_grid(points, plus=joint.plus, minus=joint.minus)
         return fields
 
-    return _Report(config, result, lambda: [header, *rows], note)
+    return _Report(config, result, lambda: [_csv_bytes([header, *rows])], note)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +430,7 @@ def cmd_exact(args: argparse.Namespace) -> _Report:
         ("interference_plus", fringe.p_plus), ("interference_minus", fringe.p_minus),
         ("phase_c0", density.c0), ("phase_c_cos", density.c_cos), ("phase_c_sin", density.c_sin),
     ]
-    return _Report(_echo("exact", opts, state), result, lambda: rows)
+    return _Report(_echo("exact", opts, state), result, lambda: [_csv_bytes(rows)])
 
 
 def cmd_operational(args: argparse.Namespace) -> _Report:
@@ -454,14 +467,13 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
     if opts["mode"] == DISCRETE_MODE:
         shots = sample_discrete(operational_joint_discrete(state, marker), opts["n"], opts["seed"])
         estimate = estimate_quasi_joint(shots, marker)
-        if opts["shots_out"]:
-            with open(opts["shots_out"], "wb") as handle:
-                shots.write_csv(handle)
         header = "x,z,value,stderr"
         rows = [(x, z, v, estimate.stderr(x, z)) for (x, z), v in estimate.joint.items()]
+        counts = [(x, z, shots.count(x, z)) for x, z, *_ in rows]
+        if opts["shots_out"]:
+            _write(opts["shots_out"], [_csv_bytes(["x,z,count", *counts])])
 
         def result() -> dict:
-            counts = [(x, z, shots.count(x, z)) for x, z, *_ in rows]
             return {"counts": _records("x,z,count", counts), "estimate": _records(header, rows)}
 
     else:
@@ -478,7 +490,7 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
                 "harmonic_estimates": [{"z": z, **_density_dict(estimates[z])} for z in (1, -1)],
             }
 
-    return _Report(config, result, lambda: [header, *rows])
+    return _Report(config, result, lambda: [_csv_bytes([header, *rows])])
 
 
 def cmd_scan(args: argparse.Namespace) -> _Report:
@@ -504,7 +516,7 @@ def cmd_scan(args: argparse.Namespace) -> _Report:
         return {"cells": _records(SCAN_CSV_HEADER, rows)}
 
     config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
-    return _Report(config, result, grid._csv_blocks)
+    return _Report(config, result, grid.csv_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +568,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = render_json(
                 {"command": config["command"], "config": config, "result": report.result()}
             )
+            blocks = [text.encode("utf-8")]
         else:
-            text = render_csv(report)
-        if config["output"]:
-            Path(config["output"]).write_text(text)
-        else:
-            sys.stdout.write(text)
+            blocks = render_csv(report)
+        _write(config["output"], blocks)
         return 0
     except SingularInversion as exc:
         print(f"error: singular configuration: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ needed; the matrix path rejects it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from quasijoint.states import (
     OUTCOMES,
     TWO_PI,
     BlochExpectations,
-    PhaseDensity,
     PureState,
     _SIGNS,
     _by_outcome,
@@ -66,30 +64,6 @@ def _check_marking(theta: float, eps: float) -> float:
             f"|cos(theta)| <= {eps:.1e} cannot be inverted"
         )
     return c
-
-
-@dataclass(frozen=True)
-class PhaseKernel:
-    """First-harmonic deconvolution kernel k0 + g*cos(phi - phi').
-
-    Acting on a Fourier triple it leaves the constant term alone and
-    multiplies both harmonics by pi*g (equal to 1/cos(theta) for the
-    kernel built by ``mu_phi_kernel``).
-    """
-
-    k0: float
-    g: float
-
-    def evaluate(self, phi, phi_prime):
-        return self.k0 + self.g * np.cos(np.asarray(phi, dtype=float) - np.asarray(phi_prime, dtype=float))
-
-    def apply(self, density: PhaseDensity) -> PhaseDensity:
-        gain = math.pi * self.g
-        return PhaseDensity(
-            density.c0 * (TWO_PI * self.k0),
-            density.c_cos * gain,
-            density.c_sin * gain,
-        )
 
 
 def mu_x_matrix(theta: float, eps: float = SINGULARITY_EPS) -> np.ndarray:
@@ -213,12 +187,6 @@ def quasi_joint_phase_closed_form(
     return PhaseJoint.from_arrays(
         (1.0 + _SIGNS * e.ez) / four_pi, delta * e.ex / four_pi, delta * e.ey / four_pi, QUASI
     )
-
-
-def mu_phi_kernel(theta: float, eps: float = SINGULARITY_EPS) -> PhaseKernel:
-    """Phase kernel mu_Phi(phi, phi') = [1 + (2/cos(theta))*cos(phi - phi')]/(2*pi)."""
-    c = _check_marking(theta, eps)
-    return PhaseKernel(k0=1.0 / TWO_PI, g=2.0 / (TWO_PI * c))
 
 
 def invert_joint_phase(

@@ -38,9 +38,7 @@ from quasijoint.marking import (
 )
 from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_table
 
-DISCRETE_CSV_HEADER = "x,z,count"
-PHASE_CSV_HEADER = "phi,z"
-_PHASE_HEADER = PHASE_CSV_HEADER.encode("ascii") + b"\n"
+_PHASE_HEADER = b"phi,z\n"
 
 #: rows formatted per block by the PhaseShots and ScanGrid CSV writers; the row
 #: buffer and the formatter's temporaries (about 100 B a row) scale with it,
@@ -253,20 +251,6 @@ class ShotCounts:
     def frequencies(self) -> DiscreteJoint:
         return DiscreteJoint(self.counts / self.total, kind=OPERATIONAL)
 
-    def _csv_blocks(self) -> Iterator[bytes]:
-        yield DISCRETE_CSV_HEADER.encode("ascii") + b"\n"
-        rows = (f"{x},{z},{self.count(x, z)}\n" for x in (1, -1) for z in (1, -1))
-        yield "".join(rows).encode("ascii")
-
-    def to_csv(self) -> str:
-        """One ``x,z,count`` line per outcome, in table order."""
-        return b"".join(self._csv_blocks()).decode("ascii")
-
-    def write_csv(self, file: BinaryIO) -> None:
-        """Write the bytes of ``to_csv()`` to a binary file."""
-        for block in self._csv_blocks():
-            file.write(block)
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseShots:
@@ -292,26 +276,18 @@ class PhaseShots:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "z", z)
 
-    def slice_count(self, z: int) -> int:
-        _outcome_index(z)  # validates z
-        return int(np.sum(self.z == z))
+    def csv_blocks(self) -> Iterator[bytes]:
+        """The ASCII bytes of ``to_csv()``: the header line, then one block per ``_CSV_BLOCK`` shots.
 
-    def _csv_blocks(self) -> Iterator[bytes]:
+        Beyond the shots themselves, memory stays at one block's buffers
+        whatever the shot count, so writing each block as it comes streams the file.
+        """
         yield _PHASE_HEADER
         yield from _shot_rows(self.phi, self.z)
 
     def to_csv(self) -> str:
         """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``."""
-        return b"".join(self._csv_blocks()).decode("ascii")
-
-    def write_csv(self, file: BinaryIO) -> None:
-        """Write the bytes of ``to_csv()`` to a binary file, each block as soon as it is formatted.
-
-        Beyond the shots themselves, memory stays at one block's buffers
-        whatever the shot count.
-        """
-        for block in self._csv_blocks():
-            file.write(block)
+        return b"".join(self.csv_blocks()).decode("ascii")
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +299,6 @@ class EstimatedQuasiJoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stderrs", _read_only_table(self.stderrs, float))
-
-    def value(self, x: int, z: int) -> float:
-        return self.joint.value(x, z)
 
     def stderr(self, x: int, z: int) -> float:
         return self.stderrs.item(_outcome_index(x, z))

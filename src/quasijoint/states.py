@@ -103,9 +103,6 @@ class PureState:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class BlochExpectations:
@@ -121,9 +118,6 @@ class BlochExpectations:
             if not math.isfinite(value) or abs(value) > 1.0 + NORM_TOL:
                 raise ValueError(f"{name} = {value!r} outside [-1, 1]")
             object.__setattr__(self, name, value)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.ex, self.ey, self.ez)
 
 
 @dataclass(frozen=True)
@@ -147,13 +141,6 @@ class BinaryDistribution:
     @classmethod
     def from_expectation(cls, expectation: float) -> BinaryDistribution:
         return cls(0.5 * (1.0 + expectation), 0.5 * (1.0 - expectation))
-
-    def probability(self, outcome: int) -> float:
-        return (self.p_plus, self.p_minus)[_outcome_index(outcome)]
-
-    @property
-    def expectation(self) -> float:
-        return self.p_plus - self.p_minus
 
 
 @dataclass(frozen=True)

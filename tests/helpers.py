@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-import io
 import math
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume
 
-from quasijoint import MarkerConfig, PhaseShots, PureState, ScanGrid, gamma_coefficients
+from quasijoint import MarkerConfig, PhaseDensity, PhaseShots, PureState, ScanGrid, gamma_coefficients
+
+TWO_PI = 2.0 * math.pi
 
 
 def haar_state(rng: np.random.Generator) -> PureState:
@@ -79,6 +81,32 @@ def z_response_matrix(config: MarkerConfig) -> np.ndarray:
     return g0[:, None] + signs[:, None] * signs * gz[:, None]
 
 
+@dataclass(frozen=True)
+class PhaseKernel:
+    """First-harmonic deconvolution kernel k0 + g*cos(phi - phi'): the phase inversion's oracle.
+
+    ``evaluate`` gives the integral kernel for quadrature, independent of the
+    triple algebra of ``invert_joint_phase``.  Acting on a Fourier triple,
+    ``apply`` leaves the constant term alone and multiplies both harmonics by
+    pi*g (equal to 1/cos(theta) for the kernel built by ``mu_phi_kernel``).
+    """
+
+    k0: float
+    g: float
+
+    def evaluate(self, phi, phi_prime):
+        return self.k0 + self.g * np.cos(np.asarray(phi, dtype=float) - np.asarray(phi_prime, dtype=float))
+
+    def apply(self, density: PhaseDensity) -> PhaseDensity:
+        gain = math.pi * self.g
+        return PhaseDensity(density.c0 * (TWO_PI * self.k0), density.c_cos * gain, density.c_sin * gain)
+
+
+def mu_phi_kernel(theta: float) -> PhaseKernel:
+    """Phase kernel mu_Phi(phi, phi') = [1 + (2/cos(theta))*cos(phi - phi')]/(2*pi)."""
+    return PhaseKernel(k0=1.0 / TWO_PI, g=2.0 / (TWO_PI * math.cos(theta)))
+
+
 def assert_same_text(text: str, expected: str) -> None:
     """String equality; a mismatch names its first differing line.
 
@@ -98,12 +126,14 @@ class DiscardingSink:
     def write(self, data: bytes) -> int:
         return len(data)
 
+    def writelines(self, blocks) -> None:
+        for block in blocks:
+            self.write(block)
+
 
 def written_csv(table) -> bytes:
-    """The bytes ``table.write_csv`` writes into a binary file."""
-    buffer = io.BytesIO()
-    table.write_csv(buffer)
-    return buffer.getvalue()
+    """The bytes a file receives from ``table.csv_blocks()``, block by block."""
+    return b"".join(table.csv_blocks())
 
 
 def phase_shots_csv_reference(shots: PhaseShots) -> str:

@@ -30,10 +30,10 @@ from quasijoint import (
     exact_phase_distribution,
     gamma_coefficients,
     invert_joint_discrete,
+    invert_joint_phase,
     marginal_phase,
     marginal_x,
     marginal_z,
-    mu_phi_kernel,
     mu_x_matrix,
     mu_z_matrix,
     operational_joint_discrete,
@@ -48,7 +48,7 @@ from quasijoint import (
 )
 from quasijoint.cli import main
 from cli_cases import CASES
-from helpers import haar_state, invertible_config, real_amplitude_state
+from helpers import haar_state, invertible_config, mu_phi_kernel, real_amplitude_state
 
 TWO_PI = 2.0 * math.pi
 COS_PI_8 = 0.9238795325112867
@@ -88,12 +88,12 @@ def test_criterion_02_marginal_formulas():
         g0, _, gz = gamma_coefficients(config.theta, config.vartheta)
         joint = operational_joint_discrete(state, config)
         mx, mz = marginal_x(joint), marginal_z(joint)
-        for x in (1, -1):
+        for k, x in enumerate((1, -1)):
             expected = 0.5 * (1.0 + x * math.cos(config.theta) * e.ex)
-            worst = max(worst, abs(mx.probability(x) - expected))
+            worst = max(worst, abs((mx.p_plus, mx.p_minus)[k] - expected))
         for k, z in enumerate((1, -1)):
             expected = g0[k] + z * gz[k] * e.ez
-            worst = max(worst, abs(mz.probability(z) - expected))
+            worst = max(worst, abs((mz.p_plus, mz.p_minus)[k] - expected))
     assert worst <= 1e-12
     print(f"PASS criterion 2: marginal formulas (worst {worst:.2e})")
 
@@ -176,8 +176,9 @@ def test_criterion_06_continuous_phase_inversion():
     for _ in range(50):
         state = haar_state(rng)
         config = invertible_config(rng)
-        measured = marginal_phase(operational_joint_phase(state, config))
-        recovered = mu_phi_kernel(config.theta).apply(measured)
+        joint = operational_joint_phase(state, config)
+        measured = marginal_phase(joint)
+        recovered = marginal_phase(invert_joint_phase(joint, config))
         exact = exact_phase_distribution(state)
         worst_exact = max(
             worst_exact,
@@ -237,7 +238,7 @@ def test_criterion_08_monte_carlo_convergence():
         estimate = estimate_quasi_joint(counts, config)
         truth = quasi_joint_closed_form(state, config)
         for (x, z), true_value in truth.items():
-            assert abs(estimate.value(x, z) - true_value) < 5.0 * estimate.stderr(x, z)
+            assert abs(estimate.joint.value(x, z) - true_value) < 5.0 * estimate.stderr(x, z)
 
     state = PureState(COS_PI_8, SIN_PI_8)
     config = MarkerConfig(0.7, 1.1)

@@ -343,7 +343,7 @@ class TestScanNegativity:
         text = grid.to_csv()
         assert_same_text(text, scan_csv_reference(grid))
         assert written_csv(grid) == text.encode("ascii")
-        assert all(block.count(b"\n") <= _CSV_BLOCK for block in grid._csv_blocks())
+        assert all(block.count(b"\n") <= _CSV_BLOCK for block in grid.csv_blocks())
 
     @pytest.mark.parametrize(
         "shape",
@@ -358,7 +358,7 @@ class TestScanNegativity:
             min_values=np.where(singular, np.nan, rng.uniform(-0.3, 0.3, shape)),
             singular=singular,
         )
-        lines = [block.count(b"\n") for block in grid._csv_blocks()]
+        lines = [block.count(b"\n") for block in grid.csv_blocks()]
         assert lines[0] == 1 and max(lines[1:]) <= _CSV_BLOCK and sum(lines) == singular.size + 1
         assert_same_text(grid.to_csv(), scan_csv_reference(grid))
 
@@ -386,7 +386,7 @@ class TestScanNegativity:
         )
         tracemalloc.start()
         try:
-            grid.write_csv(DiscardingSink())
+            DiscardingSink().writelines(grid.csv_blocks())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

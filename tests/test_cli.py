@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -14,7 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from quasijoint import MarkerConfig, cli, harmonic_estimates, operational_joint_phase, sample_phase
+from quasijoint import (
+    MarkerConfig,
+    cli,
+    harmonic_estimates,
+    operational_joint_discrete,
+    operational_joint_phase,
+    sample_discrete,
+    sample_phase,
+)
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from quasijoint.sampling import _CSV_BLOCK, _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
@@ -37,6 +47,14 @@ class TestGoldenFiles:
         assert out == (GOLDEN / case["stdout"]).read_text()
         for produced, stored in case["files"].items():
             assert (tmp_path / produced).read_text() == (GOLDEN / stored).read_text()
+
+    @pytest.mark.parametrize("name", ["exact_basis", "scan_csv"])
+    def test_text_only_stdout_gets_the_same_text(self, name):
+        case = next(c for c in CASES + REPORT_CASES if c["name"] == name)
+        out = io.StringIO()  # no binary buffer: the blocks are decoded into it
+        with contextlib.redirect_stdout(out):
+            assert main(case["argv"]) == 0
+        assert out.getvalue() == (GOLDEN / case["stdout"]).read_text()
 
     def test_json_outputs_parse_with_full_precision(self, capsys):
         code, out, _ = run_cli(
@@ -300,6 +318,23 @@ class TestReproducibility:
         report_b = (tmp_path / "report_b.json").read_text()
         assert report_a.replace("a.csv", "b.csv").replace("report_a", "report_b") == report_b
 
+    def test_discrete_shots_file_is_the_counts_table(self, capsys, tmp_path):
+        target = tmp_path / "shots.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sample", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1",
+             "--n", "1000", "--seed", "3", "--shots-out", str(target)],
+        )
+        assert code == 0, err
+        counts = json.loads(out)["result"]["counts"]
+        state = cli.parse_state(TILTED_STATE, "reim")
+        shots = sample_discrete(operational_joint_discrete(state, MarkerConfig(0.6, 1.1)), 1000, 3)
+        assert counts == [
+            {"x": x, "z": z, "count": shots.count(x, z)} for x in (1, -1) for z in (1, -1)
+        ]
+        rows = "".join(f"{c['x']},{c['z']},{c['count']}\n" for c in counts)
+        assert target.read_bytes() == b"x,z,count\n" + rows.encode("ascii")
+
     def test_phase_shots_file_is_the_library_csv(self, capsys, tmp_path):
         n = 3 * _CSV_BLOCK + 1
         target = tmp_path / "shots.csv"
@@ -326,7 +361,8 @@ class TestReproducibility:
         shots = sample_phase(joint, n, 11)
         estimates = harmonic_estimates(shots)
         result = json.loads(out)["result"]
-        assert result["slice_counts"] == {"plus": shots.slice_count(1), "minus": shots.slice_count(-1)}
+        counts = {"plus": np.count_nonzero(shots.z == 1), "minus": np.count_nonzero(shots.z == -1)}
+        assert result["slice_counts"] == counts
         assert result["harmonic_estimates"] == [
             {"z": z, "c0": estimates[z].c0, "c_cos": estimates[z].c_cos, "c_sin": estimates[z].c_sin}
             for z in (1, -1)
@@ -462,16 +498,49 @@ class TestOptionResolution:
         assert code == 0
         assert out_mag == out_reim
 
-    def test_output_file_matches_stdout(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            capsys,
-            ["exact", "--state", "1,0,0,0", "--phi-points", "4", "--output", str(target)],
-        )
-        assert code == 0
-        assert target.read_text() == (GOLDEN / "exact_basis.json").read_text().replace(
-            '"output": null', f'"output": "{target}"'
-        )
+    @pytest.mark.parametrize("case", CASES + REPORT_CASES, ids=lambda c: c["name"])
+    def test_output_file_matches_stdout(self, case, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        name = "report." + case["stdout"].rsplit(".", 1)[1]
+        code, out, err = run_cli(capsys, [*case["argv"], "--output", name])
+        assert code == 0, err
+        assert out == ""
+        if name.endswith(".json"):
+            echo = (b'"output": null', f'"output": "{name}"'.encode())
+        else:
+            echo = (b"# output=\n", f"# output={name}\n".encode())
+        golden = (GOLDEN / case["stdout"]).read_bytes()
+        assert golden.count(echo[0]) == 1
+        assert (tmp_path / name).read_bytes() == golden.replace(*echo)
+        for produced, stored in case["files"].items():
+            assert (tmp_path / produced).read_bytes() == (GOLDEN / stored).read_bytes()
+
+    @pytest.mark.parametrize(
+        "name", ["tab\there.json", "new\nline.json", 'quote".json', "back\\slash.json", "é.json", 'a\tb".json']
+    )
+    def test_json_echo_of_any_output_name_parses(self, capsys, tmp_path, name):
+        target = tmp_path / name
+        code, _, err = run_cli(capsys, ["exact", "--state", "1,0,0,0", "--phi-points", "0", "--output", str(target)])
+        assert code == 0, err
+        assert json.loads(target.read_bytes().decode("utf-8"))["config"]["output"] == str(target)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--state", "1,0,0,0"],
+            ["exact", "--state", "1,0,0,0", "--format", "csv"],
+            ["scan", "--state", "1,0,0,0", "--theta-grid", "0:1:3", "--vartheta-grid", "0.3:1:2", "--format", "csv"],
+        ],
+        ids=["json", "csv", "scan-csv"],
+    )
+    def test_output_name_that_utf8_cannot_encode_leaves_no_file(self, capsys, tmp_path, argv):
+        # the argv of a file name holding the byte 0xff, as Python decodes it
+        target = f"{tmp_path}/\udcff.out"
+        code, out, err = run_cli(capsys, [*argv, "--output", target])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir())
 
 
     def test_scan_csv_output_under_a_non_ascii_path(self, capsys, tmp_path):

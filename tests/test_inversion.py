@@ -26,7 +26,6 @@ from quasijoint import (
     marginal_x,
     marginal_z,
     marginal_z_of_phase,
-    mu_phi_kernel,
     mu_x_matrix,
     mu_z_matrix,
     operational_joint_discrete,
@@ -39,6 +38,7 @@ from helpers import (
     haar_state,
     invertible_config,
     invertible_configs,
+    mu_phi_kernel,
     pure_states,
     x_response_matrix,
     z_response_matrix,
@@ -322,6 +322,8 @@ class TestQuasiClosedForm:
 
 
 class TestPhaseKernel:
+    """The oracle kernel's algebra, then ``invert_joint_phase``'s phase marginal against it."""
+
     def test_identity_at_zero_marking(self):
         d = PhaseDensity(1.0 / TWO_PI, 0.1, -0.05)
         out = mu_phi_kernel(0.0).apply(d)
@@ -342,14 +344,14 @@ class TestPhaseKernel:
         assert out.c_cos == pytest.approx(1.0 / TWO_PI, abs=1e-12)
 
     def test_singular_at_full_marking(self):
+        cfg = MarkerConfig(math.pi / 2, 0.8)
         with pytest.raises(SingularMarking):
-            mu_phi_kernel(math.pi / 2)
+            invert_joint_phase(operational_joint_phase(PureState(0.6, 0.8), cfg), cfg)
 
     @given(pure_states(), invertible_configs())
     @settings(max_examples=60)
     def test_recovers_exact_phase_density(self, state, cfg):
-        measured = marginal_phase(operational_joint_phase(state, cfg))
-        recovered = mu_phi_kernel(cfg.theta).apply(measured)
+        recovered = marginal_phase(invert_joint_phase(operational_joint_phase(state, cfg), cfg))
         exact = exact_phase_distribution(state)
         assert recovered.c0 == pytest.approx(exact.c0, abs=1e-12)
         assert recovered.c_cos == pytest.approx(exact.c_cos, abs=1e-12)
@@ -361,9 +363,9 @@ class TestPhaseKernel:
         for _ in range(10):
             state = haar_state(rng)
             cfg = invertible_config(rng)
-            measured = marginal_phase(operational_joint_phase(state, cfg))
-            analytic = mu_phi_kernel(cfg.theta).apply(measured)
-            numeric = quadrature_phase_inversion(measured, cfg.theta, phi)
+            joint = operational_joint_phase(state, cfg)
+            analytic = marginal_phase(invert_joint_phase(joint, cfg))
+            numeric = quadrature_phase_inversion(marginal_phase(joint), cfg.theta, phi)
             np.testing.assert_allclose(
                 evaluate_phase_density(analytic, phi), numeric, atol=1e-8
             )

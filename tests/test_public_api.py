@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "OPERATIONAL",
     "PhaseDensity",
     "PhaseJoint",
-    "PhaseKernel",
     "PhaseShots",
     "PureState",
     "QUASI",
@@ -45,7 +44,6 @@ PUBLIC_NAMES = [
     "marginal_x",
     "marginal_z",
     "marginal_z_of_phase",
-    "mu_phi_kernel",
     "mu_x_matrix",
     "mu_z_matrix",
     "negativity_of",

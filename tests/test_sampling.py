@@ -104,15 +104,14 @@ class TestSampleDiscrete:
         with pytest.raises(ValueError):
             sample_discrete(DiscreteJoint([[1.0, 0.0], [0.0, 0.0]]), 0, 0)
 
-    def test_counts_validation_and_csv(self):
+    def test_counts_validation(self):
         for bad in ([[1, 1], [1, -1]], [[1.5, 1], [1, 1]], [1, 1, 1, 1], [[[1, 1], [1, 1]]]):
             with pytest.raises(ValueError):
                 ShotCounts(bad, seed=0)
         source = np.array([[3, 2], [1, 0]])
         counts = ShotCounts(source, seed=7)
         source[0, 0] = 99
-        assert counts.to_csv() == "x,z,count\n1,1,3\n1,-1,2\n-1,1,1\n-1,-1,0\n"
-        assert written_csv(counts) == counts.to_csv().encode("ascii")
+        assert [counts.count(x, z) for x in (1, -1) for z in (1, -1)] == [3, 2, 1, 0]
         with pytest.raises(ValueError):
             counts.counts[0, 0] = 0
         assert type(counts.count(1, 1)) is int and type(counts.total) is int
@@ -167,7 +166,7 @@ class TestSamplePhase:
         shots = sample_phase(joint, 10**5, 17)
         w_plus = joint.slice_weights()[0]
         se = math.sqrt(w_plus * (1 - w_plus) / 10**5)
-        assert abs(shots.slice_count(1) / 10**5 - w_plus) < 5 * se
+        assert abs(np.count_nonzero(shots.z == 1) / 10**5 - w_plus) < 5 * se
 
     def test_rejects_quasi_joints(self):
         state = PureState(COS_PI_8, SIN_PI_8)
@@ -208,7 +207,7 @@ class TestPhaseSamplerExactness:
         for z in (1, -1):
             density = joint.for_z(z)
             if density.integral < 1e-12:
-                assert shots.slice_count(z) == 0
+                assert np.count_nonzero(shots.z == z) == 0
                 continue
             phis = shots.phi[shots.z == z]
             assert ks_statistic(phis, slice_cdf(density)) < KS_CRITICAL_0_1_PERCENT / math.sqrt(phis.size)
@@ -333,7 +332,7 @@ class TestPhaseShotsCsv:
     def test_blocks_hold_at_most_one_block_of_rows(self):
         total = 3 * _CSV_BLOCK + 5
         shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64), total=total, seed=0)
-        lines = [block.count(b"\n") for block in shots._csv_blocks()]
+        lines = [block.count(b"\n") for block in shots.csv_blocks()]
         assert lines == [1, _CSV_BLOCK, _CSV_BLOCK, _CSV_BLOCK, 5]
 
     @pytest.mark.parametrize("z", [1, -1])
@@ -344,7 +343,7 @@ class TestPhaseShotsCsv:
         assert_same_text(text, phase_shots_csv_reference(shots))
         assert written_csv(shots) == text.encode("ascii")
 
-    # to_csv holds about 10 MB at 2e5 shots; the writer holds one block's buffers
+    # to_csv holds about 10 MB at 2e5 shots; csv_blocks holds one block's buffers
     @pytest.mark.parametrize("total", [1 << 16, 1 << 19])
     def test_writing_holds_one_block_whatever_the_shot_count(self, total):
         rng = np.random.default_rng(total)
@@ -352,7 +351,7 @@ class TestPhaseShotsCsv:
         shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z, total=total, seed=0)
         tracemalloc.start()
         try:
-            shots.write_csv(DiscardingSink())
+            DiscardingSink().writelines(shots.csv_blocks())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -493,7 +492,7 @@ class TestEstimateQuasiJoint:
         cfg = MarkerConfig(0.7, 1.1)
         counts = sample_discrete(operational_joint_discrete(PureState(0.6, 0.8), cfg), 5000, 5)
         estimate = estimate_quasi_joint(counts, cfg)
-        assert type(estimate.value(1, -1)) is float and type(estimate.stderr(1, -1)) is float
+        assert type(estimate.joint.value(1, -1)) is float and type(estimate.stderr(1, -1)) is float
         with pytest.raises(ValueError):
             estimate.stderrs[0, 1] = 0.0
         source = np.array(estimate.stderrs)
@@ -512,7 +511,7 @@ class TestEstimateQuasiJoint:
             estimate = estimate_quasi_joint(counts, cfg)
             truth = quasi_joint_closed_form(state, cfg)
             for (x, z), true_value in truth.items():
-                deviation = abs(estimate.value(x, z) - true_value)
+                deviation = abs(estimate.joint.value(x, z) - true_value)
                 assert deviation < 5 * estimate.stderr(x, z)
 
     def test_detects_negativity(self):

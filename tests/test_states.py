@@ -77,7 +77,8 @@ class TestPureState:
 
 class TestBloch:
     def test_basis_state(self):
-        assert bloch_from_state(PureState(1, 0)).as_tuple() == (0.0, 0.0, 1.0)
+        e = bloch_from_state(PureState(1, 0))
+        assert (e.ex, e.ey, e.ez) == (0.0, 0.0, 1.0)
 
     def test_equal_superposition(self):
         e = bloch_from_state(PureState(1 / math.sqrt(2), 1 / math.sqrt(2)))
@@ -141,8 +142,8 @@ class TestInterferenceDistribution:
         for _ in range(1000):
             state = haar_state(rng)
             p = exact_interference_distribution(state)
-            for x in (1, -1):
-                assert p.probability(x) == pytest.approx(projection_oracle(state, x), abs=1e-12)
+            for x, probability in ((1, p.p_plus), (-1, p.p_minus)):
+                assert probability == pytest.approx(projection_oracle(state, x), abs=1e-12)
 
 
 class TestPhaseDistribution:
@@ -219,10 +220,7 @@ class TestBinaryDistribution:
         with pytest.raises(ValueError):
             BinaryDistribution(1.2, -0.2)
 
-    def test_accessors(self):
-        p = BinaryDistribution(0.75, 0.25)
-        assert p.probability(1) == 0.75
-        assert p.probability(-1) == 0.25
-        assert p.expectation == 0.5
-        with pytest.raises(ValueError):
-            p.probability(0)
+    def test_from_expectation(self):
+        p = BinaryDistribution.from_expectation(0.5)
+        assert (p.p_plus, p.p_minus) == (0.75, 0.25)
+        assert p == BinaryDistribution(0.75, 0.25)
