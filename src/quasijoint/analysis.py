@@ -21,18 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quasijoint._table import Coded, Table
 from quasijoint.inversion import _quasi_entries, delta_coefficients
 from quasijoint.marking import DiscreteJoint, PhaseJoint
-from quasijoint.sampling import _CSV_BLOCK, _E16_WORDS, _format_e16, _join_rows, _words
 from quasijoint.states import TWO_PI, PhaseDensity, PureState, bloch_from_state
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
-#: a field's first word holding only its "," separator
-_COMMA = _words(",\0\0\0")[0]
-#: the min_value field of a flagged cell: the separator and nothing else
-_EMPTY_FIELD = np.array([[_COMMA]] + [[0]] * (_E16_WORDS - 1), np.uint32)
-#: the end of a scan row, ",0\n" or ",1\n", by the cell's flag
-_FLAG_TAILS = _words(",0\n\0,1\n\0")
 
 #: below this t = sqrt(A^2 - c0^2) / c0 the negative mass of a phase slice is
 #: summed as a series, with this many terms (truncation below 2e-17 relative)
@@ -67,65 +61,25 @@ class ScanGrid:
     min_values: np.ndarray  # shape (len(theta), len(vartheta)), NaN where flagged
     singular: np.ndarray  # bool, same shape
 
-    def csv_blocks(self) -> Iterator[bytes]:
-        """The ASCII bytes of ``to_csv()``: the header line, then one block per ``_CSV_BLOCK`` cells at most.
+    def table(self) -> Table:
+        """The ``theta,vartheta,min_value,flag`` rows, one per cell, theta-major.
 
-        A row is 19 words of a word-major buffer: the theta, vartheta and
-        min_value fields of ``_format_e16`` (the last two with their ","
-        separator) and a ``,flag\\n`` tail word.  The angles are formatted
-        once.  A block holds whole theta rows where they fit, so the vartheta
-        fields, the same in every theta row, are written into the buffer once;
-        a theta row wider than a block is split across blocks.  Each block then
-        writes only its theta fields, broadcast along the row, its minima and
-        its tails, and the NULs are dropped, so the text is byte-identical to
-        formatting every cell on its own.
+        The angles are formatted once, each picked per cell by its grid
+        index; a flagged cell's NaN minimum leaves its field empty.
         """
-        yield SCAN_CSV_HEADER.encode("ascii") + b"\n"
-        n_theta, n_vartheta = self.theta_values.size, self.vartheta_values.size
-        if not n_theta * n_vartheta:
-            return
-        angles = np.zeros((_E16_WORDS, n_theta + n_vartheta), np.uint32)
-        angles[0, n_theta:] = _COMMA  # vartheta follows theta
-        wide = np.zeros(angles.shape[1], bool)
-        wide[_format_e16(np.concatenate([self.theta_values, self.vartheta_values]), angles)] = True
-        thetas, varthetas = angles[:, :n_theta], angles[:, n_theta:]
-        wide_theta, wide_vartheta = wide[:n_theta], wide[n_theta:]
-        width = min(n_vartheta, _CSV_BLOCK)  # cells of one theta row in a block
-        height = min(_CSV_BLOCK // width, n_theta)  # theta rows in a block
-        words = np.zeros((3 * _E16_WORDS + 1, height * width), np.uint32)
-        angle_words, minima, tails = words[: 2 * _E16_WORDS], words[2 * _E16_WORDS : -1], words[-1]
-        minima[0] = _COMMA
-        loaded = None  # the vartheta span whose fields the buffer holds
+        return Table(
+            SCAN_CSV_HEADER.split(","),
+            (
+                Coded(self.theta_values, repeat=self.vartheta_values.size),
+                Coded(self.vartheta_values),
+                self.min_values.ravel(),
+                Coded((0, 1), self.singular.ravel()),
+            ),
+        )
 
-        def cell_text(i: int, j: int) -> str:  # one row by Python, for fields too wide for the words
-            theta, vartheta = self.theta_values[i], self.vartheta_values[j]
-            if self.singular[i, j]:
-                return f"{theta:.16e},{vartheta:.16e},,1\n"
-            return f"{theta:.16e},{vartheta:.16e},{self.min_values[i, j]:.16e},0\n"
-
-        for i in range(0, n_theta, height):
-            for j in range(0, n_vartheta, width):
-                i_end, j_end = min(i + height, n_theta), min(j + width, n_vartheta)
-                rows, cols = i_end - i, j_end - j
-                if loaded != (j, j_end):
-                    grid = angle_words[_E16_WORDS:, : height * cols].reshape(_E16_WORDS, height, cols)
-                    grid[...] = varthetas[:, None, j:j_end]
-                    loaded = (j, j_end)
-                cells = rows * cols
-                grid = angle_words[:_E16_WORDS, :cells].reshape(_E16_WORDS, rows, cols)
-                grid[...] = thetas[:, i:i_end, None]
-                flagged = self.singular[i:i_end, j:j_end].ravel()
-                values = self.min_values[i:i_end, j:j_end].ravel()
-                wide_rows = _format_e16(np.where(flagged, 0.0, values), minima[:, :cells])
-                if flagged.any():  # flagged cells leave min_value empty
-                    np.copyto(minima[:, :cells], _EMPTY_FIELD, where=flagged)
-                _FLAG_TAILS.take(flagged, out=tails[:cells], mode="clip")
-                if wide_theta[i:i_end].any() or wide_vartheta[j:j_end].any():
-                    wide_angle = wide_theta[i:i_end, None] | wide_vartheta[None, j:j_end]
-                    wide_rows += np.flatnonzero(wide_angle).tolist()
-                yield _join_rows(
-                    words[:, :cells], wide_rows, lambda r: cell_text(i + r // cols, j + r % cols), sparse=True
-                )
+    def csv_blocks(self) -> Iterator[bytes]:
+        """The ASCII bytes of ``to_csv()``: the header line, then one block per 4,096 cells at most."""
+        return self.table().csv_blocks()
 
     def to_csv(self) -> str:
         """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``."""

@@ -36,7 +36,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from quasijoint.analysis import SCAN_CSV_HEADER, negativity_of, scan_negativity
+from quasijoint._table import Coded, Table
+from quasijoint.analysis import negativity_of, scan_negativity
 from quasijoint.inversion import (
     SingularInversion,
     delta_coefficients,
@@ -53,17 +54,7 @@ from quasijoint.marking import (
     operational_joint_discrete,
     operational_joint_phase,
 )
-from quasijoint.sampling import (
-    _E16_WORDS,
-    _check_draw,
-    _format_e16,
-    _join_rows,
-    _phase_blocks,
-    _phase_pass,
-    _words,
-    estimate_quasi_joint,
-    sample_discrete,
-)
+from quasijoint.sampling import _check_draw, _phase_blocks, _phase_pass, estimate_quasi_joint, sample_discrete
 from quasijoint.states import (
     PureState,
     StateValidationError,
@@ -85,8 +76,8 @@ MAX_PHI_POINTS = 100_000
 #: most shots of a phase-mode sample.  Memory stays flat in the count, so the
 #: cap guards time (about 0.25 us per exported shot) and disk (about 26 B per shot)
 MAX_PHASE_SHOTS = 10_000_000
-#: the end of a row of a JSON float array
-_JSON_TAIL = _words(",\n\0\0")[0]
+#: the x and z columns of a discrete table, rows in ``DiscreteJoint.items()`` order
+_X, _Z = Coded((1, -1), repeat=2), Coded((1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +85,12 @@ _JSON_TAIL = _words(",\n\0\0")[0]
 
 
 class _Report(NamedTuple):
-    """A command's config echo, JSON ``result`` and CSV ``table``, the table's byte blocks
-    from its header on.  Both are built only for their format.  The optional
-    ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
+    """A command's config echo, JSON ``result``, built only for JSON, and CSV ``table``.
+    The optional ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
 
     config: dict
     result: Callable[[], dict]
-    table: Callable[[], Iterable[bytes]]
+    table: Table
     note: tuple[str, dict] | None = None
 
 
@@ -112,55 +102,46 @@ def format_float(value: float) -> str:
     return f"{value:.16e}"
 
 
-def _render_json_value(value, level: int) -> str:
-    pad = "  " * (level + 1)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return str(value)
+def _json_pieces(value, level: int, pieces: list[str]) -> None:
+    """Append the JSON text of ``value`` at nesting ``level`` to ``pieces``: dicts, lists and tuples
+    nest, and a ``Table`` (a list of records) or a 1-D float64 array is rendered block by block."""
     if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
+        pieces.append(format_float(value))
+    elif isinstance(value, str):
+        pieces.append(encode_basestring(value))
+    elif isinstance(value, bool):
+        pieces.append("true" if value else "false")
+    elif value is None:
+        pieces.append("null")
+    elif isinstance(value, int):
+        pieces.append(str(value))
+    elif isinstance(value, Table):  # a NamedTuple, so before the tuples
+        pieces += value.json_records(level)
+    elif isinstance(value, (dict, list, tuple)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
         if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}"{key}": {_render_json_value(item, level + 1)}' for key, item in value.items()
-        )
-        return "{\n" + inner + "\n" + "  " * level + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}{_render_json_value(item, level + 1)}" for item in value)
-        return "[\n" + inner + "\n" + "  " * level + "]"
-    if isinstance(value, np.ndarray):
-        return _render_json_floats(value, pad, level)
-    raise TypeError(f"cannot render {type(value).__name__} in a report")
+            pieces.append(brackets)
+            return
+        pad = "  " * (level + 1)
+        keys = [f'{pad}"{key}": ' for key in value] if isinstance(value, dict) else itertools.repeat(pad)
+        opener = brackets[0] + "\n"
+        for key, item in zip(keys, value.values() if isinstance(value, dict) else value):
+            pieces.append(opener + key)
+            _json_pieces(item, level + 1, pieces)
+            opener = ",\n"
+        pieces.append("\n" + "  " * level + brackets[1])
+    elif isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim != 1:
+            raise TypeError(f"cannot render a {value.dtype} array of shape {value.shape} in a report")
+        pieces += Table(("",), (value,)).json_values(level)  # raises for the first non-finite element
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
-def _render_json_floats(values: np.ndarray, pad: str, level: int) -> str:
-    """A 1-D float64 array as a JSON list, byte-identical to rendering ``values.tolist()``.
-
-    Every element becomes one row of a word-major buffer: the indent's words,
-    the ``_format_e16`` field and a ``,\\n`` word; the NULs are dropped.
-    """
-    if values.dtype != np.float64 or values.ndim != 1:
-        raise TypeError(f"cannot render a {values.dtype} array of shape {values.shape} in a report")
-    if not values.size:
-        return "[]"
-    finite = np.isfinite(values)
-    if not finite.all():
-        format_float(values[np.argmin(finite)])  # raises for the first non-finite element
-    indent = _words(pad.ljust(-(-len(pad) // 4) * 4, "\0"))
-    words = np.zeros((indent.size + _E16_WORDS + 1, values.size), np.uint32)
-    words[: indent.size] = indent[:, None]
-    wide = _format_e16(values, words[indent.size : -1])
-    words[-1] = _JSON_TAIL
-    inner = _join_rows(words, wide, lambda r: f"{pad}{values[r]:.16e},\n").decode("ascii")
-    return "[\n" + inner[:-2] + "\n" + "  " * level + "]"
+def _render_json_value(value, level: int) -> str:
+    pieces: list[str] = []
+    _json_pieces(value, level, pieces)
+    return "".join(pieces)
 
 
 def render_json(report: dict) -> str:
@@ -168,30 +149,24 @@ def render_json(report: dict) -> str:
 
 
 def _csv_text(value) -> str:
-    """One CSV field, or a row when given a list or tuple; None prints empty."""
-    if isinstance(value, (list, tuple)):
+    """A config value as CSV text: list items joined by ",", None empty, a string JSON-escaped unquoted."""
+    if isinstance(value, list):
         return ",".join(map(_csv_text, value))
     if isinstance(value, float):
         return format_float(value)
+    if isinstance(value, str):
+        return encode_basestring(value)[1:-1]
     return "" if value is None else str(value)
 
 
-def _csv_bytes(rows: Iterable) -> bytes:
-    """CSV lines of the rows (see ``_csv_text``) as UTF-8."""
-    return "".join(_csv_text(row) + "\n" for row in rows).encode("utf-8")
-
-
 def render_csv(report: _Report) -> Iterable[bytes]:
-    """``# key=value`` config lines, the optional note line, then the table, as UTF-8 byte blocks.
-
-    The lines are encoded here, so a path that UTF-8 cannot encode raises
-    before anything is written; a library writer's blocks follow as it yields them.
-    """
+    """``# key=value`` config lines, the optional note line, then the table's blocks, as UTF-8 bytes."""
     lines = [f"# {key}={_csv_text(value)}" for key, value in report.config.items()]
     if report.note:
         label, fields = report.note
         lines.append(f"# {label} " + " ".join(f"{key}={_csv_text(v)}" for key, v in fields.items()))
-    return itertools.chain([_csv_bytes(lines)], report.table())
+    head = "".join(line + "\n" for line in lines).encode("utf-8")
+    return itertools.chain([head], report.table.csv_blocks())
 
 
 def _write(path: str | None, blocks: Iterable[bytes]) -> None:
@@ -329,12 +304,21 @@ def parse_grid(spec: str, degrees: bool) -> tuple[float, float, int]:
 
 def _echo(command: str, opts: dict, state: PureState, **parsed) -> dict:
     """The config echo: resolved options in table order, parsed values in place of the
-    raw ones, without the input-only ``state_form`` and ``degrees``."""
+    raw ones, without the input-only ``state_form`` and ``degrees``.
+
+    Every echoed string must encode as UTF-8, checked here, before a command
+    opens any file, so that a report that cannot be written leaves none.
+    """
     parsed["state"] = [state.alpha.real, state.alpha.imag, state.beta.real, state.beta.imag]
-    return {
-        "command": command,
-        **{k: parsed.get(k, v) for k, v in opts.items() if k not in ("state_form", "degrees")},
-    }
+    shown = {k: parsed.get(k, v) for k, v in opts.items() if k not in ("state_form", "degrees")}
+    echo = {"command": command, **shown}
+    for key, value in echo.items():
+        try:
+            if isinstance(value, str):
+                value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"--{key.replace('_', '-')} {value!r} cannot be written as UTF-8") from None
+    return echo
 
 
 def _resolve_marked(args: argparse.Namespace, *required: str):
@@ -363,10 +347,9 @@ def _density_grid(points: int, **densities) -> dict:
     return {"phi": phi, **{name: evaluate_phase_density(d, phi) for name, d in densities.items()}}
 
 
-def _records(header: str, rows) -> list[dict]:
-    """CSV rows as JSON objects keyed by the header's column names."""
-    keys = header.split(",")
-    return [dict(zip(keys, row)) for row in rows]
+def _slices(names: Sequence[str], densities: Sequence, *coded: Coded) -> Table:
+    """One row per slice z = +1, -1: z, the ``coded`` columns, then the densities' c0, c_cos and c_sin."""
+    return Table(names, (Coded((1, -1)), *coded, *np.array([[d.c0, d.c_cos, d.c_sin] for d in densities]).T))
 
 
 def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _Report:
@@ -377,14 +360,12 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
     """
     discrete = config["mode"] == DISCRETE_MODE
     if discrete:
-        header, rows = "x,z,value", [(x, z, value) for (x, z), value in joint.items()]
+        table = Table(("x", "z", "value"), (_X, _Z, joint.table.ravel()))
     else:
-        header = "z,c0,c_cos,c_sin"
-        rows = [(z, *_density_dict(joint.for_z(z)).values()) for z in (1, -1)]
+        table = _slices(("z", "c0", "c_cos", "c_sin"), (joint.plus, joint.minus))
 
     def result() -> dict:
-        cells = {"values" if discrete else "slices": _records(header, rows)}
-        fields = {"joint": {"kind": joint.kind, **cells}, **first}
+        fields = {"joint": {"kind": joint.kind, "values" if discrete else "slices": table}, **first}
         if discrete:
             fields["marginal_x"] = _binary_dict(marginal_x(joint))
             fields["marginal_z"] = _binary_dict(marginal_z(joint))
@@ -397,7 +378,7 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
             fields["phase_grid"] = _density_grid(points, plus=joint.plus, minus=joint.minus)
         return fields
 
-    return _Report(config, result, lambda: [_csv_bytes([header, *rows])], note)
+    return _Report(config, result, table, note)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +404,14 @@ def cmd_exact(args: argparse.Namespace) -> _Report:
             fields["phase_grid"] = _density_grid(opts["phi_points"], values=density)
         return fields
 
-    rows = [
-        "quantity,value",
-        ("ex", bloch.ex), ("ey", bloch.ey), ("ez", bloch.ez),
-        ("path_plus", path.p_plus), ("path_minus", path.p_minus),
-        ("interference_plus", fringe.p_plus), ("interference_minus", fringe.p_minus),
-        ("phase_c0", density.c0), ("phase_c_cos", density.c_cos), ("phase_c_sin", density.c_sin),
-    ]
-    return _Report(_echo("exact", opts, state), result, lambda: [_csv_bytes(rows)])
+    rows = {
+        "ex": bloch.ex, "ey": bloch.ey, "ez": bloch.ez,
+        "path_plus": path.p_plus, "path_minus": path.p_minus,
+        "interference_plus": fringe.p_plus, "interference_minus": fringe.p_minus,
+        "phase_c0": density.c0, "phase_c_cos": density.c_cos, "phase_c_sin": density.c_sin,
+    }
+    table = Table(("quantity", "value"), (Coded(list(rows)), np.array(list(rows.values()))))
+    return _Report(_echo("exact", opts, state), result, table)
 
 
 def cmd_operational(args: argparse.Namespace) -> _Report:
@@ -467,30 +448,30 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
     if opts["mode"] == DISCRETE_MODE:
         shots = sample_discrete(operational_joint_discrete(state, marker), opts["n"], opts["seed"])
         estimate = estimate_quasi_joint(shots, marker)
-        header = "x,z,value,stderr"
-        rows = [(x, z, v, estimate.stderr(x, z)) for (x, z), v in estimate.joint.items()]
-        counts = [(x, z, shots.count(x, z)) for x, z, *_ in rows]
+        values, stderrs = estimate.joint.table.ravel(), estimate.stderrs.ravel()
+        table = Table(("x", "z", "value", "stderr"), (_X, _Z, values, stderrs))
+        counts = Table(("x", "z", "count"), (_X, _Z, Coded(shots.counts.ravel().tolist())))
         if opts["shots_out"]:
-            _write(opts["shots_out"], [_csv_bytes(["x,z,count", *counts])])
+            _write(opts["shots_out"], counts.csv_blocks())
 
         def result() -> dict:
-            return {"counts": _records("x,z,count", counts), "estimate": _records(header, rows)}
+            return {"counts": counts, "estimate": table}
 
     else:
         joint = operational_joint_phase(state, marker)
         _check_draw(joint, opts["n"])  # a rejected run leaves no --shots-out file
         with open(opts["shots_out"], "wb") if opts["shots_out"] else contextlib.nullcontext() as handle:
             counts, estimates = _phase_pass(_phase_blocks(joint, opts["n"], opts["seed"]), handle)
-        header = "z,count,c0_hat,c_cos_hat,c_sin_hat"
-        rows = [(z, counts[z], *_density_dict(estimates[z]).values()) for z in (1, -1)]
+        densities, count = (estimates[1], estimates[-1]), Coded((counts[1], counts[-1]))
+        table = _slices(("z", "count", "c0_hat", "c_cos_hat", "c_sin_hat"), densities, count)
 
         def result() -> dict:
             return {
                 "slice_counts": {"plus": counts[1], "minus": counts[-1]},
-                "harmonic_estimates": [{"z": z, **_density_dict(estimates[z])} for z in (1, -1)],
+                "harmonic_estimates": _slices(("z", "c0", "c_cos", "c_sin"), densities),
             }
 
-    return _Report(config, result, lambda: [_csv_bytes([header, *rows])])
+    return _Report(config, result, table)
 
 
 def cmd_scan(args: argparse.Namespace) -> _Report:
@@ -503,20 +484,9 @@ def cmd_scan(args: argparse.Namespace) -> _Report:
             f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}"
         )
     grid = scan_negativity(state, np.linspace(*theta_spec), np.linspace(*vartheta_spec))
-
-    def result() -> dict:
-        varthetas = grid.vartheta_values.tolist()
-        rows = [
-            (theta, vartheta, None if flagged else value, int(flagged))
-            for theta, flags, values in zip(
-                grid.theta_values.tolist(), grid.singular.tolist(), grid.min_values.tolist()
-            )
-            for vartheta, flagged, value in zip(varthetas, flags, values)
-        ]
-        return {"cells": _records(SCAN_CSV_HEADER, rows)}
-
     config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
-    return _Report(config, result, grid.csv_blocks)
+    table = grid.table()
+    return _Report(config, lambda: {"cells": table}, table)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ through the fixed tensor-product kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
+from quasijoint._table import SIGNS, Coded, Table
 from quasijoint.inversion import (
     SINGULARITY_EPS,
     invert_joint_discrete,
@@ -37,46 +38,6 @@ from quasijoint.marking import (
     PhaseJoint,
 )
 from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_table
-
-_PHASE_HEADER = b"phi,z\n"
-
-#: rows formatted per block by the PhaseShots and ScanGrid CSV writers; the row
-#: buffer and the formatter's temporaries (about 100 B a row) scale with it,
-#: so it is kept well below the size of a typical scan or shot file
-_CSV_BLOCK = 1 << 12
-
-
-def _words(text: str) -> np.ndarray:
-    """ASCII text as 4-byte words (uint32 in native order), so that words written in
-    a row buffer come out of ``tobytes`` as the text."""
-    return np.frombuffer(text.encode("ascii"), np.uint32)
-
-
-#: words of one ``%.16e`` field: [separator|sign|lead|"."], the 16 digits after
-#: the point as four words of four, and the exponent "e+dd"; the widest text
-#: that fits after the separator is 23 characters
-_E16_WORDS = 6
-#: byte 0 of a field's first word, the separator the caller sets
-_SEPARATOR_MASK = np.frombuffer(b"\xff\0\0\0", np.uint32)[0]
-#: exact doubles 1e0 .. 1e22, each with its Dekker split by 2**27 + 1
-_POW10 = np.array([float(10**k) for k in range(23)])
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-#: bytes 1..3 of a field's first word, "d." for d = 0 .. 9, then "-d." for the same
-_LEAD_WORDS = _words("".join(f"\0\0{d}." for d in range(10)) + "".join(f"\0-{d}." for d in range(10)))
-#: ASCII "0000" .. "9999" as one 4-byte word per value, built from uint8
-#: digits so that import allocates no large temporaries
-_DIGITS4 = (
-    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
-    .reshape(-1, 4)
-    .view(np.uint32)
-    .ravel()
-)
-#: "e+16" .. "e-06" as one word per power 10**k, k = 0 .. 22, scaling the
-#: decimal exponent 16 - k into 17 integer digits
-_EXPONENTS = _words("".join(f"e{16 - k:+03d}" for k in range(23)))
-#: the end of a shot row, ",1\n" or ",-1\n", by whether z is negative
-_Z_TAILS = _words(",\x001\n,-1\n")
 
 #: shots drawn per block by _phase_blocks, into a few buffers of this length
 #: allocated once, so they stay small whatever the shot count
@@ -93,126 +54,9 @@ _ASIN_Q = (
 )
 
 
-def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact product a * 10**k as p + err (Dekker's TwoProduct, no FMA)."""
-    c = a * 134217729.0
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    p = a * _POW10.take(k)
-    err = a_hi * b_hi
-    err -= p
-    err += a_hi * b_lo
-    err += a_lo * b_hi
-    err += a_lo * b_lo
-    return p, err
-
-
-def _format_e16(values: np.ndarray, out: np.ndarray) -> list[int]:
-    """Write ``f"{v:.16e}"`` of each float64 value as the ``_E16_WORDS`` words of its column of ``out``.
-
-    ``out`` is a uint32 array of shape (_E16_WORDS, len(values)) whose rows
-    are contiguous, typically rows of a word-major row buffer.  Byte 0 of
-    each column's first word, the separator, is left as the caller set it;
-    every other byte of the column is written, NUL where the text is
-    shorter (no sign, or a short Python-formatted field).  The 17
-    significant digits are the exact product |v| * 10**(16 - E) rounded half
-    to even, which needs 10**(16 - E) to be an exact double: so
-    1e-6 < |v| < 1e17 and zeros are written here, and every other value
-    (NaN and inf included) is formatted by Python.
-
-    Returns the indices of the values whose text has 24 characters, a
-    negative value with a three-digit exponent such as -1e-100: it does not
-    fit after the separator, so their columns hold only the separator and
-    NULs, and the caller writes those rows some other way.
-    """
-    a = np.abs(values)
-    fast = (a > 1e-6) & (a < 1e17)  # decimal exponents -6 .. 16; False for NaN
-    slow = ~fast
-    np.copyto(a, 1.0, where=slow)
-    # log10 is off by at most a few ulps, so the floor of log10(a) - 1e-12 is
-    # the decimal exponent E or one less (never 17); an exact product
-    # p + err >= 1e17 marks the ones that are one less
-    e = np.log10(a)
-    e -= 1e-12
-    np.floor(e, out=e)
-    k = e.astype(np.intp)
-    np.subtract(16, k, out=k)
-    np.minimum(k, 22, out=k)  # E >= -6
-    p, err = _times_pow10(a, k)
-    big = np.flatnonzero(p >= 1e17)
-    if big.size:
-        short = big[(p[big] > 1e17) | (err[big] >= 0)]
-        k[short] -= 1
-        p[short], err[short] = _times_pow10(a[short], k[short])
-    # p is an even integer >= 1e16, so adding rint(err) rounds half to even.
-    # n stays below 10**17: no double in (1e-6, 1e17) lies within half a
-    # 17th digit below a power of ten (the tests cover every such neighbour)
-    n = p.astype(np.int64)
-    n += np.rint(err).astype(np.int64)
-    np.copyto(n, 0, where=slow)  # zeros come out right (a = 1 gives E = 0); the rest is overwritten below
-    high = n // 10**8
-    low = (n - high * 10**8).astype(np.int32)
-    high = high.astype(np.int32)  # below 10**9
-    lead = high // 10**8
-    high -= lead * 10**8
-    lead += np.signbit(values) * np.int32(10)
-    first = out[0]
-    first &= _SEPARATOR_MASK
-    first |= _LEAD_WORDS.take(lead)
-    for row, group in ((1, high), (3, low)):
-        quotient = group // 10_000
-        _DIGITS4.take(quotient, out=out[row], mode="clip")
-        group -= quotient * 10_000
-        _DIGITS4.take(group, out=out[row + 1], mode="clip")
-    _EXPONENTS.take(k, out=out[5], mode="clip")
-    wide = []
-    for i in np.flatnonzero(slow & (values != 0.0)).tolist():
-        text = f"{values[i]:.16e}".encode("ascii")
-        if len(text) >= 4 * _E16_WORDS:
-            wide.append(i)
-            text = b""
-        field = out[:1, i].tobytes()[:1] + text.ljust(4 * _E16_WORDS - 1, b"\0")
-        out[:, i] = np.frombuffer(field, np.uint32)
-    return wide
-
-
-def _join_rows(
-    words: np.ndarray, wide: list[int], row_text: Callable[[int], str], *, sparse: bool = False
-) -> bytes:
-    """The rows of a word-major buffer, ``words[:, r]`` being row r, as ASCII with the NULs dropped.
-
-    Each row r in ``wide`` holds a field that ``_format_e16`` could not fit
-    and is replaced by ``row_text(r)``.  ``bytes.translate`` drops the NULs
-    at a table lookup per byte, ``bytes.replace`` (``sparse``) at about a
-    memchr and a memcpy per NUL: the latter is faster for rows with less
-    than about one NUL in 15 bytes, such as the scan's.
-    """
-    pieces, start = [], 0
-    for r in sorted(set(wide)):
-        pieces += [words[:, start:r].T.tobytes(), row_text(r).encode("ascii")]
-        start = r + 1
-    pieces.append(words[:, start:].T.tobytes())
-    text = b"".join(pieces)
-    return text.replace(b"\0", b"") if sparse else text.translate(None, b"\0")
-
-
-def _shot_rows(phis: np.ndarray, zs: np.ndarray) -> Iterator[bytes]:
-    """The ``phi,z`` rows of the shots, one ``bytes`` per slice of ``_CSV_BLOCK`` shots.
-
-    Each slice is written into one word-major row buffer, 7 words a row:
-    the phase by ``_format_e16`` and the ``,z\\n`` tail from ``_Z_TAILS``;
-    the NULs are dropped, so the text is byte-identical to formatting each
-    shot with ``f"{phi:.16e},{z}"``.
-    """
-    words = np.zeros((_E16_WORDS + 1, min(phis.size, _CSV_BLOCK)), np.uint32)
-    for start in range(0, phis.size, _CSV_BLOCK):
-        phi = phis[start : start + _CSV_BLOCK]
-        z = zs[start : start + _CSV_BLOCK]
-        block = words[:, : phi.size]
-        wide = _format_e16(phi, block[:_E16_WORDS])
-        _Z_TAILS.take(z < 0, out=block[-1], mode="clip")
-        yield _join_rows(block, wide, lambda r: f"{phi[r]:.16e},{z[r]}\n")
+def _shot_table(phi: np.ndarray, z: np.ndarray) -> Table:
+    """The ``phi,z`` table of the shots: phi as ``%.16e``, z as ``%d``."""
+    return Table(("phi", "z"), (phi, Coded(SIGNS, z)))
 
 
 def _check_records(phi: np.ndarray, z: np.ndarray) -> None:
@@ -277,13 +121,12 @@ class PhaseShots:
         object.__setattr__(self, "z", z)
 
     def csv_blocks(self) -> Iterator[bytes]:
-        """The ASCII bytes of ``to_csv()``: the header line, then one block per ``_CSV_BLOCK`` shots.
+        """The ASCII bytes of ``to_csv()``: the header line, then one block per 4,096 shots at most.
 
         Beyond the shots themselves, memory stays at one block's buffers
         whatever the shot count, so writing each block as it comes streams the file.
         """
-        yield _PHASE_HEADER
-        yield from _shot_rows(self.phi, self.z)
+        return _shot_table(self.phi, self.z).csv_blocks()
 
     def to_csv(self) -> str:
         """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``."""
@@ -443,16 +286,16 @@ def _phase_pass(blocks: Iterable[tuple[np.ndarray, np.ndarray]], file: BinaryIO 
     (``_SAMPLE_BLOCK`` shots) the last bits depend on the blocking.
     """
     counts, cos_sums, sin_sums = {1: 0, -1: 0}, {1: [], -1: []}, {1: [], -1: []}
-    if file is not None:
-        file.write(_PHASE_HEADER)
+    header = True
     for phi, z in blocks:
         for outcome in (1, -1):
             phis = phi[z == outcome]
             counts[outcome] += phis.size
             cos_sums[outcome].append(float(np.sum(np.cos(phis))))
             sin_sums[outcome].append(float(np.sum(np.sin(phis))))
-        for chunk in _shot_rows(phi, z) if file is not None else ():
-            file.write(chunk)
+        if file is not None:
+            file.writelines(_shot_table(phi, z).csv_blocks(header))
+            header = False
     n = counts[1] + counts[-1]
     if not n:
         raise ValueError("cannot estimate harmonics from an empty shot record (total=0)")

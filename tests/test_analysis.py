@@ -20,6 +20,7 @@ from quasijoint import (
     PureState,
     ScanGrid,
     SingularInversion,
+    cli,
     evaluate_phase_density,
     negativity_of,
     operational_joint_discrete,
@@ -32,7 +33,7 @@ from quasijoint import (
     scan_negativity,
 )
 from quasijoint.analysis import _negative_mass
-from quasijoint.sampling import _CSV_BLOCK
+from quasijoint._table import _CSV_BLOCK
 from helpers import (
     DiscardingSink,
     assert_same_text,
@@ -379,6 +380,15 @@ class TestScanNegativity:
         assert_same_text(text, scan_csv_reference(grid))
         assert "-1.0000000000000000e-100,-2.0000000000000000e-150,,1\n" in text
         assert written_csv(grid) == text.encode("ascii")
+        # the JSON records of the same cells, through the same writer
+        cells = [
+            {"theta": theta, "vartheta": vartheta, "min_value": None if flag else value, "flag": int(flag)}
+            for theta, flags, values in zip(grid.theta_values.tolist(), singular.tolist(), min_values.tolist())
+            for vartheta, flag, value in zip(grid.vartheta_values.tolist(), flags, values)
+        ]
+        records = "".join(grid.table().json_records(2))
+        assert_same_text(records, cli._render_json_value(cells, 2))
+        assert '"min_value": -1.0000000000000000e-100,\n' in records
 
     def test_writing_a_500_by_500_grid_holds_one_block(self):
         grid = scan_negativity(

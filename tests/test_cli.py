@@ -14,7 +14,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from quasijoint import (
     MarkerConfig,
@@ -26,7 +26,8 @@ from quasijoint import (
     sample_phase,
 )
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
-from quasijoint.sampling import _CSV_BLOCK, _SAMPLE_BLOCK, _phase_blocks
+from quasijoint._table import _CSV_BLOCK, Coded, Table
+from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,6 +154,79 @@ class TestJsonFloatArrays:
             assert str(from_array.value) == f"refusing to print non-finite value {bad!r}"
 
 
+def _csv_field(value) -> str:
+    return "" if value is None else f"{value:.16e}" if isinstance(value, float) else str(value)
+
+
+class TestTables:
+    """Every template of a ``Table`` renders exactly as its rows formatted field by field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_csv_and_json_records_match_per_field_rendering(self, data):
+        n = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 3 * _CSV_BLOCK + 1)), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kinds = data.draw(st.lists(st.sampled_from(["float", "int", "str", "coded float", "cycling"]), min_size=1, max_size=5))
+        kinds[0] = "float" if kinds[0] == "cycling" else kinds[0]  # the first column sets the row count
+        # UTF-8 has no surrogates, and CSV text holds no NUL (both refused, see below)
+        texts = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=8)
+        columns, cells = [], []
+        for kind in kinds:
+            if kind == "float":  # missing where NaN
+                pool = np.append(data.draw(_float_arrays()), math.nan)
+                columns.append(pool[rng.integers(pool.size, size=n)])
+                cells.append([None if math.isnan(v) else v for v in columns[-1].tolist()])
+                continue
+            if kind == "coded float":  # a float64 array, formatted by the kernel at once
+                values = np.concatenate([data.draw(_float_arrays()), data.draw(_float_arrays()), [0.5]])
+                plain = values.tolist()
+            else:
+                values = plain = data.draw(
+                    st.lists(texts if kind == "str" else st.integers(-(2**70), 2**70), min_size=1, max_size=5)
+                )
+            if kind == "cycling":
+                repeat = data.draw(st.integers(1, 5000))
+                columns.append(Coded(values, repeat=repeat))
+                cells.append([plain[r // repeat % len(plain)] for r in range(n)])
+            else:  # negative codes count from the end
+                codes = rng.integers(-len(plain), len(plain), size=n)
+                columns.append(Coded(values, codes))
+                cells.append([plain[c] for c in codes.tolist()])
+        names = [f"c{i}" for i in range(len(kinds))]
+        rows = list(zip(*cells)) if n else []
+        table = Table(names, columns)
+        expected = "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+        assert b"".join(table.csv_blocks()).decode("utf-8") == ",".join(names) + "\n" + expected
+        level = data.draw(st.integers(0, 3), label="level")
+        records = [dict(zip(names, row)) for row in rows]
+        assert "".join(table.json_records(level)) == cli._render_json_value(records, level)
+
+    def test_values_equal_as_numbers_keep_their_own_text(self):
+        # templates are reused between tables by their texts, never by values that compare equal
+        for values in ([0.0, 1, True], [-0.0, 1.0, 1], [0, 1.0, False]):
+            table = Table(["v"], [Coded(values)])
+            assert b"".join(table.csv_blocks()) == ("v\n" + "".join(f"{_csv_field(v)}\n" for v in values)).encode()
+            assert "".join(table.json_records(0)) == cli._render_json_value([{"v": v} for v in values], 0)
+
+    def test_csv_text_holding_nul_and_any_surrogate_are_refused(self):
+        # the writer drops the NULs that pad its words; JSON escapes a NUL as \u0000
+        for values in (["a\0b"], ["\0", "a"]):
+            table = Table(["name", "value"], [Coded(values, np.zeros(2, int)), np.ones(2)])
+            with pytest.raises(ValueError, match="NUL"):
+                b"".join(table.csv_blocks())
+            assert json.loads("".join(table.json_records(0)))[1]["name"] == values[0]
+        table = Table(["name"], [Coded(["\udcff"])])
+        for render in (lambda: b"".join(table.csv_blocks()), lambda: table.json_records(0)):
+            with pytest.raises(UnicodeEncodeError):  # a ValueError, exit 2 in the CLI
+                render()
+
+    def test_infinity_has_no_json_text(self):
+        table = Table(["value"], [np.array([0.5, -math.inf, math.nan])])
+        assert b"".join(table.csv_blocks()) == b"value\n5.0000000000000000e-01\n-inf\n\n"
+        with pytest.raises(ValueError, match="refusing to print non-finite value -inf"):
+            table.json_records(1)
+
+
 class TestExitCodes:
     def test_unnormalizable_state_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, ["exact", "--state", "1,0,0,1"])
@@ -269,6 +343,19 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("mode", ["discrete", "phase"])
+    def test_shots_path_that_utf8_cannot_encode_leaves_no_file(self, capsys, tmp_path, mode):
+        # the argv of a file name holding the byte 0xff, as Python decodes it
+        code, out, err = run_cli(
+            capsys,
+            ["sample", "--state", "1,0,0,0", "--theta", "0.6", "--vartheta", "1.1", "--mode", mode,
+             "--n", "10", "--shots-out", f"{tmp_path}/\udcff.csv"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --shots-out ") and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option", ["--shots-out", "--output"])
     @pytest.mark.parametrize("mode", ["discrete", "phase"])
@@ -542,6 +629,16 @@ class TestOptionResolution:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.iterdir())
 
+
+    def test_csv_config_lines_escape_echoed_strings(self, capsys, tmp_path):
+        target = tmp_path / "new\nline.csv"
+        code, _, err = run_cli(capsys, ["exact", "--state", "1,0,0,0", "--format", "csv", "--output", str(target)])
+        assert code == 0, err
+        lines = target.read_text().split("\n")
+        keys = ["command", "state", "format", "phi_points", "output"]
+        assert [line.split("=")[0] for line in lines[: len(keys)]] == [f"# {key}" for key in keys]
+        assert lines[len(keys)] == "quantity,value"
+        assert lines[len(keys) - 1] == f"# output={json.dumps(str(target), ensure_ascii=False)[1:-1]}"
 
     def test_scan_csv_output_under_a_non_ascii_path(self, capsys, tmp_path):
         # the config echo holds the path, and the scan table is joined to it as bytes

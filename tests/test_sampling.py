@@ -27,16 +27,8 @@ from quasijoint import (
     sample_discrete,
     sample_phase,
 )
-from quasijoint.sampling import (
-    _CSV_BLOCK,
-    _E16_WORDS,
-    _SAMPLE_BLOCK,
-    _asin,
-    _format_e16,
-    _phase_blocks,
-    _phase_pass,
-    _wrap_phase,
-)
+from quasijoint._table import _CSV_BLOCK, _E16_WORDS, _format_e16
+from quasijoint.sampling import _SAMPLE_BLOCK, _asin, _phase_blocks, _phase_pass, _wrap_phase
 from helpers import (
     DiscardingSink,
     assert_same_text,
