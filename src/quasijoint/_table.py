@@ -3,17 +3,18 @@
 A ``Table`` is column names plus columns: float64 arrays, NaN marking a
 missing value, and ``Coded`` columns of a few distinct values formatted
 once.  Its three templates (CSV rows, JSON records at a nesting level, a
-one-column JSON float array) are all written by ``_blocks``: every row is
-a fixed number of 4-byte words in a word-major buffer of at most
-``_CSV_BLOCK`` rows, float fields are written by ``_format_e16``, the exact
-vectorised ``%.16e`` kernel, and the NULs that pad the words are dropped as
-each block is emitted, so the text is byte-identical to formatting every
-field with Python.
+one-column JSON float array) are all written by ``_blocks``.  A short table
+is formatted row by row.  In a longer one every row is a fixed number of
+4-byte words in a word-major buffer of at most ``_CSV_BLOCK`` rows, float
+fields are written by ``_format_e16``, the exact vectorised ``%.16e``
+kernel, and the NULs that pad the words are dropped as each block is
+emitted.  Either way the text is byte-identical to formatting every field
+with Python.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from json.encoder import encode_basestring
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -24,6 +25,9 @@ import numpy as np
 #: (about 100 B a row) scale with it, so it is kept well below the size of a
 #: typical scan or shot file
 _CSV_BLOCK = 1 << 12
+#: tables of fewer rows are formatted row by row: below it that costs less
+#: than laying a row out as words
+_WORDS_FROM = 64
 
 
 def _words(text: str) -> np.ndarray:
@@ -38,8 +42,6 @@ def _words(text: str) -> np.ndarray:
 _E16_WORDS = 6
 #: byte 0 of a field's first word, the separator the caller sets
 _SEPARATOR_MASK = np.frombuffer(b"\xff\0\0\0", np.uint32)[0]
-#: below this many values, the numpy set-up costs more than formatting each value by Python
-_PER_VALUE_BELOW = 48
 #: exact doubles 1e0 .. 1e22, each with its Dekker split by 2**27 + 1
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
@@ -85,16 +87,13 @@ def _format_e16(values: np.ndarray, out: np.ndarray) -> list[int]:
     significant digits are the exact product |v| * 10**(16 - E) rounded half
     to even, which needs 10**(16 - E) to be an exact double: so
     1e-6 < |v| < 1e17 and zeros are written here, and every other value
-    (NaN and inf included) is formatted by Python, as is every value of an
-    array shorter than ``_PER_VALUE_BELOW``.
+    (NaN and inf included) is formatted by Python.
 
     Returns the indices of the values whose text has 24 characters, a
     negative value with a three-digit exponent such as -1e-100: it does not
     fit after the separator, so their columns hold only the separator and
     NULs, and the caller writes those rows some other way.
     """
-    if values.size < _PER_VALUE_BELOW:
-        return _format_each(values, out, slice(None))
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e17)  # decimal exponents -6 .. 16; False for NaN
     slow = ~fast
@@ -135,24 +134,19 @@ def _format_e16(values: np.ndarray, out: np.ndarray) -> list[int]:
         group -= quotient * 10_000
         _DIGITS4.take(group, out=out[row + 1], mode="clip")
     _EXPONENTS.take(k, out=out[5], mode="clip")
-    return _format_each(values, out, np.flatnonzero(slow & (values != 0.0)))
-
-
-def _format_each(values: np.ndarray, out: np.ndarray, index: np.ndarray | slice) -> list[int]:
-    """``_format_e16`` of the values at ``index`` by Python, written at once; returns the 24-character ones."""
-    texts = [f"{value:.16e}" for value in values[index].tolist()]
-    if not texts:
-        return []
-    width = 4 * _E16_WORDS - 1
-    separators = out[0, index].tobytes()[::4].decode("latin-1")  # byte 0 of each first word
-    fields = "".join(s + (t if len(t) <= width else "").ljust(width, "\0") for s, t in zip(separators, texts))
-    out[:, index] = np.frombuffer(fields.encode("latin-1"), np.uint32).reshape(-1, _E16_WORDS).T
-    positions = range(len(texts)) if isinstance(index, slice) else index.tolist()
-    return [i for i, text in zip(positions, texts) if len(text) > width]
+    wide = []
+    for i in np.flatnonzero(slow & (values != 0.0)).tolist():
+        text = f"{values[i]:.16e}".encode("ascii")
+        if len(text) >= 4 * _E16_WORDS:
+            wide.append(i)
+            text = b""
+        field = out[:1, i].tobytes()[:1] + text.ljust(4 * _E16_WORDS - 1, b"\0")
+        out[:, i] = np.frombuffer(field, np.uint32)
+    return wide
 
 
 class Coded(NamedTuple):
-    """A column of a few distinct values, each formatted once (a float64 array of them by the kernel).
+    """A column of a few distinct values, each formatted once.
 
     Row r holds ``values[codes[r]]``, a negative code counting from the end
     as in Python.  Without codes the values cycle, each for ``repeat`` rows:
@@ -217,13 +211,12 @@ def _json_value(value) -> str:
     return _csv_value(value)
 
 
-def _kind(values, value_text: Callable) -> bytes | tuple[bytes, ...]:
-    """A coded column's values as ``_template`` takes them: a float64 array's bits, else their texts."""
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
-        return tuple(value_text(value).encode("utf-8") for value in values)
-    for value in values[~np.isfinite(values)].tolist():
-        value_text(value)  # raises where the format has no text for it
-    return values.tobytes()
+def _texts(values, value_text: Callable) -> list[str]:
+    """A coded column's values as text, refusing a NUL: the word writer drops the NULs that pad its words."""
+    texts = [value_text(value) for value in (values.tolist() if isinstance(values, np.ndarray) else values)]
+    if "\0" in "".join(texts):
+        raise ValueError("a table's text cannot hold a NUL character")
+    return texts
 
 
 def _json_list(columns, texts: list[str], level: int, missing: str | None = "null") -> list[str]:
@@ -235,129 +228,101 @@ def _json_list(columns, texts: list[str], level: int, missing: str | None = "nul
     return ["[\n", *blocks, "\n" + "  " * level + "]"]
 
 
-@functools.lru_cache(maxsize=16)
-def _template(texts: tuple[str, ...], missing: str | None, kinds: tuple) -> tuple:
-    """The row ``texts[0] field texts[1] ... field texts[-1]`` laid out as words, cached by texts and kinds.
+def _padded(text: bytes, size: int = 0) -> bytes:
+    """``text`` padded with NULs to whole words, at least ``size`` bytes."""
+    return text.ljust(max(size, -(-len(text) // 4) * 4), b"\0")
 
-    ``kinds`` holds, per column, None for a float column and ``_kind`` of a
-    coded one.  A row is a run of parts.  A ``%.16e`` field (a float column,
-    or a coded column of float64 values) is six words after a separator, the
-    last byte of the text before it.  A coded column of texts is one width,
-    with the constant text around it; a constant with none beside it is a
-    part of its own.  Returns the words of a row holding the constants,
-    separators and first coded values, then per column its word offset and
-    either, for a float column, the words of a missing value (None if
-    ``missing`` is), or for a coded one the word-major table of its values
-    and the mask of those whose 24-character text the kernel left out.
-    """
-    parts, pending = [], texts[0].encode("utf-8")  # [kind, separator] or [kind or False, texts]
-    for kind, text in zip([*kinds, False], [*texts[1:], ""]):
-        field = kind is None or isinstance(kind, bytes)
-        if field:
-            pending, separator = pending[:-1], pending[-1:]
-        if pending and parts and isinstance(parts[-1][1], list):  # constant text ends the texts before it
-            parts[-1][1] = [t + pending for t in parts[-1][1]]
-        elif pending:
-            parts.append([False, [pending]])
-        if field:
-            parts.append([kind, separator])
-        elif kind is not False:  # a lone constant before it becomes its prefix
-            prefix = parts.pop()[1][0] if parts and parts[-1][0] is False else b""
-            parts.append([kind, [prefix + value for value in kind]])
-        pending = text.encode("utf-8")
-    first, fields, offset = [], [], 0
-    for kind, text in parts:
-        if isinstance(text, bytes):
-            first.append(text.ljust(4 * _E16_WORDS, b"\0"))
-        if kind is None:
-            empty = None if missing is None else (text or b"\0") + missing.encode("ascii")
-            empty = empty and np.frombuffer(empty.ljust(4 * _E16_WORDS, b"\0"), np.uint32)[:, None]
-            fields.append((offset, empty, None))
-        elif isinstance(kind, bytes):
-            table = np.repeat(np.frombuffer(first[-1], np.uint32)[:, None], len(kind) // 8, axis=1)
-            wide = np.zeros(table.shape[1], bool)
-            wide[_format_e16(np.frombuffer(kind), table)] = True
-            table.flags.writeable = wide.flags.writeable = False  # cached, so shared by every caller
-            fields.append((offset, table, wide if wide.any() else None))
+
+def _rows(columns, texts: list[str], missing: str | None, value_text: Callable, start: int, stop: int) -> bytes:
+    """Rows ``start`` to ``stop`` of ``_blocks``, formatted field by field."""
+    fields = [itertools.repeat(texts[0])]
+    for column, text in zip(columns, texts[1:]):
+        if isinstance(column, Coded):
+            codes, values = column.codes_of(start, stop), column.values
+            picked = values[codes] if isinstance(values, np.ndarray) else [values[c] for c in codes.tolist()]
+            fields.append(_texts(picked, value_text))
         else:
-            if b"\0" in b"".join(text):
-                raise ValueError("a table's text cannot hold a NUL character")
-            width = -(-max(1, *map(len, text)) // 4)  # a word at least, should every text be empty
-            text = [t.ljust(4 * width, b"\0") for t in text]
-            first.append(text[0])
-            if kind is not False:
-                fields.append((offset, np.frombuffer(b"".join(text), np.uint32).reshape(-1, width).T, None))
-        offset += len(first[-1]) // 4
-    return np.frombuffer(b"".join(first), np.uint32)[:, None], fields
+            values = column[start:stop].tolist()
+            fields.append([missing if v != v and missing is not None else value_text(v) for v in values])
+        fields.append(itertools.repeat(text))
+    return "".join(map("".join, zip(*fields))).encode("utf-8")
 
 
 def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable) -> Iterator[bytes]:
-    """The rows of a template (see ``_template``), NULs dropped, a block per ``_CSV_BLOCK`` rows at most.
+    """The rows ``texts[0] field texts[1] ... field texts[-1]`` as UTF-8, a block per ``_CSV_BLOCK`` rows at most.
 
-    A coded field is written as ``value_text`` of its value, a float field as
-    ``%.16e`` or, where it is NaN, as ``missing`` (which None refuses).  A
-    block holds whole cycles of the longest cycling column that fits, so that
-    column, like every constant, is written once.  A row with a 24-character
-    float field is rebuilt with the field's text put in after its separator.
+    A coded field is ``value_text`` of its value, a float field ``%.16e``
+    or, where it is NaN, ``missing`` (which None refuses).  Fewer than
+    ``_WORDS_FROM`` rows are formatted row by row.  Otherwise a row is laid
+    out as words: the text before a coded field leads each of its values
+    (and the row's last text ends them, after the last column), the last
+    byte of the text before a float field is its separator, and any other
+    text is constant, written once.  A 24-character float field does not
+    fit after its separator, so its row, like a row holding inf, is
+    formatted field by field.
     """
     rows = len(columns[0])
     if not rows:
         return
-    kinds = tuple(None if isinstance(c, np.ndarray) else _kind(c.values, value_text) for c in columns)
-    first, fields = _template(tuple(texts), missing, kinds)
+    if rows < _WORDS_FROM:
+        yield _rows(columns, texts, missing, value_text, 0, rows)
+        return
+    layout, coded, floats = [], [], []  # a row's words holding its constant text; the fields at their offsets
+    pending = texts[0].encode("utf-8")
+    for i, column in enumerate(columns):
+        after = texts[i + 1].encode("utf-8")
+        values = column.values if isinstance(column, Coded) else column
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64):  # coded by texts
+            end, after = (after, b"") if i == len(columns) - 1 else (b"", after)
+            values = [pending + text.encode("utf-8") + end for text in _texts(values, value_text)]
+            width = max(1, -(-max(map(len, values)) // 4))
+            table = np.array(values, f"S{4 * width}").view(np.uint32).reshape(-1, width).T
+            coded.append((len(b"".join(layout)) // 4, column, table, None))
+            layout.append(bytes(4 * width))
+            pending = after
+            continue
+        layout.append(_padded(pending[:-1]))
+        field = _padded(pending[-1:], 4 * _E16_WORDS)
+        if isinstance(column, Coded):  # its %.16e fields written once; rows of the marked ones by Python
+            table = np.repeat(np.frombuffer(field, np.uint32)[:, None], values.size, axis=1)
+            marked = ~np.isfinite(values)
+            marked[_format_e16(values, table)] = True
+            coded.append((len(b"".join(layout)) // 4, column, table, marked if marked.any() else None))
+        else:
+            empty = np.frombuffer(_padded(field[:1] + (missing or "").encode("ascii"), 4 * _E16_WORDS), np.uint32)
+            floats.append((len(b"".join(layout)) // 4, column, empty[:, None]))
+        layout.append(field)
+        pending = after
+    layout.append(_padded(pending))
+    # a block holds whole cycles of the longest cycling column that fits, so their words, like the
+    # constants, are written with the first block only
     cycles = [len(c) for c in columns if isinstance(c, Coded) and c.codes is None and len(c) <= _CSV_BLOCK]
     height = min(rows, _CSV_BLOCK - _CSV_BLOCK % max(cycles, default=1))
-    words = np.empty((len(first), height), np.uint32)
-    words[...] = first
-    coded, floats = [], []
-    for column, (offset, table, wide) in zip(columns, fields):
-        if isinstance(column, np.ndarray):
-            floats.append((offset, column, table))
-        elif column.codes is None and height % len(column) == 0 and wide is None:  # whole cycles, written once
-            table.take(column.codes_of(0, height), axis=1, out=words[offset : offset + len(table)], mode="wrap")
-        else:
-            coded.append((offset, column, table, wide))
+    words = np.empty((len(b"".join(layout)) // 4, height), np.uint32)
+    words[...] = np.frombuffer(b"".join(layout), np.uint32)[:, None]
     for start in range(0, rows, height):
         block = words[:, : min(height, rows - start)]
         stop = start + block.shape[1]
-        fixes: dict[int, list] = {}  # row -> (byte offset, text) of its 24-character fields
-        for offset, column, table, wide in coded:
+        wide = set()  # rows formatted field by field: a 24-character float field, or inf
+        for offset, column, table, marked in coded:
+            if start and column.codes is None and height % len(column) == 0 and marked is None:
+                continue  # whole cycles, as the first block wrote them
             codes = column.codes_of(start, stop)
             table.take(codes, axis=1, out=block[offset : offset + len(table)], mode="wrap")
-            for r in np.flatnonzero(wide.take(codes, mode="wrap")).tolist() if wide is not None else ():
-                text = f"{column.values[codes[r]]:.16e}".encode("ascii")
-                fixes.setdefault(r, []).append((4 * offset + 1, text))
-        if floats:  # every float field of the block in one kernel call, side by side
-            k, absent = block.shape[1], None
-            if len(floats) == 1:
-                values, out = floats[0][1][start:stop], block[floats[0][0] : floats[0][0] + _E16_WORDS]
-            else:  # each field's separator first, then copied into place
-                values = np.concatenate([column[start:stop] for _, column, _ in floats])
-                out = np.empty((_E16_WORDS, values.size), np.uint32)
-                out[0] = np.repeat(first[[offset for offset, _, _ in floats], 0], k)
-            if not np.isfinite(values).all():
-                refused = ~np.isfinite(values)
-                if missing is not None:
-                    absent = np.isnan(values)
-                    refused &= ~absent
-                    values = np.where(absent, 0.0, values)
-                for value in values[refused].tolist():
-                    value_text(value)  # raises where the format has no text for it
-            for i in _format_e16(values, out):
-                text = f"{values[i]:.16e}".encode("ascii")
-                fixes.setdefault(i % k, []).append((4 * floats[i // k][0] + 1, text))
-            for j, (offset, _, empty) in enumerate(floats):
-                field = block[offset : offset + _E16_WORDS]
-                if len(floats) > 1:
-                    field[...] = out[:, j * k : (j + 1) * k]
-                if absent is not None:
-                    np.copyto(field, empty, where=absent[j * k : (j + 1) * k])
+            if marked is not None:
+                wide.update(np.flatnonzero(marked.take(codes, mode="wrap")).tolist())
+        for offset, column, empty in floats:
+            values, field, absent = column[start:stop], block[offset : offset + _E16_WORDS], None
+            if not np.isfinite(values).all():  # NaN is missing where it has a text; other rows by Python
+                absent = np.isnan(values) & (missing is not None)
+                wide.update(np.flatnonzero(~np.isfinite(values) & ~absent).tolist())
+                values = np.where(np.isfinite(values), values, 0.0)
+            wide.update(_format_e16(values, field))
+            if absent is not None:
+                np.copyto(field, empty, where=absent)
         pieces, done = [], 0
-        for r in sorted(fixes):
-            row = bytearray(block[:, r].tobytes())
-            for at, text in sorted(fixes[r], reverse=True):  # the later field first: earlier offsets hold
-                row[at : at + 4 * _E16_WORDS - 1] = text
-            pieces += [block[:, done:r].T.tobytes(), row]
+        for r in sorted(wide):
+            pieces += [block[:, done:r].T.tobytes(), _rows(columns, texts, missing, value_text, start + r, start + r + 1)]
             done = r + 1
         pieces.append(block[:, done:].T.tobytes())
         text = b"".join(pieces)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from quasijoint._table import Coded, Table
+from quasijoint._table import SIGNS, Coded, Table
 from quasijoint.analysis import negativity_of, scan_negativity
 from quasijoint.inversion import (
     SingularInversion,
@@ -77,7 +77,7 @@ MAX_PHI_POINTS = 100_000
 #: cap guards time (about 0.25 us per exported shot) and disk (about 26 B per shot)
 MAX_PHASE_SHOTS = 10_000_000
 #: the x and z columns of a discrete table, rows in ``DiscreteJoint.items()`` order
-_X, _Z = Coded((1, -1), repeat=2), Coded((1, -1))
+_X, _Z = Coded(SIGNS, np.array([1, 1, -1, -1])), Coded(SIGNS, np.array([1, -1, 1, -1]))
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,22 @@ class TestScanNegativity:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # the file is 19 MB
 
+    def test_writing_large_grids_keeps_nothing_between_calls(self):
+        # each grid's 50,000 vartheta fields are 1.2 MB of words while it is written
+        state = PureState(COS_PI_8, SIN_PI_8)
+        tracemalloc.start()
+        try:
+            for k in range(4):
+                grid = scan_negativity(state, [0.3], np.linspace(0.0, 3.0 + 0.01 * k, 50_000))
+                DiscardingSink().writelines(grid.csv_blocks())
+                del grid
+                if not k:
+                    held, _ = tracemalloc.get_traced_memory()
+            grown = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert grown < 2**18
+
     def test_csv_of_signed_zero_and_tiny_minima(self):
         grid = ScanGrid(
             theta_values=np.array([0.1, 2.0]),

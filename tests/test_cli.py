@@ -26,7 +26,7 @@ from quasijoint import (
     sample_phase,
 )
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
-from quasijoint._table import _CSV_BLOCK, Coded, Table
+from quasijoint._table import _CSV_BLOCK, _WORDS_FROM, Coded, Table
 from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
@@ -145,7 +145,7 @@ class TestJsonFloatArrays:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_element_raises_the_list_message(self, bad):
-        for values in ([bad], [0.5, -1e-9, bad, 2.0], [1.0, bad, -bad, math.nan]):
+        for values in ([bad], [0.5, -1e-9, bad, 2.0], [1.0, bad, -bad, math.nan], [0.25] * 100 + [bad, math.nan]):
             with pytest.raises(ValueError) as from_list:
                 cli._render_json_value(values, 1)
             with pytest.raises(ValueError) as from_array:
@@ -164,10 +164,12 @@ class TestTables:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_csv_and_json_records_match_per_field_rendering(self, data):
-        n = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 3 * _CSV_BLOCK + 1)), label="rows")
+        n = data.draw(st.one_of(st.integers(0, 2 * _WORDS_FROM), st.integers(0, 3 * _CSV_BLOCK + 1)), label="rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        kinds = data.draw(st.lists(st.sampled_from(["float", "int", "str", "coded float", "cycling"]), min_size=1, max_size=5))
-        kinds[0] = "float" if kinds[0] == "cycling" else kinds[0]  # the first column sets the row count
+        kinds = data.draw(
+            st.lists(st.sampled_from(["float", "int", "str", "coded float", "cycling", "cycling float"]), min_size=1, max_size=5)
+        )
+        kinds[0] = "float" if kinds[0].startswith("cycling") else kinds[0]  # the first column sets the row count
         # UTF-8 has no surrogates, and CSV text holds no NUL (both refused, see below)
         texts = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=8)
         columns, cells = [], []
@@ -177,14 +179,14 @@ class TestTables:
                 columns.append(pool[rng.integers(pool.size, size=n)])
                 cells.append([None if math.isnan(v) else v for v in columns[-1].tolist()])
                 continue
-            if kind == "coded float":  # a float64 array, formatted by the kernel at once
+            if kind.endswith(" float"):  # a float64 array, formatted by the kernel at once
                 values = np.concatenate([data.draw(_float_arrays()), data.draw(_float_arrays()), [0.5]])
                 plain = values.tolist()
             else:
                 values = plain = data.draw(
                     st.lists(texts if kind == "str" else st.integers(-(2**70), 2**70), min_size=1, max_size=5)
                 )
-            if kind == "cycling":
+            if kind.startswith("cycling"):
                 repeat = data.draw(st.integers(1, 5000))
                 columns.append(Coded(values, repeat=repeat))
                 cells.append([plain[r // repeat % len(plain)] for r in range(n)])
@@ -202,7 +204,7 @@ class TestTables:
         assert "".join(table.json_records(level)) == cli._render_json_value(records, level)
 
     def test_values_equal_as_numbers_keep_their_own_text(self):
-        # templates are reused between tables by their texts, never by values that compare equal
+        # every table formats its own values, so values equal as numbers keep their own text
         for values in ([0.0, 1, True], [-0.0, 1.0, 1], [0, 1.0, False]):
             table = Table(["v"], [Coded(values)])
             assert b"".join(table.csv_blocks()) == ("v\n" + "".join(f"{_csv_field(v)}\n" for v in values)).encode()
@@ -225,6 +227,13 @@ class TestTables:
         assert b"".join(table.csv_blocks()) == b"value\n5.0000000000000000e-01\n-inf\n\n"
         with pytest.raises(ValueError, match="refusing to print non-finite value -inf"):
             table.json_records(1)
+        values = np.full(3 * _WORDS_FROM, 0.5)  # laid out as words
+        values[_WORDS_FROM] = -math.inf
+        for column in (values, Coded(values, np.arange(values.size)[::-1])):
+            table = Table(["value"], [column])
+            assert b"".join(table.csv_blocks()).count(b"\n-inf\n") == 1
+            with pytest.raises(ValueError, match="refusing to print non-finite value -inf"):
+                table.json_records(1)
 
 
 class TestExitCodes:
