@@ -227,7 +227,7 @@ _OPTIONS = {
 def load_config_file(path: str) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored; unknown keys rejected."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -8,12 +8,15 @@ reconstructed joint keeps the exact single-observable marginals but may go
 negative; it is tagged kind="quasi" so no nonnegativity invariant is ever
 asserted on it downstream.
 
-Singular configurations are rejected before any NaN or Inf can appear:
-cos(theta) ~ 0 raises SingularMarking (full marking, fringes irrecoverable)
-and sin(theta)*sin(2*vartheta - theta) ~ 0 raises SingularAnalyzer (the
-analyzer outcomes resolve no path information).  theta = 0 is served by the
-closed-form limit expressions, where the divergent mu_Z matrix is never
-needed; the matrix path rejects it.
+Singular configurations are rejected before any NaN or Inf can appear, by
+one helper against the one threshold SINGULARITY_EPS.  cos(theta) ~ 0 raises
+SingularMarking on every route (full marking, fringes irrecoverable).
+SingularAnalyzer (the analyzer outcomes resolve no path information) has
+one condition per route.  The matrix route (mu_Z, both data inversions)
+needs sin(theta)*sin(2*vartheta - theta) away from 0.  The closed forms
+need only sin(2*vartheta - theta) away from 0, with theta = 0 exempt: it is
+served by the closed-form limit expressions, where the divergent mu_Z
+matrix is never needed; the matrix route rejects it.
 """
 
 from __future__ import annotations
@@ -53,36 +56,34 @@ class SingularMarking(SingularInversion):
 
 
 class SingularAnalyzer(SingularInversion):
-    """sin(theta)*sin(2*vartheta - theta) vanished: analyzer outcomes carry no invertible path signal."""
+    """The analyzer denominator vanished: analyzer outcomes carry no invertible path signal."""
 
 
-def _check_marking(theta: float, eps: float) -> float:
-    c = math.cos(theta)
-    if abs(c) <= eps:
-        raise SingularMarking(
-            f"cos(theta) = {c:.3e} at theta = {theta!r}; "
-            f"|cos(theta)| <= {eps:.1e} cannot be inverted"
-        )
-    return c
+def _nonsingular(den: float, error: type[SingularInversion], name: str, theta: float, vartheta: float | None = None):
+    """The kernel denominator ``den``, or ``error`` naming it and the angles if |den| <= SINGULARITY_EPS.
+
+    Every singular configuration in the package is raised here.
+    """
+    if abs(den) <= SINGULARITY_EPS:
+        angles = f"theta = {theta!r}" + ("" if vartheta is None else f", vartheta = {vartheta!r}")
+        raise error(f"{name} = {den:.3e} at {angles}; magnitude <= {SINGULARITY_EPS:.1e} cannot be inverted")
+    return den
 
 
-def mu_x_matrix(theta: float, eps: float = SINGULARITY_EPS) -> np.ndarray:
+def mu_x_matrix(theta: float) -> np.ndarray:
     """Fringe kernel mu_X(x, x') = (1 + x*x'/cos(theta))/2 as a 2x2 array indexed [x, x']."""
-    c = _check_marking(theta, eps)
+    c = _nonsingular(math.cos(theta), SingularMarking, "cos(theta)", theta)
     lo = 0.5 * (1.0 - 1.0 / c)
     hi = 0.5 * (1.0 + 1.0 / c)
     return np.array([[hi, lo], [lo, hi]])
 
 
-def mu_z_matrix(config: MarkerConfig, eps: float = SINGULARITY_EPS) -> np.ndarray:
+def mu_z_matrix(config: MarkerConfig) -> np.ndarray:
     """Analyzer kernel as a 2x2 array indexed [z, z'], denominator sin(theta)*sin(2*vartheta - theta)."""
-    den = math.sin(config.theta) * math.sin(2.0 * config.vartheta - config.theta)
-    if abs(den) <= eps:
-        raise SingularAnalyzer(
-            f"sin(theta)*sin(2*vartheta - theta) = {den:.3e} at "
-            f"theta = {config.theta!r}, vartheta = {config.vartheta!r}; "
-            f"magnitude <= {eps:.1e} cannot be inverted"
-        )
+    den = _nonsingular(
+        math.sin(config.theta) * math.sin(2.0 * config.vartheta - config.theta),
+        SingularAnalyzer, "sin(theta)*sin(2*vartheta - theta)", config.theta, config.vartheta,
+    )
     sv = math.sin(config.vartheta)
     cv = math.cos(config.vartheta)
     sd = math.sin(config.vartheta - config.theta)
@@ -90,9 +91,7 @@ def mu_z_matrix(config: MarkerConfig, eps: float = SINGULARITY_EPS) -> np.ndarra
     return np.array([[sv * sv / den, -cv * cv / den], [-sd * sd / den, cd * cd / den]])
 
 
-def invert_joint_discrete(
-    joint: DiscreteJoint, config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> DiscreteJoint:
+def invert_joint_discrete(joint: DiscreteJoint, config: MarkerConfig) -> DiscreteJoint:
     """Tensor application of mu_X and mu_Z to a measured joint.
 
     The result sums to 1 (kernel columns sum to 1; the float sum is pinned
@@ -101,16 +100,14 @@ def invert_joint_discrete(
     """
     if joint.kind != OPERATIONAL:
         raise ValueError("only measured (operational) joints can be inverted")
-    mx = mu_x_matrix(config.theta, eps)
-    mz = mu_z_matrix(config, eps)
+    mx = mu_x_matrix(config.theta)
+    mz = mu_z_matrix(config)
     table = mx @ joint.table @ mz.T
     table /= table.sum()
     return DiscreteJoint(table, kind=QUASI)
 
 
-def delta_coefficients(
-    theta, vartheta, eps: float = SINGULARITY_EPS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def delta_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fringe-amplitude factors delta(z) over any broadcast shape of the angles, with singular masks.
 
     delta(+1) = sin(2*vartheta)/D and delta(-1) = sin(2*vartheta - 2*theta)/D
@@ -118,35 +115,31 @@ def delta_coefficients(
     as in ``MarkerConfig``.  Returns ``(delta, marking, analyzer)``: delta
     has a trailing analyzer axis z = (+1, -1) and sums to 2 along it, which
     is what makes the reconstructed marginals exact.  The boolean masks,
-    shaped like the broadcast angles, mark |cos(theta)| <= eps (where the
-    scalar callers raise ``SingularMarking``) and
-    |sin(2*vartheta - theta)| <= eps (``SingularAnalyzer``); delta is NaN
-    under either mask.  theta = 0 returns (1, 1) for every analyzer angle
+    shaped like the broadcast angles, mark |cos(theta)| <= SINGULARITY_EPS
+    (where the closed forms raise ``SingularMarking``) and
+    |sin(2*vartheta - theta)| <= SINGULARITY_EPS (``SingularAnalyzer``);
+    delta is NaN under either mask.  theta = 0 returns (1, 1) for every analyzer angle
     and is never masked.
     """
     theta, vartheta = _reduce_mod_pi(theta), _reduce_mod_pi(vartheta)
     c = np.cos(theta)
     s2 = np.sin(2.0 * vartheta - theta)
     limit = theta == 0.0
-    marking = np.broadcast_to(np.abs(c) <= eps, np.shape(s2))
-    analyzer = (np.abs(s2) <= eps) & ~limit
+    marking = np.broadcast_to(np.abs(c) <= SINGULARITY_EPS, np.shape(s2))
+    analyzer = (np.abs(s2) <= SINGULARITY_EPS) & ~limit
     den = np.where(limit | marking | analyzer, np.nan, c * s2)
     delta = _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
     return np.where(limit[..., None], 1.0, delta), marking, analyzer
 
 
-def _config_delta(config: MarkerConfig, eps: float) -> np.ndarray:
+def _config_delta(config: MarkerConfig) -> np.ndarray:
     """delta pair of one configuration; raises where ``delta_coefficients`` masks it."""
-    delta, marking, analyzer = delta_coefficients(config.theta, config.vartheta, eps)
-    if marking:
-        _check_marking(config.theta, eps)  # raises SingularMarking
-    if analyzer:
-        s2 = math.sin(2.0 * config.vartheta - config.theta)
-        raise SingularAnalyzer(
-            f"sin(2*vartheta - theta) = {s2:.3e} at theta = {config.theta!r}, "
-            f"vartheta = {config.vartheta!r}; magnitude <= {eps:.1e} cannot be inverted"
-        )
-    return delta
+    theta, vartheta = config.theta, config.vartheta  # reduced mod pi already, as the masks reduce them
+    _nonsingular(np.cos(theta), SingularMarking, "cos(theta)", theta, vartheta)
+    if theta != 0.0:  # the theta = 0 limit needs no analyzer
+        s2 = np.sin(2.0 * vartheta - theta)
+        _nonsingular(s2, SingularAnalyzer, "sin(2*vartheta - theta)", theta, vartheta)
+    return delta_coefficients(theta, vartheta)[0]
 
 
 def _quasi_entries(delta: np.ndarray, e: BlochExpectations):
@@ -159,29 +152,25 @@ def _quasi_entries(delta: np.ndarray, e: BlochExpectations):
             yield 0.25 * (1.0 + x * delta[..., k] * e.ex + z * e.ez)
 
 
-def quasi_joint_closed_form(
-    state: PureState, config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> DiscreteJoint:
+def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJoint:
     """Reconstructed joint P(x, z) = [1 + x*delta(z)<X> + z<Z>]/4 straight from the state.
 
     Identical to inverting the measured joint wherever both kernels exist,
     and additionally defined at theta = 0 through the delta limit, where it
     reduces to [1 + z<Z> + x<X>]/4.
     """
-    delta = _config_delta(config, eps)
+    delta = _config_delta(config)
     pp, pm, mp, mm = _quasi_entries(delta, bloch_from_state(state))
     return DiscreteJoint([[pp, pm], [mp, mm]], kind=QUASI)
 
 
-def quasi_joint_phase_closed_form(
-    state: PureState, config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> PhaseJoint:
+def quasi_joint_phase_closed_form(state: PureState, config: MarkerConfig) -> PhaseJoint:
     """Reconstructed phase joint [1 + delta(z)(cos(phi)<X> + sin(phi)<Y>) + z<Z>]/(4*pi).
 
     The phase twin of ``quasi_joint_closed_form``, including the theta = 0
     limit, where delta(z) = 1 for both z.
     """
-    delta = _config_delta(config, eps)
+    delta = _config_delta(config)
     e = bloch_from_state(state)
     four_pi = 2.0 * TWO_PI
     return PhaseJoint.from_arrays(
@@ -189,9 +178,7 @@ def quasi_joint_phase_closed_form(
     )
 
 
-def invert_joint_phase(
-    joint: PhaseJoint, config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> PhaseJoint:
+def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:
     """Apply mu_Z across the z slices and mu_Phi within each slice.
 
     This is the data-driven route; it genuinely needs sin(theta) != 0
@@ -201,8 +188,9 @@ def invert_joint_phase(
     """
     if joint.kind != OPERATIONAL:
         raise ValueError("only measured (operational) joints can be inverted")
-    mz = mu_z_matrix(config, eps)
-    gain = 1.0 / _check_marking(config.theta, eps)  # mu_Phi keeps c0, scales both harmonics
+    mz = mu_z_matrix(config)
+    c = _nonsingular(math.cos(config.theta), SingularMarking, "cos(theta)", config.theta, config.vartheta)
+    gain = 1.0 / c  # mu_Phi keeps c0, scales both harmonics
     # rows z = (+1, -1), columns (c0, c_cos, c_sin)
     slices = [(d.c0, d.c_cos, d.c_sin) for d in (joint.plus, joint.minus)]
     mixed = mz @ np.array(slices)

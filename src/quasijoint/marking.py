@@ -164,7 +164,7 @@ class PhaseJoint:
             raise ValueError(f"phase joint integrates to {total!r}, must be 1")
         if self.kind == OPERATIONAL:
             for z, density in (((1), self.plus), ((-1), self.minus)):
-                if not density.is_nonnegative(tol=JOINT_TOL):
+                if density.min_value < -JOINT_TOL:
                     raise ValueError(
                         f"operational z={z} slice dips to {density.min_value!r}"
                     )

@@ -26,7 +26,6 @@ import numpy as np
 
 from quasijoint._table import SIGNS, Coded, Table
 from quasijoint.inversion import (
-    SINGULARITY_EPS,
     invert_joint_discrete,
     mu_x_matrix,
     mu_z_matrix,
@@ -73,7 +72,6 @@ class ShotCounts:
     """Multinomial counts over the four (x, z) outcomes, laid out like ``DiscreteJoint.table``."""
 
     counts: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         try:
@@ -103,7 +101,6 @@ class PhaseShots:
     phi: np.ndarray
     z: np.ndarray
     total: int
-    seed: int
 
     def __post_init__(self) -> None:
         phi = np.asarray(self.phi, dtype=float)
@@ -160,7 +157,7 @@ def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
     rng = np.random.default_rng(seed)
     weights = np.clip(joint.table.ravel(), 0.0, None)
     counts = rng.multinomial(n, weights / weights.sum())
-    return ShotCounts(counts.reshape(2, 2), seed=seed)
+    return ShotCounts(counts.reshape(2, 2))
 
 
 def _asin(y: np.ndarray) -> np.ndarray:
@@ -239,7 +236,7 @@ def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     phi, z = np.empty(n), np.empty(n, dtype=np.int64)
     for start, (block_phi, block_z) in zip(range(0, n, _SAMPLE_BLOCK), _phase_blocks(joint, n, seed)):
         phi[start : start + _SAMPLE_BLOCK], z[start : start + _SAMPLE_BLOCK] = block_phi, block_z
-    return PhaseShots(phi=phi, z=z, total=n, seed=seed)
+    return PhaseShots(phi=phi, z=z, total=n)
 
 
 def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -305,9 +302,7 @@ def _phase_pass(blocks: Iterable[tuple[np.ndarray, np.ndarray]], file: BinaryIO 
     }
 
 
-def estimate_quasi_joint(
-    counts: ShotCounts, config: MarkerConfig, eps: float = SINGULARITY_EPS
-) -> EstimatedQuasiJoint:
+def estimate_quasi_joint(counts: ShotCounts, config: MarkerConfig) -> EstimatedQuasiJoint:
     """Invert empirical frequencies and attach delta-method standard errors.
 
     The estimate is exactly the discrete inversion applied to counts/N, so
@@ -315,8 +310,8 @@ def estimate_quasi_joint(
     the frequencies pushed through the fixed kernel kron(mu_X, mu_Z).
     """
     freq = counts.frequencies()
-    quasi = invert_joint_discrete(freq, config, eps)
-    kernel = np.kron(mu_x_matrix(config.theta, eps), mu_z_matrix(config, eps))
+    quasi = invert_joint_discrete(freq, config)
+    kernel = np.kron(mu_x_matrix(config.theta), mu_z_matrix(config))
     p = freq.table.ravel()
     cov = (np.diag(p) - np.outer(p, p)) / counts.total
     variances = np.einsum("ai,ij,aj->a", kernel, cov, kernel)

@@ -178,9 +178,6 @@ class PhaseDensity:
         """Integral over one period, 2*pi*c0; equals 1 for normalized densities."""
         return TWO_PI * self.c0
 
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return self.min_value >= -tol
-
 
 def bloch_from_state(state: PureState) -> BlochExpectations:
     """Expectations of the three binary observables of the aperture qubit.

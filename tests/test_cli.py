@@ -8,6 +8,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -271,6 +274,16 @@ class TestExitCodes:
         assert code == 3
         assert "sin(" in err
 
+    def test_small_theta_splits_the_closed_form_and_data_routes(self, capsys):
+        # at theta = 1e-10 only the data route's sin(theta) factor is below the threshold
+        angles = ["--state", TILTED_STATE, "--theta", "1e-10", "--vartheta", "0.3"]
+        code, out, err = run_cli(capsys, ["invert", *angles])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["negativity"]["min_value"] < 0.0
+        code, out, err = run_cli(capsys, ["sample", *angles, "--n", "10"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: singular configuration: sin(theta)*sin(2*vartheta - theta) = ")
+
     # every size below is rejected before anything is allocated
     def test_oversized_scan_grid_rejected(self, capsys):
         for theta_grid, vartheta_grid in (
@@ -517,6 +530,19 @@ class TestOptionResolution:
             ["operational", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1"],
         )
         assert from_file == from_flags
+
+    def test_config_file_is_read_as_utf8_under_the_c_locale(self, tmp_path):
+        # without UTF-8 mode the C locale's default text encoding is ASCII
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# \u03b8 and \u03d1 in radians\nstate={TILTED_STATE}\ntheta=0.6\nvartheta=1.1\n", "utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "quasijoint.cli", "operational", "--config", str(config)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (GOLDEN / "operational_discrete.json").read_bytes()
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

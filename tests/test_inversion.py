@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from quasijoint import (
     MarkerConfig,
     PhaseDensity,
     PureState,
+    ShotCounts,
     SingularAnalyzer,
     SingularMarking,
     bloch_from_state,
     delta_coefficients,
+    estimate_quasi_joint,
     exact_interference_distribution,
     exact_path_distribution,
     exact_phase_distribution,
@@ -459,3 +462,58 @@ class TestNoNonFiniteOutputs:
             mu_z_matrix(MarkerConfig(1e-12, 0.9))
         with pytest.raises(SingularMarking):
             mu_x_matrix(math.pi / 2 + 1e-13)
+
+
+TILTED = PureState(COS_PI_8, SIN_PI_8)
+FULL_MARKING = MarkerConfig(math.pi / 2, 0.8)
+NEAR_ANALYZER_LINE = MarkerConfig(0.8, 0.4000000001)  # 2*vartheta - theta is about 2e-10
+
+
+class TestSingularMessages:
+    @pytest.mark.parametrize(
+        "call, error, name, den, angles",
+        [
+            (lambda: mu_x_matrix(math.pi / 2), SingularMarking, "cos(theta)", math.cos(math.pi / 2),
+             "theta = 1.5707963267948966"),
+            (lambda: quasi_joint_closed_form(TILTED, FULL_MARKING), SingularMarking, "cos(theta)",
+             math.cos(math.pi / 2), "theta = 1.5707963267948966, vartheta = 0.8"),
+            (lambda: invert_joint_phase(operational_joint_phase(TILTED, FULL_MARKING), FULL_MARKING),
+             SingularMarking, "cos(theta)", math.cos(math.pi / 2), "theta = 1.5707963267948966, vartheta = 0.8"),
+            (lambda: mu_z_matrix(NEAR_ANALYZER_LINE), SingularAnalyzer, "sin(theta)*sin(2*vartheta - theta)",
+             math.sin(0.8) * math.sin(2.0 * 0.4000000001 - 0.8), "theta = 0.8, vartheta = 0.4000000001"),
+            (lambda: quasi_joint_phase_closed_form(TILTED, NEAR_ANALYZER_LINE), SingularAnalyzer,
+             "sin(2*vartheta - theta)", math.sin(2.0 * 0.4000000001 - 0.8), "theta = 0.8, vartheta = 0.4000000001"),
+        ],
+        ids=["mu_x", "closed-form-marking", "phase-data-marking", "mu_z", "closed-form-analyzer"],
+    )
+    def test_message_names_denominator_value_angles_and_threshold(self, call, error, name, den, angles):
+        with pytest.raises(error) as raised:
+            call()
+        pattern = re.escape(name) + r" = (\S+) at " + re.escape(angles) + r"; magnitude <= 1\.0e-09 cannot be inverted"
+        match = re.fullmatch(pattern, str(raised.value))
+        assert match, str(raised.value)
+        assert float(match.group(1)) == pytest.approx(den, rel=1e-3)
+        assert den != 0.0
+
+
+class TestTwoAnalyzerConditions:
+    """The matrix route needs sin(theta)*sin(2*vartheta - theta) away from 0; the closed forms only the second factor."""
+
+    SMALL_THETA = MarkerConfig(1e-10, 0.3)
+
+    def test_closed_forms_and_scan_masks_are_finite(self):
+        assert np.isfinite(quasi_joint_closed_form(TILTED, self.SMALL_THETA).table).all()
+        phase = quasi_joint_phase_closed_form(TILTED, self.SMALL_THETA)
+        assert all(math.isfinite(v) for d in (phase.plus, phase.minus) for v in (d.c0, d.c_cos, d.c_sin))
+        delta, marking, analyzer = delta_coefficients(1e-10, 0.3)
+        assert np.isfinite(delta).all() and not marking and not analyzer
+
+    def test_matrix_route_raises_singular_analyzer(self):
+        measured = operational_joint_discrete(TILTED, self.SMALL_THETA)
+        for call in (
+            lambda: mu_z_matrix(self.SMALL_THETA),
+            lambda: invert_joint_discrete(measured, self.SMALL_THETA),
+            lambda: estimate_quasi_joint(ShotCounts(np.full((2, 2), 250)), self.SMALL_THETA),
+        ):
+            with pytest.raises(SingularAnalyzer, match=re.escape("sin(theta)*sin(2*vartheta - theta)")):
+                call()

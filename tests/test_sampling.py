@@ -99,9 +99,9 @@ class TestSampleDiscrete:
     def test_counts_validation(self):
         for bad in ([[1, 1], [1, -1]], [[1.5, 1], [1, 1]], [1, 1, 1, 1], [[[1, 1], [1, 1]]]):
             with pytest.raises(ValueError):
-                ShotCounts(bad, seed=0)
+                ShotCounts(bad)
         source = np.array([[3, 2], [1, 0]])
-        counts = ShotCounts(source, seed=7)
+        counts = ShotCounts(source)
         source[0, 0] = 99
         assert [counts.count(x, z) for x in (1, -1) for z in (1, -1)] == [3, 2, 1, 0]
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestSampleDiscrete:
     )
     def test_counts_beyond_int64_are_rejected_like_other_bad_counts(self, bad):
         with pytest.raises(ValueError, match="counts must be nonnegative integers"):
-            ShotCounts(bad, seed=0)
+            ShotCounts(bad)
 
 
 class TestSamplePhase:
@@ -316,21 +316,21 @@ class TestPhaseShotsCsv:
         phi[: len(EDGE_PHIS)] = EDGE_PHIS
         phi[-len(EDGE_PHIS) :] = EDGE_PHIS[::-1]
         z = np.where(rng.random(total) < 0.5, 1, -1)
-        shots = PhaseShots(phi=phi, z=z, total=total, seed=0)
+        shots = PhaseShots(phi=phi, z=z, total=total)
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
         assert written_csv(shots) == text.encode("ascii")
 
     def test_blocks_hold_at_most_one_block_of_rows(self):
         total = 3 * _CSV_BLOCK + 5
-        shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64), total=total, seed=0)
+        shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64), total=total)
         lines = [block.count(b"\n") for block in shots.csv_blocks()]
         assert lines == [1, _CSV_BLOCK, _CSV_BLOCK, _CSV_BLOCK, 5]
 
     @pytest.mark.parametrize("z", [1, -1])
     @pytest.mark.parametrize("phi", EDGE_PHIS)
     def test_single_shot_matches_per_row_formatter(self, phi, z):
-        shots = PhaseShots(phi=np.array([phi]), z=np.array([z]), total=1, seed=0)
+        shots = PhaseShots(phi=np.array([phi]), z=np.array([z]), total=1)
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
         assert written_csv(shots) == text.encode("ascii")
@@ -340,7 +340,7 @@ class TestPhaseShotsCsv:
     def test_writing_holds_one_block_whatever_the_shot_count(self, total):
         rng = np.random.default_rng(total)
         z = np.where(rng.random(total) < 0.5, 1, -1)
-        shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z, total=total, seed=0)
+        shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z, total=total)
         tracemalloc.start()
         try:
             DiscardingSink().writelines(shots.csv_blocks())
@@ -352,7 +352,7 @@ class TestPhaseShotsCsv:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, TWO_PI])
     def test_phase_outside_the_circle_is_rejected(self, bad):
         with pytest.raises(ValueError, match=r"phases must lie in \[0, 2\*pi\)"):
-            PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]), total=2, seed=0)
+            PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]), total=2)
 
     @pytest.mark.parametrize(
         "bad", [[1.5], [-0.5], [0.5], [1.0 + 2**-52], [0], [2], [-2], [math.nan], [math.inf], [2**70], [1, 1.5], [None]]
@@ -360,13 +360,13 @@ class TestPhaseShotsCsv:
     def test_z_other_than_plus_or_minus_one_is_rejected(self, bad):
         # a non-integral z used to be truncated by the int cast and accepted
         with pytest.raises(ValueError, match=r"z records must be \+1 or -1"):
-            PhaseShots(phi=np.full(len(bad), 1.0), z=bad, total=len(bad), seed=0)
+            PhaseShots(phi=np.full(len(bad), 1.0), z=bad, total=len(bad))
         with pytest.raises(ValueError, match=r"z records must be \+1 or -1"):
-            PhaseShots(phi=np.full(len(bad), 1.0), z=np.array(bad), total=len(bad), seed=0)
+            PhaseShots(phi=np.full(len(bad), 1.0), z=np.array(bad), total=len(bad))
 
     def test_integral_z_of_any_type_is_kept_as_int64(self):
         for z in ([1.0, -1.0], np.array([1, -1], np.int8), [True, -1]):
-            shots = PhaseShots(phi=np.array([1.0, 2.0]), z=z, total=2, seed=0)
+            shots = PhaseShots(phi=np.array([1.0, 2.0]), z=z, total=2)
             assert shots.z.dtype == np.int64 and shots.z.tolist() == [1, -1]
 
     def test_validation_holds_no_copy_of_the_records(self):
@@ -375,7 +375,7 @@ class TestPhaseShotsCsv:
         z = np.where(np.random.default_rng(3).random(total) < 0.5, 1, -1)
         tracemalloc.start()
         try:
-            shots = PhaseShots(phi=phi, z=z, total=total, seed=0)
+            shots = PhaseShots(phi=phi, z=z, total=total)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -466,7 +466,7 @@ class TestEstimateQuasiJoint:
         np.testing.assert_allclose(
             measured.table.ravel(), [0.375, 0.125, 0.375, 0.125], atol=1e-15
         )
-        counts = ShotCounts([[3000, 1000], [3000, 1000]], seed=0)
+        counts = ShotCounts([[3000, 1000], [3000, 1000]])
         estimate = estimate_quasi_joint(counts, cfg)
         closed = quasi_joint_closed_form(state, cfg)
         np.testing.assert_allclose(estimate.joint.table, closed.table, atol=1e-10)
@@ -519,7 +519,7 @@ class TestEstimateQuasiJoint:
     def test_singular_config_raises(self):
         from quasijoint import SingularMarking
 
-        counts = ShotCounts(np.full((2, 2), 250), seed=0)
+        counts = ShotCounts(np.full((2, 2), 250))
         with pytest.raises(SingularMarking):
             estimate_quasi_joint(counts, MarkerConfig(math.pi / 2, math.pi / 2))
 
@@ -541,7 +541,7 @@ class TestEstimateQuasiJoint:
 
 class TestHarmonicEstimates:
     def test_empty_record_is_rejected(self):
-        empty = PhaseShots(phi=np.array([]), z=np.array([], np.int64), total=0, seed=0)
+        empty = PhaseShots(phi=np.array([]), z=np.array([], np.int64), total=0)
         assert empty.to_csv() == "phi,z\n"
         with pytest.raises(ValueError, match="empty shot record"):
             harmonic_estimates(empty)
