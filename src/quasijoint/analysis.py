@@ -24,7 +24,7 @@ import numpy as np
 from quasijoint._table import Coded, Table
 from quasijoint.inversion import _quasi_entries, delta_coefficients
 from quasijoint.marking import DiscreteJoint, PhaseJoint
-from quasijoint.states import TWO_PI, PhaseDensity, PureState, bloch_from_state
+from quasijoint.states import OUTCOMES, TWO_PI, PhaseDensity, PureState, bloch_from_state
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
 
@@ -133,16 +133,12 @@ def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
         total = sum(max(0.0, -value) for _, value in joint.items())
         return NegativityReport(min_value=min_value, argmin=argmin, total_negativity=total)
     if isinstance(joint, PhaseJoint):
-        best_z = 1
-        best_value = joint.plus.min_value
-        if joint.minus.min_value < best_value:
-            best_z = -1
-            best_value = joint.minus.min_value
-        slice_min = joint.for_z(best_z)
-        phi_star = math.atan2(-slice_min.c_sin, -slice_min.c_cos) % TWO_PI
-        total = _negative_mass(joint.plus) + _negative_mass(joint.minus)
+        slices = [joint.for_z(z) for z in OUTCOMES]
+        best_z, best = min(zip(OUTCOMES, slices), key=lambda item: item[1].min_value)  # z = +1 on a tie
+        phi_star = math.atan2(-best.c_sin, -best.c_cos) % TWO_PI
+        total = _negative_mass(slices[0]) + _negative_mass(slices[1])
         return NegativityReport(
-            min_value=best_value, argmin=(phi_star, best_z), total_negativity=total
+            min_value=best.min_value, argmin=(phi_star, best_z), total_negativity=total
         )
     raise TypeError(f"expected DiscreteJoint or PhaseJoint, got {type(joint).__name__}")
 

@@ -347,9 +347,9 @@ def _density_grid(points: int, **densities) -> dict:
     return {"phi": phi, **{name: evaluate_phase_density(d, phi) for name, d in densities.items()}}
 
 
-def _slices(names: Sequence[str], densities: Sequence, *coded: Coded) -> Table:
-    """One row per slice z = +1, -1: z, the ``coded`` columns, then the densities' c0, c_cos and c_sin."""
-    return Table(names, (Coded((1, -1)), *coded, *np.array([[d.c0, d.c_cos, d.c_sin] for d in densities]).T))
+def _slices(names: Sequence[str], table: np.ndarray, *coded: Coded) -> Table:
+    """One row per slice z = +1, -1: z, the ``coded`` columns, then the (2, 3) ``table``'s c0, c_cos and c_sin."""
+    return Table(names, (Coded((1, -1)), *coded, *table.T))
 
 
 def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _Report:
@@ -362,7 +362,7 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
     if discrete:
         table = Table(("x", "z", "value"), (_X, _Z, joint.table.ravel()))
     else:
-        table = _slices(("z", "c0", "c_cos", "c_sin"), (joint.plus, joint.minus))
+        table = _slices(("z", "c0", "c_cos", "c_sin"), joint.table)
 
     def result() -> dict:
         fields = {"joint": {"kind": joint.kind, "values" if discrete else "slices": table}, **first}
@@ -375,7 +375,7 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
         fields.update(last)
         points = 0 if discrete else config["phi_points"]
         if points:
-            fields["phase_grid"] = _density_grid(points, plus=joint.plus, minus=joint.minus)
+            fields["phase_grid"] = _density_grid(points, plus=joint.for_z(1), minus=joint.for_z(-1))
         return fields
 
     return _Report(config, result, table, note)
@@ -462,13 +462,12 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
         _check_draw(joint, opts["n"])  # a rejected run leaves no --shots-out file
         with open(opts["shots_out"], "wb") if opts["shots_out"] else contextlib.nullcontext() as handle:
             counts, estimates = _phase_pass(_phase_blocks(joint, opts["n"], opts["seed"]), handle)
-        densities, count = (estimates[1], estimates[-1]), Coded((counts[1], counts[-1]))
-        table = _slices(("z", "count", "c0_hat", "c_cos_hat", "c_sin_hat"), densities, count)
+        table = _slices(("z", "count", "c0_hat", "c_cos_hat", "c_sin_hat"), estimates, Coded(counts))
 
         def result() -> dict:
             return {
-                "slice_counts": {"plus": counts[1], "minus": counts[-1]},
-                "harmonic_estimates": _slices(("z", "c0", "c_cos", "c_sin"), densities),
+                "slice_counts": {"plus": counts[0], "minus": counts[1]},
+                "harmonic_estimates": _slices(("z", "c0", "c_cos", "c_sin"), estimates),
             }
 
     return _Report(config, result, table)

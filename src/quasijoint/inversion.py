@@ -103,7 +103,10 @@ def invert_joint_discrete(joint: DiscreteJoint, config: MarkerConfig) -> Discret
     mx = mu_x_matrix(config.theta)
     mz = mu_z_matrix(config)
     table = mx @ joint.table @ mz.T
-    table /= table.sum()
+    total = float(table.sum())
+    if total == 0.0:  # just off the singular lines the entries reach ~1e17 and can cancel exactly
+        raise ValueError(f"inverted joint sums to {total!r}, so it cannot be rescaled to sum to 1")
+    table /= total
     return DiscreteJoint(table, kind=QUASI)
 
 
@@ -173,9 +176,8 @@ def quasi_joint_phase_closed_form(state: PureState, config: MarkerConfig) -> Pha
     delta = _config_delta(config)
     e = bloch_from_state(state)
     four_pi = 2.0 * TWO_PI
-    return PhaseJoint.from_arrays(
-        (1.0 + _SIGNS * e.ez) / four_pi, delta * e.ex / four_pi, delta * e.ey / four_pi, QUASI
-    )
+    columns = (1.0 + _SIGNS * e.ez, delta * e.ex, delta * e.ey)  # each ordered z = (+1, -1)
+    return PhaseJoint(np.stack(columns, axis=-1) / four_pi, kind=QUASI)
 
 
 def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:
@@ -191,9 +193,7 @@ def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:
     mz = mu_z_matrix(config)
     c = _nonsingular(math.cos(config.theta), SingularMarking, "cos(theta)", config.theta, config.vartheta)
     gain = 1.0 / c  # mu_Phi keeps c0, scales both harmonics
-    # rows z = (+1, -1), columns (c0, c_cos, c_sin)
-    slices = [(d.c0, d.c_cos, d.c_sin) for d in (joint.plus, joint.minus)]
-    mixed = mz @ np.array(slices)
+    mixed = mz @ joint.table  # rows z = (+1, -1), columns (c0, c_cos, c_sin)
     mixed[:, 1:] *= gain
     mixed /= TWO_PI * mixed[:, 0].sum()  # analytically 1; pin the float sum
-    return PhaseJoint.from_arrays(*mixed.T, QUASI)
+    return PhaseJoint(mixed, kind=QUASI)

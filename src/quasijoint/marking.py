@@ -107,6 +107,18 @@ class CompositeState:
         )
 
 
+def _checked_table(joint: DiscreteJoint | PhaseJoint, shape: tuple[int, int]) -> list[float]:
+    """Check ``joint.kind``, store ``joint.table`` as a read-only float64 copy of ``shape``, return its finite entries."""
+    if joint.kind not in (OPERATIONAL, QUASI):
+        raise ValueError(f"unknown joint kind {joint.kind!r}")
+    table = _read_only_table(joint.table, float, shape)
+    values = table.ravel().tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"joint entries must be finite, got {values!r}")
+    object.__setattr__(joint, "table", table)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Real-valued 2x2 table over the fringe outcome x and analyzer outcome z.
@@ -121,12 +133,7 @@ class DiscreteJoint:
     kind: Kind = OPERATIONAL
 
     def __post_init__(self) -> None:
-        if self.kind not in (OPERATIONAL, QUASI):
-            raise ValueError(f"unknown joint kind {self.kind!r}")
-        table = _read_only_table(self.table, float)
-        values = table.ravel().tolist()
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"joint entries must be finite, got {values!r}")
+        values = _checked_table(self, (2, 2))
         total = math.fsum(values)
         if abs(total - 1.0) > JOINT_TOL:
             raise ValueError(f"joint sums to {total!r}, must be 1")
@@ -134,7 +141,6 @@ class DiscreteJoint:
             raise ValueError(
                 f"operational joint has negative entry {min(values)!r}"
             )
-        object.__setattr__(self, "table", table)
 
     def value(self, x: int, z: int) -> float:
         return self.table.item(_outcome_index(x, z))
@@ -144,43 +150,34 @@ class DiscreteJoint:
         return zip(itertools.product(OUTCOMES, OUTCOMES), self.table.ravel().tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseJoint:
-    """Pair of first-harmonic phase densities, one per analyzer outcome z.
+    """First-harmonic phase densities, one per analyzer outcome z, as one coefficient table.
 
-    Normalization is joint: 2*pi*(c0(+1) + c0(-1)) = 1.  Operational
-    slices are individually nonnegative; quasi slices need not be.
+    ``table`` is a read-only float64 (2, 3) copy of the input, rows
+    z = (+1, -1) and columns (c0, c_cos, c_sin): slice z is
+    c0 + c_cos*cos(phi) + c_sin*sin(phi).  Normalization is joint:
+    2*pi*(c0(+1) + c0(-1)) = 1.  Operational slices are individually
+    nonnegative; quasi slices need not be.
     """
 
-    plus: PhaseDensity
-    minus: PhaseDensity
+    table: np.ndarray
     kind: Kind = OPERATIONAL
 
     def __post_init__(self) -> None:
-        if self.kind not in (OPERATIONAL, QUASI):
-            raise ValueError(f"unknown joint kind {self.kind!r}")
-        total = TWO_PI * (self.plus.c0 + self.minus.c0)
+        values = _checked_table(self, (2, 3))
+        total = TWO_PI * (values[0] + values[3])  # the c0 column
         if abs(total - 1.0) > JOINT_TOL:
             raise ValueError(f"phase joint integrates to {total!r}, must be 1")
         if self.kind == OPERATIONAL:
-            for z, density in (((1), self.plus), ((-1), self.minus)):
+            for z, density in zip(OUTCOMES, map(self.for_z, OUTCOMES)):
                 if density.min_value < -JOINT_TOL:
                     raise ValueError(
                         f"operational z={z} slice dips to {density.min_value!r}"
                     )
 
-    @classmethod
-    def from_arrays(cls, c0, c_cos, c_sin, kind: Kind) -> PhaseJoint:
-        """Joint from per-outcome coefficient pairs, each ordered z = (+1, -1)."""
-        plus, minus = (PhaseDensity(*triple) for triple in zip(c0, c_cos, c_sin))
-        return cls(plus, minus, kind=kind)
-
     def for_z(self, z: int) -> PhaseDensity:
-        return (self.plus, self.minus)[_outcome_index(z)]
-
-    def slice_weights(self) -> tuple[float, float]:
-        """Total weight of the z = +1 and z = -1 slices (they sum to 1)."""
-        return (TWO_PI * self.plus.c0, TWO_PI * self.minus.c0)
+        return PhaseDensity(*self.table[_outcome_index(z)].tolist())
 
 
 def entangled_state(state: PureState, theta: float) -> CompositeState:
@@ -241,9 +238,8 @@ def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoin
     """
     g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
     e = bloch_from_state(state)
-    return PhaseJoint.from_arrays(
-        (g0 + _SIGNS * gz * e.ez) / TWO_PI, gx * e.ex / TWO_PI, gx * e.ey / TWO_PI, OPERATIONAL
-    )
+    columns = (g0 + _SIGNS * gz * e.ez, gx * e.ex, gx * e.ey)  # each ordered z = (+1, -1)
+    return PhaseJoint(np.stack(columns, axis=-1) / TWO_PI, kind=OPERATIONAL)
 
 
 def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:
@@ -297,14 +293,9 @@ def marginal_z(joint: DiscreteJoint) -> BinaryDistribution:
 
 def marginal_phase(joint: PhaseJoint) -> PhaseDensity:
     """Phase marginal: the z slices summed coefficient-wise."""
-    return PhaseDensity(
-        joint.plus.c0 + joint.minus.c0,
-        joint.plus.c_cos + joint.minus.c_cos,
-        joint.plus.c_sin + joint.minus.c_sin,
-    )
+    return PhaseDensity(*joint.table.sum(axis=0).tolist())
 
 
 def marginal_z_of_phase(joint: PhaseJoint) -> BinaryDistribution:
     """Analyzer marginal of the phase joint: slice weights 2*pi*c0(z)."""
-    w_plus, w_minus = joint.slice_weights()
-    return BinaryDistribution(w_plus, w_minus)
+    return BinaryDistribution(*(TWO_PI * joint.table[:, 0]).tolist())

@@ -12,7 +12,9 @@ correctly rounded operations, so the bits do not depend on the CPU.
 Empirical frequencies pushed through the discrete inversion give an
 estimate of the quasi joint; standard errors are first-order (delta
 method), i.e. the multinomial covariance of the frequencies propagated
-through the fixed tensor-product kernel.
+through the fixed tensor-product kernel.  Phase shots give moment
+estimates of each slice's Fourier triple, as one (2, 3) table laid out
+like ``PhaseJoint.table``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
 )
-from quasijoint.states import TWO_PI, PhaseDensity, _outcome_index, _read_only_table
+from quasijoint.states import OUTCOMES, TWO_PI, PhaseDensity, _outcome_index, _read_only_table
 
 #: shots drawn per block by _phase_blocks, into a few buffers of this length
 #: allocated once, so they stay small whatever the shot count
@@ -76,7 +78,7 @@ class ShotCounts:
     def __post_init__(self) -> None:
         try:
             with np.errstate(invalid="raise"):
-                counts = _read_only_table(self.counts, np.int64)
+                counts = _read_only_table(self.counts, np.int64, (2, 2))
         except (OverflowError, FloatingPointError):  # beyond int64, or a non-finite float
             raise ValueError("counts must be nonnegative integers") from None
         if (counts < 0).any() or not np.array_equal(counts, self.counts):  # the cast truncates 1.5
@@ -100,7 +102,6 @@ class PhaseShots:
 
     phi: np.ndarray
     z: np.ndarray
-    total: int
 
     def __post_init__(self) -> None:
         phi = np.asarray(self.phi, dtype=float)
@@ -109,13 +110,17 @@ class PhaseShots:
                 z = np.asarray(self.z, dtype=np.int64)
         except (TypeError, ValueError, OverflowError, FloatingPointError):  # not a number, or beyond int64
             raise ValueError("z records must be +1 or -1") from None
-        if phi.shape != (self.total,) or z.shape != (self.total,):
-            raise ValueError("phi and z must both have length total")
+        if phi.ndim != 1 or phi.shape != z.shape:
+            raise ValueError("phi and z must be 1-D and of equal length")
         _check_records(phi, z)
         if not (z is self.z or np.array_equal(z, self.z)):  # the cast truncated a z like 1.5
             raise ValueError("z records must be +1 or -1")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "z", z)
+
+    @property
+    def total(self) -> int:
+        return self.phi.size
 
     def csv_blocks(self) -> Iterator[bytes]:
         """The ASCII bytes of ``to_csv()``: the header line, then one block per 4,096 shots at most.
@@ -138,7 +143,7 @@ class EstimatedQuasiJoint:
     stderrs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stderrs", _read_only_table(self.stderrs, float))
+        object.__setattr__(self, "stderrs", _read_only_table(self.stderrs, float, (2, 2)))
 
     def stderr(self, x: int, z: int) -> float:
         return self.stderrs.item(_outcome_index(x, z))
@@ -236,7 +241,7 @@ def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     phi, z = np.empty(n), np.empty(n, dtype=np.int64)
     for start, (block_phi, block_z) in zip(range(0, n, _SAMPLE_BLOCK), _phase_blocks(joint, n, seed)):
         phi[start : start + _SAMPLE_BLOCK], z[start : start + _SAMPLE_BLOCK] = block_phi, block_z
-    return PhaseShots(phi=phi, z=z, total=n)
+    return PhaseShots(phi, z)
 
 
 def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -247,10 +252,11 @@ def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.nda
     z_seq, phi_seq = np.random.SeedSequence(seed).spawn(2)
     z_rng = np.random.default_rng(z_seq)
     phi_rng = np.random.default_rng(phi_seq)
-    w_plus = min(max(joint.plus.integral, 0.0), 1.0)
-    cardioid_low = w_plus * (1.0 - _cardioid_share(joint.plus))
-    cardioid_high = w_plus + (1.0 - w_plus) * _cardioid_share(joint.minus)
-    phase0 = np.array([math.atan2(d.c_sin, d.c_cos) for d in (joint.plus, joint.minus)])
+    slices = [joint.for_z(z) for z in OUTCOMES]
+    w_plus = min(max(slices[0].integral, 0.0), 1.0)
+    cardioid_low = w_plus * (1.0 - _cardioid_share(slices[0]))
+    cardioid_high = w_plus + (1.0 - w_plus) * _cardioid_share(slices[1])
+    phase0 = np.array([math.atan2(d.c_sin, d.c_cos) for d in slices])
     v_buf, u1_buf, u2_buf, phi_buf = (np.empty(min(n, _SAMPLE_BLOCK)) for _ in range(4))
     z_buf = np.empty(phi_buf.size, dtype=np.int64)
     for start in range(0, n, _SAMPLE_BLOCK):
@@ -276,30 +282,32 @@ def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.nda
         yield phi, z
 
 
-def _phase_pass(blocks: Iterable[tuple[np.ndarray, np.ndarray]], file: BinaryIO | None = None) -> tuple[dict, dict]:
+def _phase_pass(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], file: BinaryIO | None = None
+) -> tuple[tuple[int, int], np.ndarray]:
     """Slice counts and ``harmonic_estimates`` of (phi, z) blocks, each summed and then written to ``file`` if given.
 
     Per slice, ``math.fsum`` adds the blocks' ``np.sum`` of cos(phi) and sin(phi), so past one block
     (``_SAMPLE_BLOCK`` shots) the last bits depend on the blocking.
     """
-    counts, cos_sums, sin_sums = {1: 0, -1: 0}, {1: [], -1: []}, {1: [], -1: []}
+    counts, sums = [0, 0], ([], [])  # per slice z = (+1, -1): shots, and each block's (cos, sin) sums
     header = True
     for phi, z in blocks:
-        for outcome in (1, -1):
+        for k, outcome in enumerate(OUTCOMES):
             phis = phi[z == outcome]
-            counts[outcome] += phis.size
-            cos_sums[outcome].append(float(np.sum(np.cos(phis))))
-            sin_sums[outcome].append(float(np.sum(np.sin(phis))))
+            counts[k] += phis.size
+            sums[k].append((float(np.sum(np.cos(phis))), float(np.sum(np.sin(phis)))))
         if file is not None:
             file.writelines(_shot_table(phi, z).csv_blocks(header))
             header = False
-    n = counts[1] + counts[-1]
+    n = sum(counts)
     if not n:
         raise ValueError("cannot estimate harmonics from an empty shot record (total=0)")
-    return counts, {
-        z: PhaseDensity(counts[z] / (TWO_PI * n), math.fsum(cos_sums[z]) / (math.pi * n), math.fsum(sin_sums[z]) / (math.pi * n))
-        for z in (1, -1)
-    }
+    estimates = [
+        (count / (TWO_PI * n), *(math.fsum(column) / (math.pi * n) for column in zip(*block_sums)))
+        for count, block_sums in zip(counts, sums)
+    ]
+    return tuple(counts), _read_only_table(estimates, float, (2, 3))
 
 
 def estimate_quasi_joint(counts: ShotCounts, config: MarkerConfig) -> EstimatedQuasiJoint:
@@ -319,12 +327,13 @@ def estimate_quasi_joint(counts: ShotCounts, config: MarkerConfig) -> EstimatedQ
     return EstimatedQuasiJoint(quasi, se.reshape(2, 2))
 
 
-def harmonic_estimates(shots: PhaseShots) -> dict[int, PhaseDensity]:
-    """Moment estimators of each slice's Fourier triple from phase shots.
+def harmonic_estimates(shots: PhaseShots) -> np.ndarray:
+    """Moment estimators of each slice's Fourier triple from phase shots, laid out like ``PhaseJoint.table``.
 
-    c0(z) ~ n_z/(2*pi*N), c_cos(z) ~ sum(cos phi_i)/(pi*N) over shots with
-    outcome z, and likewise for sin.  An empty record (total 0) has no
-    estimate and raises ``ValueError``.
+    Returns a read-only (2, 3) float64 array, rows z = (+1, -1) and columns
+    (c0, c_cos, c_sin): c0(z) ~ n_z/(2*pi*N), c_cos(z) ~ sum(cos phi_i)/(pi*N)
+    over shots with outcome z, and likewise for sin.  An empty record
+    (total 0) has no estimate and raises ``ValueError``.
     """
     starts = range(0, shots.total, _SAMPLE_BLOCK)
     return _phase_pass((shots.phi[i : i + _SAMPLE_BLOCK], shots.z[i : i + _SAMPLE_BLOCK]) for i in starts)[1]

@@ -53,11 +53,11 @@ def _outcome_index(*outcomes: int) -> int:
     return index
 
 
-def _read_only_table(values, dtype) -> np.ndarray:
-    """A read-only copy of ``values`` as a 2x2 table, one (+1, -1) outcome axis per dimension."""
+def _read_only_table(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only copy of ``values`` as a table of the given ``shape``; its first axis is a (+1, -1) outcome."""
     table = np.array(values, dtype=dtype)
-    if table.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 table, got shape {table.shape}")
+    if table.shape != shape:
+        raise ValueError(f"expected a table of shape {shape}, got shape {table.shape}")
     table.flags.writeable = False
     return table
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,7 +245,7 @@ class TestNegativeMass:
     def test_negativity_of_sums_both_slices(self):
         minus = PhaseDensity(-0.05, 0.02, 0.01)  # negative over the whole period
         plus = PhaseDensity(1.0 / TWO_PI + 0.05, 0.3, -0.1)
-        report = negativity_of(PhaseJoint(plus, minus, kind=QUASI))
+        report = negativity_of(PhaseJoint([astuple(plus), astuple(minus)], kind=QUASI))
         assert report.total_negativity == _negative_mass(plus) + _negative_mass(minus)
         assert _negative_mass(minus) == pytest.approx(0.05 * TWO_PI, rel=1e-15)
         assert report.total_negativity == pytest.approx(

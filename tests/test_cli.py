@@ -284,6 +284,16 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: singular configuration: sin(theta)*sin(2*vartheta - theta) = ")
 
+    def test_near_singular_sample_prints_one_error_line(self, capsys):
+        # just off both singular lines the inverted frequencies sum to exactly 0
+        argv = ["sample", "--state", "0.6,0,0.8,0", "--theta", "1.5707963277948966",
+                "--vartheta", "0.7853981632974483", "--n", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a numpy warning would print to stderr, as outside the suite
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: inverted joint sums to 0.0, so it cannot be rescaled to sum to 1\n"
+
     # every size below is rejected before anything is allocated
     def test_oversized_scan_grid_rejected(self, capsys):
         for theta_grid, vartheta_grid in (
@@ -472,9 +482,10 @@ class TestReproducibility:
         result = json.loads(out)["result"]
         counts = {"plus": np.count_nonzero(shots.z == 1), "minus": np.count_nonzero(shots.z == -1)}
         assert result["slice_counts"] == counts
+        assert estimates.shape == (2, 3) and not estimates.flags.writeable
         assert result["harmonic_estimates"] == [
-            {"z": z, "c0": estimates[z].c0, "c_cos": estimates[z].c_cos, "c_sin": estimates[z].c_sin}
-            for z in (1, -1)
+            {"z": z, "c0": c0, "c_cos": c_cos, "c_sin": c_sin}
+            for z, (c0, c_cos, c_sin) in zip((1, -1), estimates.tolist())
         ]
         assert target.exists() == shots_out
         if shots_out:

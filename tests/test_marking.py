@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from quasijoint import (
     CompositeState,
     DiscreteJoint,
     MarkerConfig,
-    PhaseDensity,
     PhaseJoint,
     PureState,
     analyzer_states,
@@ -205,15 +205,15 @@ class TestOperationalJointDiscrete:
 class TestOperationalJointPhase:
     def test_basis_state_unmarked(self):
         joint = operational_joint_phase(PureState(1, 0), MarkerConfig(0.0, 0.0))
-        assert joint.plus.c0 == pytest.approx(1.0 / TWO_PI, abs=1e-12)
-        assert joint.plus.c_cos == 0.0
-        assert joint.plus.c_sin == 0.0
-        assert joint.minus.c0 == pytest.approx(0.0, abs=1e-12)
+        assert joint.for_z(1).c0 == pytest.approx(1.0 / TWO_PI, abs=1e-12)
+        assert joint.for_z(1).c_cos == 0.0
+        assert joint.for_z(1).c_sin == 0.0
+        assert joint.for_z(-1).c0 == pytest.approx(0.0, abs=1e-12)
 
     def test_fringe_eigenstate_unmarked(self):
         joint = operational_joint_phase(PureState(SQRT1_2, SQRT1_2), MarkerConfig(0.0, 0.0))
-        assert joint.plus.c_cos == pytest.approx(1.0 / TWO_PI, abs=1e-12)
-        assert joint.minus.c0 == pytest.approx(0.0, abs=1e-12)
+        assert joint.for_z(1).c_cos == pytest.approx(1.0 / TWO_PI, abs=1e-12)
+        assert joint.for_z(-1).c0 == pytest.approx(0.0, abs=1e-12)
 
     def test_circular_state_against_projection(self):
         state = PureState(SQRT1_2, 1j * SQRT1_2)
@@ -221,8 +221,8 @@ class TestOperationalJointPhase:
         joint = operational_joint_phase(state, cfg)
         phi = phase_grid(64)
         direct = born_joint_phase(state, cfg, phi)
-        np.testing.assert_allclose(evaluate_phase_density(joint.plus, phi), direct[:, 0], atol=1e-12)
-        np.testing.assert_allclose(evaluate_phase_density(joint.minus, phi), direct[:, 1], atol=1e-12)
+        np.testing.assert_allclose(evaluate_phase_density(joint.for_z(1), phi), direct[:, 0], atol=1e-12)
+        np.testing.assert_allclose(evaluate_phase_density(joint.for_z(-1), phi), direct[:, 1], atol=1e-12)
 
     @given(pure_states(), any_configs())
     @settings(max_examples=80)
@@ -230,8 +230,8 @@ class TestOperationalJointPhase:
         joint = operational_joint_phase(state, cfg)
         phi = phase_grid(64)
         direct = born_joint_phase(state, cfg, phi)
-        np.testing.assert_allclose(evaluate_phase_density(joint.plus, phi), direct[:, 0], atol=1e-12)
-        np.testing.assert_allclose(evaluate_phase_density(joint.minus, phi), direct[:, 1], atol=1e-12)
+        np.testing.assert_allclose(evaluate_phase_density(joint.for_z(1), phi), direct[:, 0], atol=1e-12)
+        np.testing.assert_allclose(evaluate_phase_density(joint.for_z(-1), phi), direct[:, 1], atol=1e-12)
 
 
 class TestMarginals:
@@ -305,6 +305,17 @@ class TestJointValidation:
         ):
             with pytest.raises(ValueError):
                 DiscreteJoint(bad, kind="quasi")
+        # the phase table is (2, 3): rows z = (+1, -1), columns (c0, c_cos, c_sin)
+        c0 = 0.5 / TWO_PI
+        for bad in (np.full((2, 2), c0), np.full(3, c0), np.full((2, 3, 1), c0)):
+            with pytest.raises(ValueError, match=r"expected a table of shape \(2, 3\)"):
+                PhaseJoint(bad, kind="quasi")
+        for bad in (math.nan, math.inf, -math.inf):
+            for cell in ((0, 0), (0, 1), (1, 2)):
+                table = np.array([[c0, 0.0, 0.0], [c0, 0.0, 0.0]])
+                table[cell] = bad
+                with pytest.raises(ValueError, match="joint entries must be finite"):
+                    PhaseJoint(table, kind="quasi")
 
     def test_operational_must_be_nonnegative(self):
         with pytest.raises(ValueError):
@@ -318,19 +329,31 @@ class TestJointValidation:
         with pytest.raises(ValueError):
             joint.table[1, 0] = 0.5
         assert all(type(value) is float for _, value in joint.items())
+        source = np.array([[0.5 / TWO_PI, 0.4, 0.0], [0.5 / TWO_PI, 0.0, -0.1]])
+        phase = PhaseJoint(source, kind="quasi")
+        source[0, 1] = 0.0  # the phase joint holds its own copy too
+        assert phase.for_z(1).c_cos == 0.4
+        assert phase.table.dtype == np.float64 and phase.table.shape == (2, 3)
+        with pytest.raises(ValueError):
+            phase.table[0, 1] = 0.0
+        for z in (1, -1):
+            assert all(type(value) is float for value in astuple(phase.for_z(z)))
+        assert phase.for_z(-1).c_sin == -0.1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DiscreteJoint(np.full((2, 2), 0.25), kind="bogus")
+        with pytest.raises(ValueError, match="unknown joint kind"):
+            PhaseJoint([[0.5 / TWO_PI, 0.0, 0.0], [0.5 / TWO_PI, 0.0, 0.0]], kind="bogus")
 
     def test_phase_joint_normalization(self):
-        flat = PhaseDensity(0.25 / TWO_PI, 0.0, 0.0)
+        flat = (0.25 / TWO_PI, 0.0, 0.0)
         with pytest.raises(ValueError):
-            PhaseJoint(flat, flat)  # integrates to 1/2
+            PhaseJoint([flat, flat])  # integrates to 1/2
 
     def test_operational_phase_slices_must_be_nonnegative(self):
-        dipping = PhaseDensity(0.5 / TWO_PI, 0.4, 0.0)
-        rest = PhaseDensity(0.5 / TWO_PI, 0.0, 0.0)
+        dipping = (0.5 / TWO_PI, 0.4, 0.0)
+        rest = (0.5 / TWO_PI, 0.0, 0.0)
         with pytest.raises(ValueError):
-            PhaseJoint(dipping, rest, kind="operational")
-        assert PhaseJoint(dipping, rest, kind="quasi").plus.c_cos == 0.4
+            PhaseJoint([dipping, rest], kind="operational")
+        assert PhaseJoint([dipping, rest], kind="quasi").for_z(1).c_cos == 0.4

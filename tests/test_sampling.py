@@ -156,7 +156,7 @@ class TestSamplePhase:
         cfg = MarkerConfig(0.9, 0.4)
         joint = operational_joint_phase(state, cfg)
         shots = sample_phase(joint, 10**5, 17)
-        w_plus = joint.slice_weights()[0]
+        w_plus = joint.for_z(1).integral
         se = math.sqrt(w_plus * (1 - w_plus) / 10**5)
         assert abs(np.count_nonzero(shots.z == 1) / 10**5 - w_plus) < 5 * se
 
@@ -208,7 +208,7 @@ class TestPhaseSamplerExactness:
 
     def test_interior_joint_is_interior(self):
         joint = operational_joint_phase(*KS_JOINTS["interior"])
-        for density in (joint.plus, joint.minus):
+        for density in map(joint.for_z, (1, -1)):
             assert 0.5 < density.amplitude / density.c0 < 0.95
 
     @pytest.mark.parametrize("n", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1])
@@ -241,7 +241,7 @@ class TestPhaseSamplerExactness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts[1] + counts[-1] == 1 << 20
+        assert counts[0] + counts[1] == 1 << 20
         assert peak < 3 * 2**20
 
     def test_outcomes_follow_the_z_stream_alone(self):
@@ -249,7 +249,7 @@ class TestPhaseSamplerExactness:
         joint = operational_joint_phase(*KS_JOINTS["interior"])
         shots = sample_phase(joint, 5000, 13)
         z_stream = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[0])
-        np.testing.assert_array_equal(shots.z, np.where(z_stream.random(5000) < joint.plus.integral, 1, -1))
+        np.testing.assert_array_equal(shots.z, np.where(z_stream.random(5000) < joint.for_z(1).integral, 1, -1))
 
 
 #: the asin helper's error bound against math.asin, in units of the spacing at math.asin's result
@@ -316,21 +316,21 @@ class TestPhaseShotsCsv:
         phi[: len(EDGE_PHIS)] = EDGE_PHIS
         phi[-len(EDGE_PHIS) :] = EDGE_PHIS[::-1]
         z = np.where(rng.random(total) < 0.5, 1, -1)
-        shots = PhaseShots(phi=phi, z=z, total=total)
+        shots = PhaseShots(phi=phi, z=z)
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
         assert written_csv(shots) == text.encode("ascii")
 
     def test_blocks_hold_at_most_one_block_of_rows(self):
         total = 3 * _CSV_BLOCK + 5
-        shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64), total=total)
+        shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64))
         lines = [block.count(b"\n") for block in shots.csv_blocks()]
         assert lines == [1, _CSV_BLOCK, _CSV_BLOCK, _CSV_BLOCK, 5]
 
     @pytest.mark.parametrize("z", [1, -1])
     @pytest.mark.parametrize("phi", EDGE_PHIS)
     def test_single_shot_matches_per_row_formatter(self, phi, z):
-        shots = PhaseShots(phi=np.array([phi]), z=np.array([z]), total=1)
+        shots = PhaseShots(phi=np.array([phi]), z=np.array([z]))
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
         assert written_csv(shots) == text.encode("ascii")
@@ -340,7 +340,7 @@ class TestPhaseShotsCsv:
     def test_writing_holds_one_block_whatever_the_shot_count(self, total):
         rng = np.random.default_rng(total)
         z = np.where(rng.random(total) < 0.5, 1, -1)
-        shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z, total=total)
+        shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z)
         tracemalloc.start()
         try:
             DiscardingSink().writelines(shots.csv_blocks())
@@ -352,7 +352,7 @@ class TestPhaseShotsCsv:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, TWO_PI])
     def test_phase_outside_the_circle_is_rejected(self, bad):
         with pytest.raises(ValueError, match=r"phases must lie in \[0, 2\*pi\)"):
-            PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]), total=2)
+            PhaseShots(phi=np.array([1.0, bad]), z=np.array([1, -1]))
 
     @pytest.mark.parametrize(
         "bad", [[1.5], [-0.5], [0.5], [1.0 + 2**-52], [0], [2], [-2], [math.nan], [math.inf], [2**70], [1, 1.5], [None]]
@@ -360,13 +360,13 @@ class TestPhaseShotsCsv:
     def test_z_other_than_plus_or_minus_one_is_rejected(self, bad):
         # a non-integral z used to be truncated by the int cast and accepted
         with pytest.raises(ValueError, match=r"z records must be \+1 or -1"):
-            PhaseShots(phi=np.full(len(bad), 1.0), z=bad, total=len(bad))
+            PhaseShots(phi=np.full(len(bad), 1.0), z=bad)
         with pytest.raises(ValueError, match=r"z records must be \+1 or -1"):
-            PhaseShots(phi=np.full(len(bad), 1.0), z=np.array(bad), total=len(bad))
+            PhaseShots(phi=np.full(len(bad), 1.0), z=np.array(bad))
 
     def test_integral_z_of_any_type_is_kept_as_int64(self):
         for z in ([1.0, -1.0], np.array([1, -1], np.int8), [True, -1]):
-            shots = PhaseShots(phi=np.array([1.0, 2.0]), z=z, total=2)
+            shots = PhaseShots(phi=np.array([1.0, 2.0]), z=z)
             assert shots.z.dtype == np.int64 and shots.z.tolist() == [1, -1]
 
     def test_validation_holds_no_copy_of_the_records(self):
@@ -375,12 +375,19 @@ class TestPhaseShotsCsv:
         z = np.where(np.random.default_rng(3).random(total) < 0.5, 1, -1)
         tracemalloc.start()
         try:
-            shots = PhaseShots(phi=phi, z=z, total=total)
+            shots = PhaseShots(phi=phi, z=z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert shots.phi is phi and shots.z is z
         assert peak < 2**16  # np.abs(z) == 1 held 9 B a shot, 9.4 MB here
+
+    def test_records_must_be_one_dimensional_and_equally_long(self):
+        for phi, z in (([1.0, 2.0], [1]), ([1.0], [1, -1]), ([[1.0]], [[1]]), (1.0, 1)):
+            with pytest.raises(ValueError, match="phi and z must be 1-D and of equal length"):
+                PhaseShots(phi=np.array(phi), z=np.array(z))
+        total = PhaseShots(np.array([1.0, 2.0, 3.0]), np.array([1, -1, 1])).total
+        assert total == 3 and type(total) is int
 
 
 #: a word whose bytes are not ASCII, so never one the formatter writes
@@ -523,6 +530,14 @@ class TestEstimateQuasiJoint:
         with pytest.raises(SingularMarking):
             estimate_quasi_joint(counts, MarkerConfig(math.pi / 2, math.pi / 2))
 
+    def test_vanished_sum_raises_before_dividing(self):
+        # just off both singular lines the inverted frequencies reach ~1e17 and sum to exactly 0
+        cfg = MarkerConfig(1.5707963277948966, 0.7853981632974483)
+        counts = sample_discrete(operational_joint_discrete(PureState(0.6, 0.8), cfg), 100, 0)
+        with pytest.raises(ValueError, match=r"^inverted joint sums to 0\.0, ") as raised:
+            estimate_quasi_joint(counts, cfg)
+        assert type(raised.value) is ValueError  # invalid input, not a singular configuration
+
     def test_rms_error_scales_like_inverse_sqrt_n(self):
         state = PureState(COS_PI_8, SIN_PI_8)
         cfg = MarkerConfig(0.7, 1.1)
@@ -541,7 +556,7 @@ class TestEstimateQuasiJoint:
 
 class TestHarmonicEstimates:
     def test_empty_record_is_rejected(self):
-        empty = PhaseShots(phi=np.array([]), z=np.array([], np.int64), total=0)
+        empty = PhaseShots(phi=np.array([]), z=np.array([], np.int64))
         assert empty.to_csv() == "phi,z\n"
         with pytest.raises(ValueError, match="empty shot record"):
             harmonic_estimates(empty)
@@ -550,8 +565,9 @@ class TestHarmonicEstimates:
         state = PureState(SQRT1_2, SQRT1_2)
         joint = operational_joint_phase(state, MarkerConfig(0.0, 0.0))
         estimates = harmonic_estimates(sample_phase(joint, 10**5, 11))
-        truth = joint.plus
+        truth = joint.for_z(1)
         n = 10**5
-        assert estimates[1].c0 == pytest.approx(truth.c0, abs=5 / math.sqrt(n))
-        assert estimates[1].c_cos == pytest.approx(truth.c_cos, abs=5 / math.sqrt(n))
-        assert estimates[1].c_sin == pytest.approx(truth.c_sin, abs=5 / math.sqrt(n))
+        c0, c_cos, c_sin = estimates[0]  # the z = +1 row
+        assert c0 == pytest.approx(truth.c0, abs=5 / math.sqrt(n))
+        assert c_cos == pytest.approx(truth.c_cos, abs=5 / math.sqrt(n))
+        assert c_sin == pytest.approx(truth.c_sin, abs=5 / math.sqrt(n))
