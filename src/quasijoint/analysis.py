@@ -24,7 +24,7 @@ import numpy as np
 from quasijoint._table import Coded, Table
 from quasijoint.inversion import _quasi_entries, delta_coefficients
 from quasijoint.marking import DiscreteJoint, PhaseJoint
-from quasijoint.states import OUTCOMES, TWO_PI, PhaseDensity, PureState, bloch_from_state
+from quasijoint.states import OUTCOMES, TWO_PI, PureState, bloch_from_state
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
 
@@ -98,15 +98,14 @@ def p_min_phase(state: PureState) -> float:
     return (1.0 - abs(e.ez) - math.hypot(e.ex, e.ey)) / (2.0 * TWO_PI)
 
 
-def _negative_mass(density: PhaseDensity) -> float:
-    """Integral over a period of the negative part of c0 + A cos(phi - phi0), in closed form.
+def _negative_mass(c0: float, amplitude: float) -> float:
+    """Integral over a period of the negative part of c0 + A cos(phi - phi0), A = ``amplitude``, in closed form.
 
     Where A > c0 the density is negative on an arc of half-width
     atan2(s, c0), s = sqrt(A^2 - c0^2), and the mass is 2(s - c0 atan2(s, c0)).
     Near tangency, where t = s/c0 is small, that difference cancels, so it is
     summed as 2 c0 (t^3/3 - t^5/5 + ...) instead, which is never negative.
     """
-    c0, amplitude = density.c0, density.amplitude
     if amplitude <= c0:
         return 0.0
     if amplitude <= -c0:  # negative everywhere
@@ -133,13 +132,13 @@ def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
         total = sum(max(0.0, -value) for _, value in joint.items())
         return NegativityReport(min_value=min_value, argmin=argmin, total_negativity=total)
     if isinstance(joint, PhaseJoint):
-        slices = [joint.for_z(z) for z in OUTCOMES]
-        best_z, best = min(zip(OUTCOMES, slices), key=lambda item: item[1].min_value)  # z = +1 on a tie
-        phi_star = math.atan2(-best.c_sin, -best.c_cos) % TWO_PI
-        total = _negative_mass(slices[0]) + _negative_mass(slices[1])
-        return NegativityReport(
-            min_value=best.min_value, argmin=(phi_star, best_z), total_negativity=total
-        )
+        rows = joint.table.tolist()  # slices z = (+1, -1), each (c0, c_cos, c_sin)
+        amplitudes = [math.hypot(c_cos, c_sin) for _, c_cos, c_sin in rows]
+        minima = [row[0] - amplitude for row, amplitude in zip(rows, amplitudes)]
+        k = int(minima[1] < minima[0])  # z = +1 on a tie
+        phi_star = math.atan2(-rows[k][2], -rows[k][1]) % TWO_PI
+        total = _negative_mass(rows[0][0], amplitudes[0]) + _negative_mass(rows[1][0], amplitudes[1])
+        return NegativityReport(min_value=minima[k], argmin=(phi_star, OUTCOMES[k]), total_negativity=total)
     raise TypeError(f"expected DiscreteJoint or PhaseJoint, got {type(joint).__name__}")
 
 

@@ -281,6 +281,8 @@ def parse_state(spec: str, form: str) -> PureState:
     if form == "reim":
         return PureState(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
     if form == "magphase":
+        if not all(map(math.isfinite, parts[1::2])):
+            raise ValueError(f"state {spec!r} needs finite phases")
         alpha = parts[0] * complex(math.cos(math.radians(parts[1])), math.sin(math.radians(parts[1])))
         beta = parts[2] * complex(math.cos(math.radians(parts[3])), math.sin(math.radians(parts[3])))
         return PureState(alpha, beta)
@@ -479,9 +481,7 @@ def cmd_scan(args: argparse.Namespace) -> _Report:
     theta_spec = parse_grid(opts["theta_grid"], opts["degrees"])
     vartheta_spec = parse_grid(opts["vartheta_grid"], opts["degrees"])
     if theta_spec[2] * vartheta_spec[2] > MAX_SCAN_CELLS:
-        raise ValueError(
-            f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}"
-        )
+        raise ValueError(f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}")
     grid = scan_negativity(state, np.linspace(*theta_spec), np.linspace(*vartheta_spec))
     config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
     table = grid.table()

@@ -158,9 +158,9 @@ def _quasi_entries(delta: np.ndarray, e: BlochExpectations):
 def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJoint:
     """Reconstructed joint P(x, z) = [1 + x*delta(z)<X> + z<Z>]/4 straight from the state.
 
-    Identical to inverting the measured joint wherever both kernels exist,
-    and additionally defined at theta = 0 through the delta limit, where it
-    reduces to [1 + z<Z> + x<X>]/4.
+    Identical to inverting the measured joint wherever both kernels exist.
+    At theta = 0 it takes delta = (1, 1), giving [1 + z<Z> + x<X>]/4: the
+    theta -> 0 limit only where sin(2*vartheta) != 0 (else delta -> (0, 2)).
     """
     delta = _config_delta(config)
     pp, pm, mp, mm = _quasi_entries(delta, bloch_from_state(state))
@@ -170,14 +170,13 @@ def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJ
 def quasi_joint_phase_closed_form(state: PureState, config: MarkerConfig) -> PhaseJoint:
     """Reconstructed phase joint [1 + delta(z)(cos(phi)<X> + sin(phi)<Y>) + z<Z>]/(4*pi).
 
-    The phase twin of ``quasi_joint_closed_form``, including the theta = 0
-    limit, where delta(z) = 1 for both z.
+    The phase twin of ``quasi_joint_closed_form``: at theta = 0 delta(z) = 1
+    for both z, the theta -> 0 limit only where sin(2*vartheta) != 0.
     """
     delta = _config_delta(config)
     e = bloch_from_state(state)
-    four_pi = 2.0 * TWO_PI
-    columns = (1.0 + _SIGNS * e.ez, delta * e.ex, delta * e.ey)  # each ordered z = (+1, -1)
-    return PhaseJoint(np.stack(columns, axis=-1) / four_pi, kind=QUASI)
+    columns = np.array((1.0 + _SIGNS * e.ez, delta * e.ex, delta * e.ey))  # each row ordered z = (+1, -1)
+    return PhaseJoint(columns.T / (2.0 * TWO_PI), kind=QUASI)
 
 
 def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:

@@ -170,11 +170,10 @@ class PhaseJoint:
         if abs(total - 1.0) > JOINT_TOL:
             raise ValueError(f"phase joint integrates to {total!r}, must be 1")
         if self.kind == OPERATIONAL:
-            for z, density in zip(OUTCOMES, map(self.for_z, OUTCOMES)):
-                if density.min_value < -JOINT_TOL:
-                    raise ValueError(
-                        f"operational z={z} slice dips to {density.min_value!r}"
-                    )
+            for z, (c0, c_cos, c_sin) in zip(OUTCOMES, (values[:3], values[3:])):
+                min_value = c0 - math.hypot(c_cos, c_sin)
+                if min_value < -JOINT_TOL:
+                    raise ValueError(f"operational z={z} slice dips to {min_value!r}")
 
     def for_z(self, z: int) -> PhaseDensity:
         return PhaseDensity(*self.table[_outcome_index(z)].tolist())
@@ -238,8 +237,8 @@ def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoin
     """
     g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
     e = bloch_from_state(state)
-    columns = (g0 + _SIGNS * gz * e.ez, gx * e.ex, gx * e.ey)  # each ordered z = (+1, -1)
-    return PhaseJoint(np.stack(columns, axis=-1) / TWO_PI, kind=OPERATIONAL)
+    columns = np.array((g0 + _SIGNS * gz * e.ez, gx * e.ex, gx * e.ey))  # each row ordered z = (+1, -1)
+    return PhaseJoint(columns.T / TWO_PI, kind=OPERATIONAL)
 
 
 def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:

@@ -38,7 +38,7 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
 )
-from quasijoint.states import OUTCOMES, TWO_PI, PhaseDensity, _outcome_index, _read_only_table
+from quasijoint.states import OUTCOMES, TWO_PI, _outcome_index, _read_only_table
 
 #: shots drawn per block by _phase_blocks, into a few buffers of this length
 #: allocated once, so they stay small whatever the shot count
@@ -214,11 +214,6 @@ def _wrap_phase(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _cardioid_share(density: PhaseDensity) -> float:
-    """Weight A/c0 of the cardioid part of c0 + A cos(phi - phi0), clipped to [0, 1]."""
-    return min(density.amplitude / density.c0, 1.0) if density.c0 > 0.0 else 0.0
-
-
 def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     """Draw n (phi, z) records from a measured phase joint, exactly and without retries.
 
@@ -252,11 +247,13 @@ def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.nda
     z_seq, phi_seq = np.random.SeedSequence(seed).spawn(2)
     z_rng = np.random.default_rng(z_seq)
     phi_rng = np.random.default_rng(phi_seq)
-    slices = [joint.for_z(z) for z in OUTCOMES]
-    w_plus = min(max(slices[0].integral, 0.0), 1.0)
-    cardioid_low = w_plus * (1.0 - _cardioid_share(slices[0]))
-    cardioid_high = w_plus + (1.0 - w_plus) * _cardioid_share(slices[1])
-    phase0 = np.array([math.atan2(d.c_sin, d.c_cos) for d in slices])
+    rows = joint.table.tolist()  # slices z = (+1, -1), each (c0, c_cos, c_sin)
+    w_plus = min(max(TWO_PI * rows[0][0], 0.0), 1.0)
+    # each slice's cardioid weight A/c0, clipped to [0, 1]
+    share = [min(math.hypot(c_cos, c_sin) / c0, 1.0) if c0 > 0.0 else 0.0 for c0, c_cos, c_sin in rows]
+    cardioid_low = w_plus * (1.0 - share[0])
+    cardioid_high = w_plus + (1.0 - w_plus) * share[1]
+    phase0 = np.array([math.atan2(c_sin, c_cos) for _, c_cos, c_sin in rows])
     v_buf, u1_buf, u2_buf, phi_buf = (np.empty(min(n, _SAMPLE_BLOCK)) for _ in range(4))
     z_buf = np.empty(phi_buf.size, dtype=np.int64)
     for start in range(0, n, _SAMPLE_BLOCK):

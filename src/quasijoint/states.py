@@ -54,8 +54,8 @@ def _outcome_index(*outcomes: int) -> int:
 
 
 def _read_only_table(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only copy of ``values`` as a table of the given ``shape``; its first axis is a (+1, -1) outcome."""
-    table = np.array(values, dtype=dtype)
+    """A read-only C-ordered copy of ``values`` shaped ``shape``; its first axis is a (+1, -1) outcome."""
+    table = np.array(values, dtype=dtype, order="C")
     if table.shape != shape:
         raise ValueError(f"expected a table of shape {shape}, got shape {table.shape}")
     table.flags.writeable = False

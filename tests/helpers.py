@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume
 
 from quasijoint import MarkerConfig, PhaseDensity, PhaseShots, PureState, ScanGrid, gamma_coefficients
+from quasijoint.analysis import _negative_mass
+from quasijoint.marking import JOINT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +68,59 @@ def invertible_configs(draw) -> MarkerConfig:
     vartheta = draw(st.floats(0.0, math.pi, allow_nan=False, exclude_max=True))
     assume(abs(math.sin(2.0 * vartheta - theta)) > 0.05)
     return MarkerConfig(theta, vartheta)
+
+
+@st.composite
+def phase_tables(draw) -> np.ndarray:
+    """A normalized (2, 3) phase table, rows z = (+1, -1), columns (c0, c_cos, c_sin).
+
+    The c0 column may go negative, as a quasi joint's may.  Each slice's
+    harmonic is random, or tuned so that the slice minimum c0 - amplitude
+    lands within a few JOINT_TOL of 0; optionally the -1 slice repeats the
+    +1 slice's c0 and the negated harmonic, so the two minima tie.
+    """
+    c0 = draw(st.floats(-0.2, 0.4, allow_nan=False))
+    rows = [[c0], [1.0 / TWO_PI - c0]]
+    for row in rows:
+        if draw(st.booleans()):
+            row += [draw(st.floats(-0.5, 0.5, allow_nan=False)) for _ in range(2)]
+        else:
+            # min_value = -offset up to rounding: on either side of the -JOINT_TOL cut
+            offset = draw(st.floats(-3.0 * JOINT_TOL, 3.0 * JOINT_TOL, allow_nan=False))
+            row += [abs(row[0]) + offset, 0.0][:: draw(st.sampled_from((1, -1)))]
+    if draw(st.booleans()):
+        rows = [[1.0 / (2.0 * TWO_PI), *rows[0][1:]], [1.0 / (2.0 * TWO_PI), -rows[0][1], -rows[0][2]]]
+    return np.array(rows)
+
+
+def _reference_slices(table) -> list[PhaseDensity]:
+    """The rows of a (2, 3) phase table as ``PhaseDensity`` slices, z = +1 first, as ``for_z`` builds them."""
+    return [PhaseDensity(*row) for row in np.asarray(table, dtype=float).tolist()]
+
+
+def phase_negativity_reference(table) -> tuple[float, tuple[float, int], float]:
+    """``(min_value, argmin, total_negativity)`` of a phase table, read slice by slice off ``PhaseDensity``.
+
+    The slice oracle for ``negativity_of`` on a ``PhaseJoint``: the +1 slice
+    wins a tie, and each slice's negative mass comes from its
+    ``PhaseDensity.amplitude``.
+    """
+    slices = _reference_slices(table)
+    best_z, best = min(zip((1, -1), slices), key=lambda item: item[1].min_value)
+    phi_star = math.atan2(-best.c_sin, -best.c_cos) % TWO_PI
+    total = _negative_mass(slices[0].c0, slices[0].amplitude) + _negative_mass(slices[1].c0, slices[1].amplitude)
+    return best.min_value, (phi_star, best_z), total
+
+
+def operational_phase_table_accepted(table) -> bool:
+    """Whether a finite (2, 3) table passes ``PhaseJoint``'s operational rules, read off ``PhaseDensity`` slices.
+
+    The slice oracle for the constructor: 2*pi*(c0(+1) + c0(-1)) within
+    JOINT_TOL of 1, and every slice's ``min_value`` at least -JOINT_TOL.
+    """
+    slices = _reference_slices(table)
+    total = TWO_PI * (slices[0].c0 + slices[1].c0)
+    return abs(total - 1.0) <= JOINT_TOL and all(d.min_value >= -JOINT_TOL for d in slices)
 
 
 def x_response_matrix(theta: float) -> np.ndarray:

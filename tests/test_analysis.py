@@ -37,8 +37,12 @@ from quasijoint.analysis import _negative_mass
 from quasijoint._table import _CSV_BLOCK
 from helpers import (
     DiscardingSink,
+    any_configs,
     assert_same_text,
     haar_state,
+    operational_phase_table_accepted,
+    phase_negativity_reference,
+    phase_tables,
     pure_states,
     real_amplitude_state,
     scan_csv_reference,
@@ -163,6 +167,20 @@ class TestNegativityOf:
         assert report.total_negativity == pytest.approx(total, abs=1e-4)
         assert report.total_negativity > 0.0
 
+    @given(phase_tables(), pure_states(), any_configs())
+    def test_phase_report_matches_the_slice_oracle(self, table, state, cfg):
+        joints = [PhaseJoint(table, kind=QUASI), operational_joint_phase(state, cfg)]
+        if operational_phase_table_accepted(table):
+            joints.append(PhaseJoint(table))
+        try:
+            joints.append(quasi_joint_phase_closed_form(state, cfg))
+        except SingularInversion:
+            pass
+        for joint in joints:
+            report = negativity_of(joint)
+            expected = phase_negativity_reference(joint.table)
+            assert (report.min_value, report.argmin, report.total_negativity) == expected
+
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             negativity_of(0.5)
@@ -213,7 +231,7 @@ class TestNegativeMass:
         slices = [(c0, *rng.uniform(-1.0, 1.0, 2)) for c0 in rng.uniform(-0.5, 1.0, 60)]
         slices += [(0.0, 0.3, -0.4), (-0.2, 0.1, 0.05), (0.25, 0.0, 0.0), (0.3, 0.3, 0.0)]
         for c0, c_cos, c_sin in slices:
-            mass = _negative_mass(PhaseDensity(c0, c_cos, c_sin))
+            mass = _negative_mass(c0, math.hypot(c_cos, c_sin))
             assert mass == pytest.approx(_arc_quadrature(c0, c_cos, c_sin), abs=1e-12), (c0, c_cos, c_sin)
 
     def test_nonnegative_and_continuous_at_tangency(self):
@@ -222,7 +240,7 @@ class TestNegativeMass:
             masses = []
             for k in (0, 1, 2, 3, 5, 10, 100, 10**4, 10**6, 10**8, 10**10):
                 amplitude = c0 * (1.0 + k * eps)
-                mass = _negative_mass(PhaseDensity(c0, 0.0, -amplitude))
+                mass = _negative_mass(c0, amplitude)
                 # t^2 = (A^2 - c0^2)/c0^2 exactly; the series 2 c0 t^3 (1/3 - t^2/5 + t^4/7)
                 t2 = float((Fraction(amplitude) ** 2 - Fraction(c0) ** 2) / Fraction(c0) ** 2)
                 expected = 2.0 * c0 * t2 * math.sqrt(t2) * (1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0)
@@ -239,15 +257,16 @@ class TestNegativeMass:
             c_cos, c_sin = rng.uniform(-0.3, 0.3, 2)
             if math.hypot(c_cos, c_sin) < c0 * (1.0 + 1e-3):
                 continue
-            mass = _negative_mass(PhaseDensity(c0, c_cos, c_sin))
+            mass = _negative_mass(c0, math.hypot(c_cos, c_sin))
             assert mass == pytest.approx(checker.exact_negative_mass(c0, c_cos, c_sin), rel=1e-12, abs=1e-15)
 
     def test_negativity_of_sums_both_slices(self):
         minus = PhaseDensity(-0.05, 0.02, 0.01)  # negative over the whole period
         plus = PhaseDensity(1.0 / TWO_PI + 0.05, 0.3, -0.1)
         report = negativity_of(PhaseJoint([astuple(plus), astuple(minus)], kind=QUASI))
-        assert report.total_negativity == _negative_mass(plus) + _negative_mass(minus)
-        assert _negative_mass(minus) == pytest.approx(0.05 * TWO_PI, rel=1e-15)
+        plus_mass, minus_mass = (_negative_mass(d.c0, d.amplitude) for d in (plus, minus))
+        assert report.total_negativity == plus_mass + minus_mass
+        assert minus_mass == pytest.approx(0.05 * TWO_PI, rel=1e-15)
         assert report.total_negativity == pytest.approx(
             _arc_quadrature(plus.c0, plus.c_cos, plus.c_sin) + 0.05 * TWO_PI, abs=1e-12
         )

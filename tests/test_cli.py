@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -51,6 +52,22 @@ class TestGoldenFiles:
         assert out == (GOLDEN / case["stdout"]).read_text()
         for produced, stored in case["files"].items():
             assert (tmp_path / produced).read_text() == (GOLDEN / stored).read_text()
+
+    def test_large_outputs_match_their_pinned_digests(self, capsys, tmp_path):
+        # the sha256sum lines of tests/large_outputs.sha256, which CI also checks with sha256sum
+        lines = (GOLDEN.parent / "large_outputs.sha256").read_text().splitlines()
+        pinned = {name: digest for digest, name in map(str.split, lines)}
+        shots = tmp_path / "shots.csv"
+        state = ["--state", "0.6,0,0.64,0.48"]
+        sample = ["sample", *state, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase", "--seed", "5"]
+        assert run_cli(capsys, [*sample, "--n", "1000000", "--shots-out", str(shots)])[0] == 0
+        produced = {"shots-1e6.csv": shots.read_bytes()}
+        scan = ["scan", *state, "--theta-grid", "0:1.5707963267948966:300", "--vartheta-grid", "0:3.1:300"]
+        for form in ("csv", "json"):
+            code, out, _ = run_cli(capsys, [*scan, "--format", form])
+            assert code == 0
+            produced[f"scan-300x300.{form}"] = out.encode("utf-8")
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in produced.items()} == pinned
 
     @pytest.mark.parametrize("name", ["exact_basis", "scan_csv"])
     def test_text_only_stdout_gets_the_same_text(self, name):
@@ -248,6 +265,12 @@ class TestExitCodes:
     def test_malformed_state_is_validation_error(self, capsys):
         code, _, _ = run_cli(capsys, ["exact", "--state", "1,0,0"])
         assert code == 2
+
+    def test_non_finite_magphase_phase_names_the_state(self, capsys):
+        for spec in ("1,inf,0,0", "1,0,0,-inf", "1,nan,0,0"):
+            code, out, err = run_cli(capsys, ["exact", "--state", spec, "--state-form", "magphase"])
+            assert (code, out) == (2, "")
+            assert err == f"error: state {spec!r} needs finite phases\n"
 
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, ["invert", "--state", "1,0,0,0", "--theta", "0.3"])

@@ -30,7 +30,7 @@ from quasijoint import (
     operational_joint_phase,
     phase_grid,
 )
-from helpers import any_configs, haar_state, pure_states
+from helpers import any_configs, haar_state, operational_phase_table_accepted, phase_tables, pure_states
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -357,3 +357,12 @@ class TestJointValidation:
         with pytest.raises(ValueError):
             PhaseJoint([dipping, rest], kind="operational")
         assert PhaseJoint([dipping, rest], kind="quasi").for_z(1).c_cos == 0.4
+
+    @given(phase_tables(), pure_states(), any_configs())
+    def test_operational_phase_tables_accepted_as_by_the_slice_oracle(self, table, state, cfg):
+        assert operational_phase_table_accepted(operational_joint_phase(state, cfg).table)
+        if operational_phase_table_accepted(table):
+            assert np.array_equal(PhaseJoint(table).table, table)
+        else:
+            with pytest.raises(ValueError, match="operational z=(1|-1) slice dips to"):
+                PhaseJoint(table)
