@@ -2,8 +2,10 @@
 
 A ``Table`` is column names plus columns: float64 arrays, NaN marking a
 missing value, and ``Coded`` columns of a few distinct values formatted
-once.  Its three templates (CSV rows, JSON records at a nesting level, a
-one-column JSON float array) are all written by ``_blocks``.  A short table
+once.  Its two templates (CSV rows, JSON records at a nesting level) are
+written by ``_blocks``, and so are ``Arrays``, named float arrays written as
+one JSON object of lists: all their values run through ``_blocks`` as one
+column, cut at the array boundaries.  A short table
 is formatted row by row.  In a longer one every row is a fixed number of
 4-byte words in a word-major buffer of at most ``_CSV_BLOCK`` rows, float
 fields are written by ``_format_e16``, the exact vectorised ``%.16e``
@@ -184,17 +186,44 @@ class Table(NamedTuple):
         """The header line unless ``header`` is false, then the rows, a block per ``_CSV_BLOCK`` at most."""
         if header:
             yield (",".join(self.names) + "\n").encode("ascii")
-        yield from _blocks(self.columns, [""] + [","] * (len(self.columns) - 1) + ["\n"], "", _csv_value)
+        yield from _blocks(self.columns, [""] + [","] * (len(self.columns) - 1) + ["\n"], "", _csv_value, {})
 
     def json_records(self, level: int) -> list[str]:
         """The rows as a JSON list of objects at nesting ``level``, in pieces."""
         pad, keys = "  " * (level + 1), [f'{"  " * (level + 2)}"{name}": ' for name in self.names]
         texts = [pad + "{\n" + keys[0], *(",\n" + key for key in keys[1:]), f"\n{pad}}},\n"]
-        return _json_list(self.columns, texts, level)
+        end = texts[-1][:-2] + "\n" + "  " * level + "]"  # the last row closes the list
+        blocks = [b.decode("utf-8") for b in _blocks(self.columns, texts, "null", _json_value, {len(self.columns[0]): end})]
+        return ["[\n", *blocks] if blocks else ["[]"]
 
-    def json_values(self, level: int) -> list[str]:
-        """The one column as a JSON list at nesting ``level``, in pieces; NaN, like inf, has no text."""
-        return _json_list(self.columns, ["  " * (level + 1), ",\n"], level, None)
+
+class Arrays(NamedTuple):
+    """One or more named 1-D float64 arrays, written as a JSON object of lists."""
+
+    names: Sequence[str]
+    arrays: Sequence[np.ndarray]
+
+    def json_object(self, level: int) -> list[str]:
+        """The arrays as a JSON object at nesting ``level`` whose values are lists, in pieces.
+
+        Every value is formatted in one pass over the arrays joined end to
+        end, which ``_blocks`` cuts at each array's last row.  NaN, like inf,
+        has no text: the first non-finite value raises, in document order.
+        """
+        for values in self.arrays:
+            if values.dtype != np.float64 or values.ndim != 1:
+                raise TypeError(f"cannot render a {values.dtype} array of shape {values.shape} in a report")
+        pad, ends, rows, text = "  " * (level + 1), {}, 0, "{\n"  # ends[0]: the text before the first value
+        for i, (name, values) in enumerate(zip(self.names, self.arrays)):
+            text += (",\n" if i else "") + f'{pad}"{name}": ' + ("[\n" if values.size else "[]")
+            if values.size:
+                ends[rows] = text
+                rows += values.size
+                text = "\n" + pad + "]"
+        ends[rows] = text + "\n" + "  " * level + "}"
+        head = ends.pop(0)
+        blocks = _blocks([np.concatenate(self.arrays)], ["  " * (level + 2), ",\n"], None, _json_value, ends)
+        return [head, *(b.decode("utf-8") for b in blocks)]
 
 
 def _csv_value(value) -> str:
@@ -219,22 +248,13 @@ def _texts(values, value_text: Callable) -> list[str]:
     return texts
 
 
-def _json_list(columns, texts: list[str], level: int, missing: str | None = "null") -> list[str]:
-    """The rows of a template ending in ",\\n" as the pieces of one JSON list."""
-    blocks = [block.decode("utf-8") for block in _blocks(columns, texts, missing, _json_value)]
-    if not blocks:
-        return ["[]"]
-    blocks[-1] = blocks[-1][:-2]  # the last row closes the list instead
-    return ["[\n", *blocks, "\n" + "  " * level + "]"]
-
-
 def _padded(text: bytes, size: int = 0) -> bytes:
     """``text`` padded with NULs to whole words, at least ``size`` bytes."""
     return text.ljust(max(size, -(-len(text) // 4) * 4), b"\0")
 
 
-def _rows(columns, texts: list[str], missing: str | None, value_text: Callable, start: int, stop: int) -> bytes:
-    """Rows ``start`` to ``stop`` of ``_blocks``, formatted field by field."""
+def _rows(columns, texts: list[str], missing: str | None, value_text: Callable, start: int, stop: int, ends: dict) -> bytes:
+    """Rows ``start`` to ``stop`` of ``_blocks``, formatted field by field, ``ends`` in place."""
     fields = [itertools.repeat(texts[0])]
     for column, text in zip(columns, texts[1:]):
         if isinstance(column, Coded):
@@ -245,11 +265,20 @@ def _rows(columns, texts: list[str], missing: str | None, value_text: Callable, 
             values = column[start:stop].tolist()
             fields.append([missing if v != v and missing is not None else value_text(v) for v in values])
         fields.append(itertools.repeat(text))
+    if ends:
+        fields[-1] = [texts[-1]] * (stop - start)
+        for r in ends:
+            if start < r <= stop:
+                fields[-1][r - start - 1] = ends[r]
     return "".join(map("".join, zip(*fields))).encode("utf-8")
 
 
-def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable) -> Iterator[bytes]:
+def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable, ends: dict) -> Iterator[bytes]:
     """The rows ``texts[0] field texts[1] ... field texts[-1]`` as UTF-8, a block per ``_CSV_BLOCK`` rows at most.
+
+    ``ends`` maps row counts r, in increasing order, to the text that ends
+    row r - 1 in place of ``texts[-1]``, so that a JSON list's last row can
+    close it; a block of words is cut after each such row.
 
     A coded field is ``value_text`` of its value, a float field ``%.16e``
     or, where it is NaN, ``missing`` (which None refuses).  Fewer than
@@ -265,7 +294,7 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
     if not rows:
         return
     if rows < _WORDS_FROM:
-        yield _rows(columns, texts, missing, value_text, 0, rows)
+        yield _rows(columns, texts, missing, value_text, 0, rows, ends)
         return
     layout, coded, floats = [], [], []  # a row's words holding its constant text; the fields at their offsets
     pending = texts[0].encode("utf-8")
@@ -320,13 +349,17 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
             wide.update(_format_e16(values, field))
             if absent is not None:
                 np.copyto(field, empty, where=absent)
-        pieces, done = [], 0
-        for r in sorted(wide):
-            pieces += [block[:, done:r].T.tobytes(), _rows(columns, texts, missing, value_text, start + r, start + r + 1)]
-            done = r + 1
-        pieces.append(block[:, done:].T.tobytes())
-        text = b"".join(pieces)
         # translate drops NULs at a table lookup per byte, replace at about a memchr and a
         # memcpy per NUL, so replace wins on rows with less than one NUL in 15 bytes (a scan's)
         sparse = 15 * block[:, 0].tobytes().count(b"\0") < 4 * len(block)
-        yield text.replace(b"\0", b"") if sparse else text.translate(None, b"\0")
+        cuts = [0, *(r - start for r in ends if start < r < stop), stop - start]
+        for a, b in zip(cuts, cuts[1:]):  # the block's rows a to b, then the end of row b - 1
+            pieces = []
+            for r in sorted(r for r in wide if a <= r < b):
+                pieces += [block[:, a:r].T.tobytes(), _rows(columns, texts, missing, value_text, start + r, start + r + 1, {})]
+                a = r + 1
+            pieces.append(block[:, a:b].T.tobytes())
+            text = b"".join(pieces)
+            text = text.replace(b"\0", b"") if sparse else text.translate(None, b"\0")
+            end = ends.get(start + b)
+            yield text if end is None else text[: -len(texts[-1].encode("utf-8"))] + end.encode("utf-8")

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from quasijoint._table import SIGNS, Coded, Table
+from quasijoint._table import SIGNS, Arrays, Coded, Table
 from quasijoint.analysis import negativity_of, scan_negativity
 from quasijoint.inversion import (
     SingularInversion,
@@ -104,7 +104,7 @@ def format_float(value: float) -> str:
 
 def _json_pieces(value, level: int, pieces: list[str]) -> None:
     """Append the JSON text of ``value`` at nesting ``level`` to ``pieces``: dicts, lists and tuples
-    nest, and a ``Table`` (a list of records) or a 1-D float64 array is rendered block by block."""
+    nest, and a ``Table`` (a list of records) or ``Arrays`` (an object of lists) is rendered block by block."""
     if isinstance(value, float):
         pieces.append(format_float(value))
     elif isinstance(value, str):
@@ -115,8 +115,10 @@ def _json_pieces(value, level: int, pieces: list[str]) -> None:
         pieces.append("null")
     elif isinstance(value, int):
         pieces.append(str(value))
-    elif isinstance(value, Table):  # a NamedTuple, so before the tuples
+    elif isinstance(value, Table):  # NamedTuples, so before the tuples
         pieces += value.json_records(level)
+    elif isinstance(value, Arrays):  # raises for the first non-finite value
+        pieces += value.json_object(level)
     elif isinstance(value, (dict, list, tuple)):
         brackets = "{}" if isinstance(value, dict) else "[]"
         if not value:
@@ -130,10 +132,6 @@ def _json_pieces(value, level: int, pieces: list[str]) -> None:
             _json_pieces(item, level + 1, pieces)
             opener = ",\n"
         pieces.append("\n" + "  " * level + brackets[1])
-    elif isinstance(value, np.ndarray):
-        if value.dtype != np.float64 or value.ndim != 1:
-            raise TypeError(f"cannot render a {value.dtype} array of shape {value.shape} in a report")
-        pieces += Table(("",), (value,)).json_values(level)  # raises for the first non-finite element
     else:
         raise TypeError(f"cannot render {type(value).__name__} in a report")
 
@@ -344,9 +342,9 @@ def _density_dict(density) -> dict:
     return {"c0": density.c0, "c_cos": density.c_cos, "c_sin": density.c_sin}
 
 
-def _density_grid(points: int, **densities) -> dict:
+def _density_grid(points: int, **densities) -> Arrays:
     phi = phase_grid(points)
-    return {"phi": phi, **{name: evaluate_phase_density(d, phi) for name, d in densities.items()}}
+    return Arrays(("phi", *densities), (phi, *(evaluate_phase_density(d, phi) for d in densities.values())))
 
 
 def _slices(names: Sequence[str], table: np.ndarray, *coded: Coded) -> Table:

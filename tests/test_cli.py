@@ -30,7 +30,8 @@ from quasijoint import (
     sample_phase,
 )
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
-from quasijoint._table import _CSV_BLOCK, _WORDS_FROM, Coded, Table
+from quasijoint import _table
+from quasijoint._table import _CSV_BLOCK, _WORDS_FROM, Arrays, Coded, Table
 from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
@@ -67,6 +68,11 @@ class TestGoldenFiles:
             code, out, _ = run_cli(capsys, [*scan, "--format", form])
             assert code == 0
             produced[f"scan-300x300.{form}"] = out.encode("utf-8")
+        # a phase report whose grid's array boundaries fall inside word-layout blocks
+        invert = ["invert", *state, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase", "--phi-points", "100000"]
+        code, out, _ = run_cli(capsys, invert)
+        assert code == 0
+        produced["phase-1e5.json"] = out.encode("utf-8")
         assert {name: hashlib.sha256(data).hexdigest() for name, data in produced.items()} == pinned
 
     @pytest.mark.parametrize("name", ["exact_basis", "scan_csv"])
@@ -146,22 +152,62 @@ def _float_arrays(draw):
     return np.array(draw(st.lists(element, max_size=40)), dtype=np.float64)
 
 
+#: array lengths at the edges of the row-by-row path and of a word-layout block
+_GRID_LENGTHS = st.sampled_from([0, 1, _WORDS_FROM - 1, _WORDS_FROM, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+
+
+@st.composite
+def _grids(draw):
+    """1 to 4 named arrays of edge or random lengths, their values drawn from ``_float_arrays``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    arrays = []
+    for _ in range(draw(st.integers(1, 4), label="arrays")):
+        pool = np.append(draw(_float_arrays()), 0.5)
+        arrays.append(pool[rng.integers(pool.size, size=draw(_GRID_LENGTHS | st.integers(0, 300)))])
+    return Arrays([f"a{i}" for i in range(len(arrays))], arrays)
+
+
+def _as_lists(grid: Arrays) -> dict:
+    return {name: values.tolist() for name, values in zip(grid.names, grid.arrays)}
+
+
 class TestJsonFloatArrays:
-    """A float64 array renders exactly as its ``tolist()``."""
+    """Named float64 arrays render, in one formatter pass, exactly as a dict of their ``tolist()``."""
 
     @given(_float_arrays(), st.integers(0, 3))
     def test_matches_list_rendering(self, values, level):
-        assert cli._render_json_value(values, level) == cli._render_json_value(values.tolist(), level)
+        grid = Arrays(["v"], [values])
+        assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_grids(), st.integers(0, 3))
+    def test_grid_matches_its_arrays_rendered_one_by_one(self, grid, level):
+        assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
+
+    def test_24_character_values_next_to_the_cuts(self):
+        # rows formatted by Python, on either side of every array boundary and block edge
+        for n in (_WORDS_FROM // 3, _WORDS_FROM, _CSV_BLOCK - 1, _CSV_BLOCK + 1):
+            arrays = [np.full(n, 0.25) for _ in range(3)]
+            for values in arrays:
+                values[[0, -1]] = -1e-100
+            arrays[1][n // 2] = -5e-324
+            grid = Arrays(["phi", "plus", "minus"], arrays)
+            assert cli._render_json_value(grid, 2) == cli._render_json_value(_as_lists(grid), 2)
 
     def test_empty_array(self):
         for level in range(4):
-            assert cli._render_json_value(np.array([]), level) == "[]"
+            for arrays in ([[]], [[], [0.5] * 70, []], [[], []]):
+                grid = Arrays([f"a{i}" for i in range(len(arrays))], [np.array(a, dtype=np.float64) for a in arrays])
+                assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
 
     def test_only_one_dimensional_float64_arrays(self):
         # np.int64 is no Python int: library values reach reports as Python scalars
         for values in (np.arange(3), np.zeros((2, 2)), np.zeros(3, np.float32), np.int64(3)):
             with pytest.raises(TypeError):
                 cli._render_json_value(values, 0)
+            for arrays in ([values], [np.zeros(3), values, np.zeros(3)]):
+                with pytest.raises(TypeError):
+                    cli._render_json_value(Arrays([f"a{i}" for i in range(len(arrays))], arrays), 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_element_raises_the_list_message(self, bad):
@@ -169,9 +215,38 @@ class TestJsonFloatArrays:
             with pytest.raises(ValueError) as from_list:
                 cli._render_json_value(values, 1)
             with pytest.raises(ValueError) as from_array:
-                cli._render_json_value(np.array(values), 1)
+                cli._render_json_value(Arrays(["v"], [np.array(values)]), 1)
             assert str(from_array.value) == str(from_list.value)
             assert str(from_array.value) == f"refusing to print non-finite value {bad!r}"
+
+    @pytest.mark.parametrize("n", [3, 300, _CSV_BLOCK + 5])
+    def test_first_non_finite_value_in_document_order_is_reported(self, n):
+        # row by row, as words in one block, and across blocks
+        for first, second in ((math.inf, math.nan), (math.nan, -math.inf)):
+            phi, plus, minus = np.linspace(0.0, 1.0, n), np.full(n, 0.5), np.full(n, 0.5)
+            plus[-1], minus[0] = first, second
+            grid = Arrays(["phi", "plus", "minus"], [phi, plus, minus])
+            with pytest.raises(ValueError) as from_grid:
+                cli._render_json_value(grid, 1)
+            with pytest.raises(ValueError) as from_lists:
+                cli._render_json_value(_as_lists(grid), 1)
+            assert str(from_grid.value) == str(from_lists.value) == f"refusing to print non-finite value {first!r}"
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"], [3 * 256]),
+            (["exact", "--state", "0.6,0,0.64,0.48", "--phi-points", "256"], [2 * 256]),
+            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1"], []),
+        ],
+        ids=["invert_phase", "exact", "invert_discrete"],
+    )
+    def test_a_report_formats_its_phase_grid_in_one_kernel_call(self, argv, sizes, capsys, monkeypatch):
+        # a discrete report's tables are short, so they are formatted row by row
+        calls, kernel = [], _table._format_e16
+        monkeypatch.setattr(_table, "_format_e16", lambda values, out: calls.append(values.size) or kernel(values, out))
+        assert run_cli(capsys, argv)[0] == 0
+        assert calls == sizes
 
 
 def _csv_field(value) -> str:

@@ -12,6 +12,7 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCAN_SCRIPT = SCRIPTS / "run_negativity_scan.py"
 MC_SCRIPT = SCRIPTS / "mc_convergence.py"
+AB_SCRIPT = SCRIPTS / "ab_requests.py"
 
 
 def run_scan_script(monkeypatch, capsys, *args: str) -> list[str]:
@@ -163,3 +164,25 @@ def test_mc_convergence_script_reports_an_unwritable_out_on_one_line(monkeypatch
     assert [line.split("rms=")[0] for line in captured.out.splitlines()] == ["N=      100  "]
     [line] = captured.err.splitlines()
     assert line.startswith("error: [Errno 2] No such file or directory") and str(out) in line
+
+
+def test_ab_script_replays_requests_on_two_trees(monkeypatch, capsys):
+    # the same tree on both sides: every request prints the same report on both
+    monkeypatch.chdir(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "argv", [str(AB_SCRIPT), "--against", ".", "--seed", "3", "--requests", "6", "--rounds", "2"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(AB_SCRIPT), run_name="__main__")
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ensemble, seed 3: 6 requests x 2 rounds;")
+    labels = [line[:44].rstrip() for line in lines[2:]]
+    assert sum(label.startswith("median ") for label in labels) >= 1
+    for label in ("pool p50 ms, all samples", "pool p90 ms, all samples", "pool p50 ms, per-request minima",
+                  "pool p90 ms, per-request minima", "peak RSS MB"):
+        assert label in labels
+    assert lines[-1] == "requests whose stdout differs between the trees: 0 of 6"
+
+
+def test_ab_script_rejects_a_tree_without_the_package(monkeypatch, capsys, tmp_path):
+    line = run_failing_script(monkeypatch, capsys, AB_SCRIPT, "--against", str(tmp_path))
+    assert line == f"error: {tmp_path.resolve()} holds no src/quasijoint/cli.py"
