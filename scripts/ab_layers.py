@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Interleaved A/B of library layers: this tree against another, in process, one fresh interpreter per run.
+
+Each of the ``--rounds`` rounds starts one subprocess per tree, and which
+tree goes first alternates round by round.  A subprocess imports quasijoint
+from its tree's src/ and times each layer on one fixed state and
+configuration: the four joint builders, a 100x100 ``scan_negativity``,
+``negativity_of`` on a discrete and on a phase quasi joint, and
+``born_joint_discrete``, the Born-rule oracle that serves as an unchanged
+control row.  A layer's time in a run is the least of REPEATS timeit
+repeats, per call.  Printed per layer: each tree's median over the rounds,
+in microseconds, and their ratio.  Example:
+
+    python scripts/ab_layers.py --against ../parent --rounds 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: timeit repeats per layer and run
+REPEATS = 7
+
+#: the program each subprocess runs: argv[1] is the repeat count; prints {layer: seconds per call}
+CHILD = """
+import json, sys, timeit
+import numpy as np
+import quasijoint as q
+
+state = q.PureState(0.6, 0.64 + 0.48j)
+config = q.MarkerConfig(0.7, 1.1)
+thetas, varthetas = np.linspace(0.0, 1.5707963267948966, 100), np.linspace(0.0, 3.1, 100)
+discrete, phase = q.quasi_joint_closed_form(state, config), q.quasi_joint_phase_closed_form(state, config)
+layers = {
+    "operational_joint_discrete": (lambda: q.operational_joint_discrete(state, config), 1000),
+    "operational_joint_phase": (lambda: q.operational_joint_phase(state, config), 1000),
+    "quasi_joint_closed_form": (lambda: q.quasi_joint_closed_form(state, config), 1000),
+    "quasi_joint_phase_closed_form": (lambda: q.quasi_joint_phase_closed_form(state, config), 1000),
+    "scan_negativity 100x100": (lambda: q.scan_negativity(state, thetas, varthetas), 10),
+    "negativity_of, discrete": (lambda: q.negativity_of(discrete), 1000),
+    "negativity_of, phase": (lambda: q.negativity_of(phase), 1000),
+    "born_joint_discrete (control)": (lambda: q.born_joint_discrete(state, config), 1000),
+}
+repeats = int(sys.argv[1])
+print(json.dumps({name: min(timeit.repeat(call, number=number, repeat=repeats)) / number
+                  for name, (call, number) in layers.items()}))
+"""
+
+
+def run(tree: Path) -> dict[str, float]:
+    """One subprocess's seconds per call of each layer, quasijoint imported from ``tree``/src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-B", "-c", CHILD, str(REPEATS)], cwd=tree, env=env,
+                          capture_output=True, text=True, check=False)
+    if done.returncode:
+        raise RuntimeError(f"timing {tree} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, type=Path, help="a source tree holding src/quasijoint")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args()
+    against = args.against.resolve()
+    if not (against / "src" / "quasijoint" / "__init__.py").is_file():
+        print(f"error: {against} holds no src/quasijoint/__init__.py", file=sys.stderr)
+        return 2
+    if args.rounds < 1:
+        print("error: --rounds must be >= 1", file=sys.stderr)
+        return 2
+    trees = (ROOT, against)
+    runs = [[], []]  # [tree] -> one {layer: seconds} per round
+    for round_ in range(args.rounds):
+        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+            runs[side].append(run(trees[side]))
+
+    print(f"{args.rounds} rounds, min of {REPEATS} repeats per run; this tree {ROOT}, against {against}")
+    print(f"{'per call, median over rounds':36s} {'this us':>10s} {'against us':>10s} {'ratio':>7s}")
+    for name in runs[0][0]:
+        this, other = (statistics.median(result[name] for result in side) for side in runs)
+        print(f"{name:36s} {this * 1e6:10.2f} {other * 1e6:10.2f} {this / other:7.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from quasijoint._table import Coded, Table
-from quasijoint.inversion import _quasi_entries, delta_coefficients
-from quasijoint.marking import DiscreteJoint, PhaseJoint
+from quasijoint.inversion import _UNIT, delta_coefficients
+from quasijoint.marking import DiscreteJoint, PhaseJoint, _discrete_entries
 from quasijoint.states import OUTCOMES, TWO_PI, PureState, bloch_from_state
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
@@ -159,7 +159,7 @@ def scan_negativity(
     thetas = np.asarray(theta_grid, dtype=float)
     varthetas = np.asarray(vartheta_grid, dtype=float)
     delta, marking, analyzer = delta_coefficients(thetas[:, None], varthetas[None, :])
-    entries = _quasi_entries(delta, bloch_from_state(state))
+    entries = _discrete_entries(0.25, _UNIT, delta, _UNIT, bloch_from_state(state))
     return ScanGrid(
         theta_values=thetas,
         vartheta_values=varthetas,

@@ -31,20 +31,17 @@ from quasijoint.marking import (
     DiscreteJoint,
     MarkerConfig,
     PhaseJoint,
+    _discrete_entries,
     _reduce_mod_pi,
+    _phase_table,
 )
-from quasijoint.states import (
-    OUTCOMES,
-    TWO_PI,
-    BlochExpectations,
-    PureState,
-    _SIGNS,
-    _by_outcome,
-    bloch_from_state,
-)
+from quasijoint.states import TWO_PI, PureState, _by_outcome, bloch_from_state
 
 #: denominators at or below this magnitude count as singular
 SINGULARITY_EPS = 1e-9
+
+#: a0 and az of the quasi joints, whose linear form takes (1, delta, 1) where the measured one takes gamma
+_UNIT = _by_outcome(1.0, 1.0)
 
 
 class SingularInversion(ValueError):
@@ -145,16 +142,6 @@ def _config_delta(config: MarkerConfig) -> np.ndarray:
     return delta_coefficients(theta, vartheta)[0]
 
 
-def _quasi_entries(delta: np.ndarray, e: BlochExpectations):
-    """The entries [1 + x*delta(z)<X> + z<Z>]/4, one at a time in the (x, z) order of ``DiscreteJoint``.
-
-    Each is shaped like delta without its trailing z axis.
-    """
-    for x in OUTCOMES:
-        for k, z in enumerate(OUTCOMES):
-            yield 0.25 * (1.0 + x * delta[..., k] * e.ex + z * e.ez)
-
-
 def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJoint:
     """Reconstructed joint P(x, z) = [1 + x*delta(z)<X> + z<Z>]/4 straight from the state.
 
@@ -162,8 +149,7 @@ def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJ
     At theta = 0 it takes delta = (1, 1), giving [1 + z<Z> + x<X>]/4: the
     theta -> 0 limit only where sin(2*vartheta) != 0 (else delta -> (0, 2)).
     """
-    delta = _config_delta(config)
-    pp, pm, mp, mm = _quasi_entries(delta, bloch_from_state(state))
+    pp, pm, mp, mm = _discrete_entries(0.25, _UNIT, _config_delta(config), _UNIT, bloch_from_state(state))
     return DiscreteJoint([[pp, pm], [mp, mm]], kind=QUASI)
 
 
@@ -174,9 +160,7 @@ def quasi_joint_phase_closed_form(state: PureState, config: MarkerConfig) -> Pha
     for both z, the theta -> 0 limit only where sin(2*vartheta) != 0.
     """
     delta = _config_delta(config)
-    e = bloch_from_state(state)
-    columns = np.array((1.0 + _SIGNS * e.ez, delta * e.ex, delta * e.ey))  # each row ordered z = (+1, -1)
-    return PhaseJoint(columns.T / (2.0 * TWO_PI), kind=QUASI)
+    return PhaseJoint(_phase_table(2.0 * TWO_PI, _UNIT, delta, _UNIT, bloch_from_state(state)), kind=QUASI)
 
 
 def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:

@@ -31,6 +31,7 @@ from quasijoint.states import (
     OUTCOMES,
     TWO_PI,
     BinaryDistribution,
+    BlochExpectations,
     PhaseDensity,
     PureState,
     _SIGNS,
@@ -221,12 +222,29 @@ def gamma_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
     )
 
 
+def _discrete_entries(scale, a0, ax, az, e: BlochExpectations):
+    """The entries scale*[a0(z) + x*ax(z)<X> + z*az(z)<Z>], one at a time in the (x, z) order of ``DiscreteJoint``.
+
+    Each coefficient ends in an analyzer axis z = (+1, -1); an entry takes their broadcast shape without it.  The
+    measured joints take (gamma_0, gamma_X, gamma_Z) and 1/2, the quasi joints (1, delta, 1) and 1/4.
+    """
+    # [()] makes a scalar of a pair's 0-d slice, so the one-configuration builders skip numpy's array path
+    per_z = [(a0[..., k][()], ax[..., k][()], z * az[..., k][()] * e.ez) for k, z in enumerate(OUTCOMES)]
+    for x in OUTCOMES:
+        for a0_z, ax_z, path in per_z:
+            yield scale * (a0_z + x * ax_z * e.ex + path)
+
+
+def _phase_table(divisor, a0, ax, az, e: BlochExpectations) -> np.ndarray:
+    """Phase twin of ``_discrete_entries``: rows z = (+1, -1) of [a0(z) + z*az(z)<Z>, ax(z)<X>, ax(z)<Y>]/divisor."""
+    return np.array((a0 + _SIGNS * az * e.ez, ax * e.ex, ax * e.ey)).T / divisor
+
+
 def operational_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:
     """Measured joint P(x, z) = [gamma_0(z) + x*gamma_X(z)<X> + z*gamma_Z(z)<Z>]/2."""
-    g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
-    e = bloch_from_state(state)
-    table = 0.5 * (g0 + _SIGNS[:, None] * gx * e.ex + _SIGNS * gz * e.ez)
-    return DiscreteJoint(table, kind=OPERATIONAL)
+    gamma = gamma_coefficients(config.theta, config.vartheta)
+    pp, pm, mp, mm = _discrete_entries(0.5, *gamma, bloch_from_state(state))
+    return DiscreteJoint([[pp, pm], [mp, mm]], kind=OPERATIONAL)
 
 
 def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoint:
@@ -235,10 +253,8 @@ def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoin
     c0(z) = [gamma_0(z) + z*gamma_Z(z)<Z>]/(2*pi), and the harmonics carry
     gamma_X(z)<X> and gamma_X(z)<Y>.
     """
-    g0, gx, gz = gamma_coefficients(config.theta, config.vartheta)
-    e = bloch_from_state(state)
-    columns = np.array((g0 + _SIGNS * gz * e.ez, gx * e.ex, gx * e.ey))  # each row ordered z = (+1, -1)
-    return PhaseJoint(columns.T / TWO_PI, kind=OPERATIONAL)
+    gamma = gamma_coefficients(config.theta, config.vartheta)
+    return PhaseJoint(_phase_table(TWO_PI, *gamma, bloch_from_state(state)), kind=OPERATIONAL)
 
 
 def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:

@@ -13,6 +13,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCAN_SCRIPT = SCRIPTS / "run_negativity_scan.py"
 MC_SCRIPT = SCRIPTS / "mc_convergence.py"
 AB_SCRIPT = SCRIPTS / "ab_requests.py"
+LAYERS_SCRIPT = SCRIPTS / "ab_layers.py"
 
 
 def run_scan_script(monkeypatch, capsys, *args: str) -> list[str]:
@@ -186,3 +187,27 @@ def test_ab_script_replays_requests_on_two_trees(monkeypatch, capsys):
 def test_ab_script_rejects_a_tree_without_the_package(monkeypatch, capsys, tmp_path):
     line = run_failing_script(monkeypatch, capsys, AB_SCRIPT, "--against", str(tmp_path))
     assert line == f"error: {tmp_path.resolve()} holds no src/quasijoint/cli.py"
+
+
+def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
+    monkeypatch.chdir(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "argv", [str(LAYERS_SCRIPT), "--against", ".", "--rounds", "1"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(LAYERS_SCRIPT), run_name="__main__")
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("1 rounds, min of 7 repeats per run;")
+    rows = {line[:36].rstrip(): line[36:].split() for line in lines[2:]}
+    assert list(rows) == [
+        "operational_joint_discrete", "operational_joint_phase", "quasi_joint_closed_form",
+        "quasi_joint_phase_closed_form", "scan_negativity 100x100", "negativity_of, discrete",
+        "negativity_of, phase", "born_joint_discrete (control)",
+    ]
+    for this, other, ratio in rows.values():
+        assert float(this) > 0.0 and float(other) > 0.0
+        assert float(ratio) == pytest.approx(float(this) / float(other), rel=0.01, abs=0.001)
+
+
+def test_ab_layers_script_rejects_a_tree_without_the_package(monkeypatch, capsys, tmp_path):
+    line = run_failing_script(monkeypatch, capsys, LAYERS_SCRIPT, "--against", str(tmp_path))
+    assert line == f"error: {tmp_path.resolve()} holds no src/quasijoint/__init__.py"
