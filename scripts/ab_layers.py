@@ -5,11 +5,15 @@ Each of the ``--rounds`` rounds starts one subprocess per tree, and which
 tree goes first alternates round by round.  A subprocess imports quasijoint
 from its tree's src/ and times each layer on one fixed state and
 configuration: the four joint builders, a 100x100 ``scan_negativity``,
-``negativity_of`` on a discrete and on a phase quasi joint, and
-``born_joint_discrete``, the Born-rule oracle that serves as an unchanged
-control row.  A layer's time in a run is the least of REPEATS timeit
-repeats, per call.  Printed per layer: each tree's median over the rounds,
-in microseconds, and their ratio.  Example:
+``negativity_of`` on a discrete and on a phase quasi joint, the table
+writer on a 100x100 scan's CSV, on 32,768 shots' CSV and on a 256-point
+phase grid's JSON, and ``born_joint_discrete``, the Born-rule oracle that
+serves as an unchanged control row.  A layer's time in a run is the least
+of REPEATS timeit repeats, per call.  Printed per layer: each tree's median
+over the rounds, in microseconds, and the median of the per-round ratios
+(this tree's run over the other tree's run in the same round), which a
+change in host load between rounds moves less than a ratio of medians.
+Example:
 
     python scripts/ab_layers.py --against ../parent --rounds 5
 """
@@ -32,13 +36,19 @@ REPEATS = 7
 #: the program each subprocess runs: argv[1] is the repeat count; prints {layer: seconds per call}
 CHILD = """
 import json, sys, timeit
+from collections import deque
 import numpy as np
 import quasijoint as q
+from quasijoint import cli
+from quasijoint.sampling import _phase_blocks, _shot_table
 
 state = q.PureState(0.6, 0.64 + 0.48j)
 config = q.MarkerConfig(0.7, 1.1)
 thetas, varthetas = np.linspace(0.0, 1.5707963267948966, 100), np.linspace(0.0, 3.1, 100)
 discrete, phase = q.quasi_joint_closed_form(state, config), q.quasi_joint_phase_closed_form(state, config)
+grid, measured = q.scan_negativity(state, thetas, varthetas), q.operational_joint_phase(state, config)
+phi, z = (block.copy() for block in next(_phase_blocks(measured, 32768, 5)))
+densities = cli._density_grid(256, plus=measured.for_z(1), minus=measured.for_z(-1))
 layers = {
     "operational_joint_discrete": (lambda: q.operational_joint_discrete(state, config), 1000),
     "operational_joint_phase": (lambda: q.operational_joint_phase(state, config), 1000),
@@ -47,6 +57,9 @@ layers = {
     "scan_negativity 100x100": (lambda: q.scan_negativity(state, thetas, varthetas), 10),
     "negativity_of, discrete": (lambda: q.negativity_of(discrete), 1000),
     "negativity_of, phase": (lambda: q.negativity_of(phase), 1000),
+    "csv_blocks, 100x100 scan": (lambda: deque(grid.csv_blocks(), 0), 10),
+    "csv_blocks, 32768 shots": (lambda: deque(_shot_table(phi, z).csv_blocks(), 0), 10),
+    "json_object, 256-point phase grid": (lambda: densities.json_object(1), 100),
     "born_joint_discrete (control)": (lambda: q.born_joint_discrete(state, config), 1000),
 }
 repeats = int(sys.argv[1])
@@ -86,8 +99,9 @@ def main() -> int:
     print(f"{args.rounds} rounds, min of {REPEATS} repeats per run; this tree {ROOT}, against {against}")
     print(f"{'per call, median over rounds':36s} {'this us':>10s} {'against us':>10s} {'ratio':>7s}")
     for name in runs[0][0]:
-        this, other = (statistics.median(result[name] for result in side) for side in runs)
-        print(f"{name:36s} {this * 1e6:10.2f} {other * 1e6:10.2f} {this / other:7.3f}")
+        this, other = ([result[name] for result in side] for side in runs)
+        ratio = statistics.median(a / b for a, b in zip(this, other))  # paired by round
+        print(f"{name:36s} {statistics.median(this) * 1e6:10.2f} {statistics.median(other) * 1e6:10.2f} {ratio:7.3f}")
     return 0
 
 

@@ -5,13 +5,12 @@ missing value, and ``Coded`` columns of a few distinct values formatted
 once.  Its two templates (CSV rows, JSON records at a nesting level) are
 written by ``_blocks``, and so are ``Arrays``, named float arrays written as
 one JSON object of lists: all their values run through ``_blocks`` as one
-column, cut at the array boundaries.  A short table
-is formatted row by row.  In a longer one every row is a fixed number of
-4-byte words in a word-major buffer of at most ``_CSV_BLOCK`` rows, float
-fields are written by ``_format_e16``, the exact vectorised ``%.16e``
-kernel, and the NULs that pad the words are dropped as each block is
-emitted.  Either way the text is byte-identical to formatting every field
-with Python.
+column, cut at the array boundaries.  A short table is formatted row by
+row.  In a longer one every row is the same bytes in a row-major buffer of
+at most ``_CSV_BLOCK`` rows, each text and field at its own width, float
+fields written by ``_format_e16``, the exact vectorised ``%.16e`` kernel,
+and the NULs that pad the shorter fields dropped as each block is emitted.
+Either way the text is byte-identical to formatting every field with Python.
 """
 
 from __future__ import annotations
@@ -28,28 +27,29 @@ import numpy as np
 #: typical scan or shot file
 _CSV_BLOCK = 1 << 12
 #: tables of fewer rows are formatted row by row: below it that costs less
-#: than laying a row out as words
-_WORDS_FROM = 64
+#: than laying the rows out as bytes
+_LAYOUT_FROM = 64
 
 
 def _words(text: str) -> np.ndarray:
-    """ASCII text as 4-byte words (uint32 in native order), so that words written in
-    a row buffer come out of ``tobytes`` as the text."""
+    """ASCII text as 4-byte words (uint32 in native order), so that a word stored in
+    a byte buffer writes its four characters."""
     return np.frombuffer(text.encode("ascii"), np.uint32)
 
 
-#: words of one ``%.16e`` field: [separator|sign|lead|"."], the 16 digits after
-#: the point as four words of four, and the exponent "e+dd"; the widest text
-#: that fits after the separator is 23 characters
-_E16_WORDS = 6
-#: byte 0 of a field's first word, the separator the caller sets
-_SEPARATOR_MASK = np.frombuffer(b"\xff\0\0\0", np.uint32)[0]
+#: bytes of a ``%.16e`` field without a sign: the lead digit and ".", 16 digits
+#: and the exponent "e+dd"; a field with a sign slot has one byte more
+_E16_WIDTH = 22
 #: exact doubles 1e0 .. 1e22, each with its Dekker split by 2**27 + 1
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-#: bytes 1..3 of a field's first word, "d." for d = 0 .. 9, then "-d." for the same
-_LEAD_WORDS = _words("".join(f"\0\0{d}." for d in range(10)) + "".join(f"\0-{d}." for d in range(10)))
+#: the word that starts a field, per sign slot: "d." for d = 0 .. 9, and with
+#: the slot "d." after a NUL, then "-d." for the same; the digits overwrite its tail
+_LEADS = (
+    _words("".join(f"{d}.\0\0" for d in range(10))),
+    _words("".join(f"\0{d}.\0" for d in range(10)) + "".join(f"-{d}.\0" for d in range(10))),
+)
 #: ASCII "0000" .. "9999" as one 4-byte word per value, built from uint8
 #: digits so that import allocates no large temporaries
 _DIGITS4 = (
@@ -65,37 +65,40 @@ _EXPONENTS = _words("".join(f"e{16 - k:+03d}" for k in range(23)))
 
 def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact product a * 10**k as p + err (Dekker's TwoProduct, no FMA)."""
-    c = a * 134217729.0
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
+    a_hi = a * 134217729.0
+    a_lo = a_hi - a
+    a_hi -= a_lo  # c - (c - a) for c = a * (2**27 + 1)
+    np.subtract(a, a_hi, out=a_lo)
     b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    p = a * _POW10.take(k)
+    p = _POW10.take(k)
+    p *= a
     err = a_hi * b_hi
     err -= p
-    err += a_hi * b_lo
-    err += a_lo * b_hi
-    err += a_lo * b_lo
+    err += np.multiply(a_hi, b_lo, out=a_hi)
+    err += np.multiply(a_lo, b_hi, out=b_hi)
+    err += np.multiply(a_lo, b_lo, out=b_lo)
     return p, err
 
 
-def _format_e16(values: np.ndarray, out: np.ndarray) -> list[int]:
-    """Write ``f"{v:.16e}"`` of each float64 value as the ``_E16_WORDS`` words of its column of ``out``.
+def _format_e16(values: np.ndarray, field: np.ndarray) -> list[int]:
+    """Write ``f"{v:.16e}"`` of each float64 value into its row of ``field``.
 
-    ``out`` is a uint32 array of shape (_E16_WORDS, len(values)) whose rows
-    are contiguous, typically rows of a word-major row buffer.  Byte 0 of
-    each column's first word, the separator, is left as the caller set it;
-    every other byte of the column is written, NUL where the text is
-    shorter (no sign, or a short Python-formatted field).  The 17
+    ``field`` is a uint8 array of shape (len(values), _E16_WIDTH + sign),
+    typically a slice of a row-major row buffer, whose last axis is
+    contiguous; with ``sign`` 1 it has a sign slot, which holds "-" or a NUL,
+    and with ``sign`` 0 no value may have its sign bit set.  Every byte of
+    the field is written, NUL where the text is shorter.  The 17
     significant digits are the exact product |v| * 10**(16 - E) rounded half
     to even, which needs 10**(16 - E) to be an exact double: so
     1e-6 < |v| < 1e17 and zeros are written here, and every other value
     (NaN and inf included) is formatted by Python.
 
-    Returns the indices of the values whose text has 24 characters, a
-    negative value with a three-digit exponent such as -1e-100: it does not
-    fit after the separator, so their columns hold only the separator and
-    NULs, and the caller writes those rows some other way.
+    Returns the indices of the values whose text is longer than the field,
+    such as -1e-100, or 1e-100 without a sign slot: the caller writes those
+    rows some other way.
     """
+    width = field.shape[1]
+    sign = width - _E16_WIDTH
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e17)  # decimal exponents -6 .. 16; False for NaN
     slow = ~fast
@@ -126,24 +129,26 @@ def _format_e16(values: np.ndarray, out: np.ndarray) -> list[int]:
     high = high.astype(np.int32)  # below 10**9
     lead = high // 10**8
     high -= lead * 10**8
-    lead += np.signbit(values) * np.int32(10)
-    first = out[0]
-    first &= _SEPARATOR_MASK
-    first |= _LEAD_WORDS.take(lead)
-    for row, group in ((1, high), (3, low)):
+    if sign:
+        lead += np.signbit(values) * np.int32(10)
+
+    def word(at: int) -> np.ndarray:  # the field's bytes at .. at + 3 as one unaligned uint32 per row
+        return field[:, at : at + 4].view(np.uint32)[:, 0]
+
+    word(0)[...] = _LEADS[sign].take(lead, mode="clip")  # written first: the digits overwrite its tail
+    for at, group in ((sign + 2, high), (sign + 10, low)):
         quotient = group // 10_000
-        _DIGITS4.take(quotient, out=out[row], mode="clip")
+        word(at)[...] = _DIGITS4.take(quotient, mode="clip")
         group -= quotient * 10_000
-        _DIGITS4.take(group, out=out[row + 1], mode="clip")
-    _EXPONENTS.take(k, out=out[5], mode="clip")
+        word(at + 4)[...] = _DIGITS4.take(group, mode="clip")
+    word(sign + 18)[...] = _EXPONENTS.take(k, mode="clip")
     wide = []
     for i in np.flatnonzero(slow & (values != 0.0)).tolist():
         text = f"{values[i]:.16e}".encode("ascii")
-        if len(text) >= 4 * _E16_WORDS:
+        if len(text) > width:
             wide.append(i)
-            text = b""
-        field = out[:1, i].tobytes()[:1] + text.ljust(4 * _E16_WORDS - 1, b"\0")
-        out[:, i] = np.frombuffer(field, np.uint32)
+        else:
+            field[i] = np.frombuffer(text.ljust(width, b"\0"), np.uint8)
     return wide
 
 
@@ -241,16 +246,11 @@ def _json_value(value) -> str:
 
 
 def _texts(values, value_text: Callable) -> list[str]:
-    """A coded column's values as text, refusing a NUL: the word writer drops the NULs that pad its words."""
+    """A coded column's values as text, refusing a NUL: the writer drops the NULs that pad its fields."""
     texts = [value_text(value) for value in (values.tolist() if isinstance(values, np.ndarray) else values)]
     if "\0" in "".join(texts):
         raise ValueError("a table's text cannot hold a NUL character")
     return texts
-
-
-def _padded(text: bytes, size: int = 0) -> bytes:
-    """``text`` padded with NULs to whole words, at least ``size`` bytes."""
-    return text.ljust(max(size, -(-len(text) // 4) * 4), b"\0")
 
 
 def _rows(columns, texts: list[str], missing: str | None, value_text: Callable, start: int, stop: int, ends: dict) -> bytes:
@@ -278,88 +278,82 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
 
     ``ends`` maps row counts r, in increasing order, to the text that ends
     row r - 1 in place of ``texts[-1]``, so that a JSON list's last row can
-    close it; a block of words is cut after each such row.
+    close it; a block is cut after each such row.
 
     A coded field is ``value_text`` of its value, a float field ``%.16e``
     or, where it is NaN, ``missing`` (which None refuses).  Fewer than
-    ``_WORDS_FROM`` rows are formatted row by row.  Otherwise a row is laid
-    out as words: the text before a coded field leads each of its values
-    (and the row's last text ends them, after the last column), the last
-    byte of the text before a float field is its separator, and any other
-    text is constant, written once.  A 24-character float field does not
-    fit after its separator, so its row, like a row holding inf, is
-    formatted field by field.
+    ``_LAYOUT_FROM`` rows are formatted row by row.  Otherwise every row is
+    the same bytes in a row-major buffer: each text at its own width, a
+    coded field at the width of its longest text, and a float field at
+    ``_E16_WIDTH`` bytes, plus a sign slot where some value of the column
+    has its sign bit set.  Shorter fields are padded with NULs, which are
+    dropped as each block is emitted; a layout with no such slot skips that
+    pass.  A float field whose text is longer than its slot, like inf, has
+    its row formatted field by field.
     """
     rows = len(columns[0])
     if not rows:
         return
-    if rows < _WORDS_FROM:
+    if rows < _LAYOUT_FROM:
         yield _rows(columns, texts, missing, value_text, 0, rows, ends)
         return
-    layout, coded, floats = [], [], []  # a row's words holding its constant text; the fields at their offsets
-    pending = texts[0].encode("utf-8")
-    for i, column in enumerate(columns):
-        after = texts[i + 1].encode("utf-8")
+    layout, coded, floats, holes = bytearray(), [], [], False  # a row's bytes, the fields at their offsets, any NUL slot
+    for column, text in zip(columns, texts):
+        layout += text.encode("utf-8")
         values = column.values if isinstance(column, Coded) else column
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64):  # coded by texts
-            end, after = (after, b"") if i == len(columns) - 1 else (b"", after)
-            values = [pending + text.encode("utf-8") + end for text in _texts(values, value_text)]
-            width = max(1, -(-max(map(len, values)) // 4))
-            table = np.array(values, f"S{4 * width}").view(np.uint32).reshape(-1, width).T
-            coded.append((len(b"".join(layout)) // 4, column, table, None))
-            layout.append(bytes(4 * width))
-            pending = after
+        if not isinstance(column, Coded):  # the field of a missing value sets the width
+            signs = np.count_nonzero(np.signbit(values))
+            holes |= 0 < signs < values.size
+            empty = np.frombuffer((missing or "").encode("ascii").ljust(_E16_WIDTH + (signs > 0), b"\0"), np.uint8)
+            floats.append((len(layout), column, empty))
+            layout += bytes(empty.size)
             continue
-        layout.append(_padded(pending[:-1]))
-        field = _padded(pending[-1:], 4 * _E16_WORDS)
-        if isinstance(column, Coded):  # its %.16e fields written once; rows of the marked ones by Python
-            table = np.repeat(np.frombuffer(field, np.uint32)[:, None], values.size, axis=1)
+        if isinstance(values, np.ndarray) and values.dtype == np.float64:  # each value formatted once
+            table = np.zeros((values.size, _E16_WIDTH + np.signbit(values).any()), np.uint8)
             marked = ~np.isfinite(values)
-            marked[_format_e16(values, table)] = True
-            coded.append((len(b"".join(layout)) // 4, column, table, marked if marked.any() else None))
-        else:
-            empty = np.frombuffer(_padded(field[:1] + (missing or "").encode("ascii"), 4 * _E16_WORDS), np.uint32)
-            floats.append((len(b"".join(layout)) // 4, column, empty[:, None]))
-        layout.append(field)
-        pending = after
-    layout.append(_padded(pending))
-    # a block holds whole cycles of the longest cycling column that fits, so their words, like the
+            marked[_format_e16(values, table)] = True  # rows of the marked values by Python
+            table = table.view(f"S{table.shape[1]}")[:, 0]
+        else:  # NUL-padded to the longest text
+            table, marked = np.array([t.encode("utf-8") for t in _texts(values, value_text)], "S"), np.zeros(len(values), bool)
+        holes |= b"\0" in table.tobytes()
+        coded.append((len(layout), column, table, marked if marked.any() else None))
+        layout += bytes(table.itemsize)
+    layout += texts[-1].encode("utf-8")
+    # a block holds whole cycles of the longest cycling column that fits, so their fields, like the
     # constants, are written with the first block only
     cycles = [len(c) for c in columns if isinstance(c, Coded) and c.codes is None and len(c) <= _CSV_BLOCK]
     height = min(rows, _CSV_BLOCK - _CSV_BLOCK % max(cycles, default=1))
-    words = np.empty((len(b"".join(layout)) // 4, height), np.uint32)
-    words[...] = np.frombuffer(b"".join(layout), np.uint32)[:, None]
+    buffer, stride = bytearray(layout * height), len(layout)  # the constants written once
+    view, cells = memoryview(buffer), np.frombuffer(buffer, np.uint8).reshape(height, stride)
     for start in range(0, rows, height):
-        block = words[:, : min(height, rows - start)]
-        stop = start + block.shape[1]
-        wide = set()  # rows formatted field by field: a 24-character float field, or inf
+        block = cells[: min(height, rows - start)]
+        stop = start + len(block)
+        wide, nul = set(), holes  # rows formatted field by field: a float text longer than its slot, or inf
         for offset, column, table, marked in coded:
             if start and column.codes is None and height % len(column) == 0 and marked is None:
                 continue  # whole cycles, as the first block wrote them
             codes = column.codes_of(start, stop)
-            table.take(codes, axis=1, out=block[offset : offset + len(table)], mode="wrap")
+            block[:, offset : offset + table.itemsize].view(table.dtype)[:, 0] = table.take(codes, mode="wrap")
             if marked is not None:
                 wide.update(np.flatnonzero(marked.take(codes, mode="wrap")).tolist())
         for offset, column, empty in floats:
-            values, field, absent = column[start:stop], block[offset : offset + _E16_WORDS], None
+            values, field, absent = column[start:stop], block[:, offset : offset + empty.size], None
             if not np.isfinite(values).all():  # NaN is missing where it has a text; other rows by Python
                 absent = np.isnan(values) & (missing is not None)
                 wide.update(np.flatnonzero(~np.isfinite(values) & ~absent).tolist())
                 values = np.where(np.isfinite(values), values, 0.0)
+                nul |= absent.any()
             wide.update(_format_e16(values, field))
             if absent is not None:
-                np.copyto(field, empty, where=absent)
-        # translate drops NULs at a table lookup per byte, replace at about a memchr and a
-        # memcpy per NUL, so replace wins on rows with less than one NUL in 15 bytes (a scan's)
-        sparse = 15 * block[:, 0].tobytes().count(b"\0") < 4 * len(block)
+                np.copyto(field, empty, where=absent[:, None])
         cuts = [0, *(r - start for r in ends if start < r < stop), stop - start]
         for a, b in zip(cuts, cuts[1:]):  # the block's rows a to b, then the end of row b - 1
             pieces = []
             for r in sorted(r for r in wide if a <= r < b):
-                pieces += [block[:, a:r].T.tobytes(), _rows(columns, texts, missing, value_text, start + r, start + r + 1, {})]
+                pieces += [view[a * stride : r * stride], _rows(columns, texts, missing, value_text, start + r, start + r + 1, {})]
                 a = r + 1
-            pieces.append(block[:, a:b].T.tobytes())
-            text = b"".join(pieces)
-            text = text.replace(b"\0", b"") if sparse else text.translate(None, b"\0")
+            pieces.append(view[a * stride : b * stride])
+            text = buffer if pieces[0].nbytes == len(buffer) else b"".join(pieces)  # the whole buffer is not copied
+            text = text.replace(b"\0", b"") if nul else bytes(text)
             end = ends.get(start + b)
             yield text if end is None else text[: -len(texts[-1].encode("utf-8"))] + end.encode("utf-8")

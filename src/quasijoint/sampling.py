@@ -165,7 +165,7 @@ def sample_discrete(joint: DiscreteJoint, n: int, seed: int) -> ShotCounts:
     return ShotCounts(counts.reshape(2, 2))
 
 
-def _asin(y: np.ndarray) -> np.ndarray:
+def _asin(y: np.ndarray, work: Iterable[np.ndarray] | None = None) -> np.ndarray:
     """arcsin of each y in [-1, 1], written over y, from + - * / and sqrt only.
 
     numpy's ``arcsin`` (like ``arctan2``, ``exp``, ``log`` and ``power``)
@@ -175,23 +175,23 @@ def _asin(y: np.ndarray) -> np.ndarray:
     sin(pi/8), fdlibm's rational evaluates arcsin there, and the result is
     four times that.  Within 3 ulps of ``math.asin`` (1 ulp below it at
     +-1, so |result| < pi/2) and exact at 0; a subnormal y loses the bits
-    that y/4 drops.
+    that y/4 drops.  ``work``, three rows of y's length, holds the temporaries.
     """
-    scratch = np.empty_like(y)
+    scratch, p, q = np.empty((3, y.size)) if work is None else work
     for _ in range(2):
         np.subtract(1.0, y, out=scratch)
-        scratch *= 1.0 + y  # 1 - y*y would lose the low bits near |y| = 1
+        scratch *= np.add(1.0, y, out=p)  # 1 - y*y would lose the low bits near |y| = 1
         np.sqrt(scratch, out=scratch)
         scratch += 1.0
         scratch *= 2.0
         np.sqrt(scratch, out=scratch)
         y /= scratch
     t = np.multiply(y, y, out=scratch)
-    p = _ASIN_P[-1] * t
+    np.multiply(_ASIN_P[-1], t, out=p)
     for coefficient in _ASIN_P[-2::-1]:
         p += coefficient
         p *= t
-    q = _ASIN_Q[-1] * t
+    np.multiply(_ASIN_Q[-1], t, out=q)
     for coefficient in _ASIN_Q[-2::-1]:
         q += coefficient
         q *= t
@@ -254,27 +254,30 @@ def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.nda
     cardioid_low = w_plus * (1.0 - share[0])
     cardioid_high = w_plus + (1.0 - w_plus) * share[1]
     phase0 = np.array([math.atan2(c_sin, c_cos) for _, c_cos, c_sin in rows])
-    v_buf, u1_buf, u2_buf, phi_buf = (np.empty(min(n, _SAMPLE_BLOCK)) for _ in range(4))
-    z_buf = np.empty(phi_buf.size, dtype=np.int64)
+    # one block's draws, and a row that serves the cardioid shots' temporaries before it holds z
+    v_buf, u1_buf, u2_buf, phi_buf, z_buf = np.empty((5, min(n, _SAMPLE_BLOCK)))
+    minus_buf, cardioid_buf, mask_buf = np.empty((3, phi_buf.size), dtype=bool)
     for start in range(0, n, _SAMPLE_BLOCK):
         k = min(_SAMPLE_BLOCK, n - start)
-        v, u1, phi, z = v_buf[:k], u1_buf[:k], phi_buf[:k], z_buf[:k]
+        v, u1, phi, minus, cardioid = v_buf[:k], u1_buf[:k], phi_buf[:k], minus_buf[:k], cardioid_buf[:k]
         z_rng.random(out=v)
         phi_rng.random(out=u1)
-        minus = v >= w_plus
-        np.multiply(minus, -2, out=z)
-        z += 1
+        np.greater_equal(v, w_plus, out=minus)
         np.multiply(u1, TWO_PI, out=phi)
-        cardioid = np.flatnonzero((v >= cardioid_low) & (v < cardioid_high))
-        if cardioid.size:
-            x = phi_rng.random(out=u2_buf[: cardioid.size])
+        np.greater_equal(v, cardioid_low, out=cardioid)
+        cardioid &= np.less(v, cardioid_high, out=mask_buf[:k])
+        m = np.count_nonzero(cardioid)
+        if m:  # v is spent, and u1 once its cardioid shots' roots are taken
+            x = phi_rng.random(out=u2_buf[:m])
             x *= TWO_PI
             np.cos(x, out=x)
-            x *= np.sqrt(u1[cardioid])
-            u = _asin(x)
+            x *= np.sqrt(np.compress(cardioid, u1, out=v_buf[:m]), out=v_buf[:m])
+            u = _asin(x, (v_buf[:m], u1_buf[:m], z_buf[:m]))
             u *= 2.0
-            u += phase0.take(minus[cardioid].view(np.int8))
+            u += phase0.take(np.compress(cardioid, minus, out=mask_buf[:m]).view(np.int8), out=v_buf[:m])
             phi[cardioid] = _wrap_phase(u)
+        z = np.multiply(minus, -2, out=z_buf[:k].view(np.int64))
+        z += 1
         _check_records(phi, z)
         yield phi, z
 

@@ -423,7 +423,7 @@ class TestScanNegativity:
         assert peak < 2 * 2**20  # the file is 19 MB
 
     def test_writing_large_grids_keeps_nothing_between_calls(self):
-        # each grid's 50,000 vartheta fields are 1.2 MB of words while it is written
+        # each grid's 50,000 vartheta fields are 1.1 MB of text while it is written
         state = PureState(COS_PI_8, SIN_PI_8)
         tracemalloc.start()
         try:

@@ -31,7 +31,7 @@ from quasijoint import (
 )
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from quasijoint import _table
-from quasijoint._table import _CSV_BLOCK, _WORDS_FROM, Arrays, Coded, Table
+from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, Arrays, Coded, Table
 from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 
@@ -68,7 +68,13 @@ class TestGoldenFiles:
             code, out, _ = run_cli(capsys, [*scan, "--format", form])
             assert code == 0
             produced[f"scan-300x300.{form}"] = out.encode("utf-8")
-        # a phase report whose grid's array boundaries fall inside word-layout blocks
+        # negative angles give both coded columns a sign, and 600 flagged cells miss their min_value
+        signed = ["scan", *state, "--theta-grid=-1.5707963267948966:1.5707963267948966:301", "--vartheta-grid=-3:3:300"]
+        for form in ("csv", "json"):
+            code, out, _ = run_cli(capsys, [*signed, "--format", form])
+            assert code == 0
+            produced[f"scan-signed.{form}"] = out.encode("utf-8")
+        # a phase report whose grid's array boundaries fall inside layout blocks
         invert = ["invert", *state, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase", "--phi-points", "100000"]
         code, out, _ = run_cli(capsys, invert)
         assert code == 0
@@ -152,8 +158,8 @@ def _float_arrays(draw):
     return np.array(draw(st.lists(element, max_size=40)), dtype=np.float64)
 
 
-#: array lengths at the edges of the row-by-row path and of a word-layout block
-_GRID_LENGTHS = st.sampled_from([0, 1, _WORDS_FROM - 1, _WORDS_FROM, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+#: array lengths at the edges of the row-by-row path and of a layout block
+_GRID_LENGTHS = st.sampled_from([0, 1, _LAYOUT_FROM - 1, _LAYOUT_FROM, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
 
 
 @st.composite
@@ -184,13 +190,14 @@ class TestJsonFloatArrays:
     def test_grid_matches_its_arrays_rendered_one_by_one(self, grid, level):
         assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
 
-    def test_24_character_values_next_to_the_cuts(self):
-        # rows formatted by Python, on either side of every array boundary and block edge
-        for n in (_WORDS_FROM // 3, _WORDS_FROM, _CSV_BLOCK - 1, _CSV_BLOCK + 1):
+    def test_values_longer_than_their_slot_next_to_the_cuts(self):
+        # rows formatted by Python, on either side of every array boundary and block edge: 24 characters
+        # with a sign slot, 23 without one (all >= +0.0, so the layout has no NUL slot at all)
+        for n, sign in itertools.product((_LAYOUT_FROM // 3, _LAYOUT_FROM, _CSV_BLOCK - 1, _CSV_BLOCK + 1), (-1.0, 1.0)):
             arrays = [np.full(n, 0.25) for _ in range(3)]
             for values in arrays:
-                values[[0, -1]] = -1e-100
-            arrays[1][n // 2] = -5e-324
+                values[[0, -1]] = sign * 1e-100
+            arrays[1][n // 2] = sign * 5e-324
             grid = Arrays(["phi", "plus", "minus"], arrays)
             assert cli._render_json_value(grid, 2) == cli._render_json_value(_as_lists(grid), 2)
 
@@ -221,7 +228,7 @@ class TestJsonFloatArrays:
 
     @pytest.mark.parametrize("n", [3, 300, _CSV_BLOCK + 5])
     def test_first_non_finite_value_in_document_order_is_reported(self, n):
-        # row by row, as words in one block, and across blocks
+        # row by row, laid out in one block, and across blocks
         for first, second in ((math.inf, math.nan), (math.nan, -math.inf)):
             phi, plus, minus = np.linspace(0.0, 1.0, n), np.full(n, 0.5), np.full(n, 0.5)
             plus[-1], minus[0] = first, second
@@ -253,30 +260,60 @@ def _csv_field(value) -> str:
     return "" if value is None else f"{value:.16e}" if isinstance(value, float) else str(value)
 
 
+#: the float columns a table test draws: as drawn, all >= +0.0, all with the sign bit set, or
+#: >= +0.0 but for -0.0, whose sign bit alone calls for a sign slot
+_SIGNS = ("any", "nonnegative", "negative", "mixed")
+
+
+def _signed(values: np.ndarray, sign: str) -> np.ndarray:
+    if sign == "mixed":
+        return np.append(np.abs(values), -0.0)
+    return {"any": values, "nonnegative": np.abs(values), "negative": -np.abs(values)}[sign]
+
+
+def _text_or_error(render) -> str:
+    """What ``render`` returns, or the message of the ``ValueError`` it raises (inf has no JSON text) without its value.
+
+    A table of fewer than ``_LAYOUT_FROM`` rows is formatted column by column,
+    so with inf in two columns it may name another one than the first in the document.
+    """
+    try:
+        return render()
+    except ValueError as error:
+        return "ValueError: " + str(error).rsplit(" ", 1)[0]
+
+
 class TestTables:
     """Every template of a ``Table`` renders exactly as its rows formatted field by field."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_csv_and_json_records_match_per_field_rendering(self, data):
-        n = data.draw(st.one_of(st.integers(0, 2 * _WORDS_FROM), st.integers(0, 3 * _CSV_BLOCK + 1)), label="rows")
+        n = data.draw(st.one_of(st.integers(0, 2 * _LAYOUT_FROM), st.integers(0, 3 * _CSV_BLOCK + 1)), label="rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kinds = data.draw(
             st.lists(st.sampled_from(["float", "int", "str", "coded float", "cycling", "cycling float"]), min_size=1, max_size=5)
         )
         kinds[0] = "float" if kinds[0].startswith("cycling") else kinds[0]  # the first column sets the row count
+        # a tight layout has no NUL slot: float columns of one sign with nothing missing
+        tight = data.draw(st.booleans(), label="tight")
+        if tight:
+            kinds = [kind if kind.endswith("float") else "float" for kind in kinds]
         # UTF-8 has no surrogates, and CSV text holds no NUL (both refused, see below)
         texts = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=8)
         columns, cells = [], []
         for kind in kinds:
+            if kind.endswith("float"):  # signs that set the sign slot, and texts too long for their slot
+                sign = data.draw(st.sampled_from(_SIGNS[1:3] if tight else _SIGNS), label="sign")
+                longer = data.draw(st.lists(st.sampled_from([1e-100, -1e-100, math.inf, -math.inf]), max_size=2))
+                pool = _signed(np.concatenate([data.draw(_float_arrays()), data.draw(_float_arrays()), longer, [0.5]]), sign)
             if kind == "float":  # missing where NaN
-                pool = np.append(data.draw(_float_arrays()), math.nan)
+                pool = pool if tight else np.append(pool, math.nan)
                 columns.append(pool[rng.integers(pool.size, size=n)])
                 cells.append([None if math.isnan(v) else v for v in columns[-1].tolist()])
                 continue
             if kind.endswith(" float"):  # a float64 array, formatted by the kernel at once
-                values = np.concatenate([data.draw(_float_arrays()), data.draw(_float_arrays()), [0.5]])
-                plain = values.tolist()
+                values, plain = pool, pool.tolist()
             else:
                 values = plain = data.draw(
                     st.lists(texts if kind == "str" else st.integers(-(2**70), 2**70), min_size=1, max_size=5)
@@ -296,7 +333,9 @@ class TestTables:
         assert b"".join(table.csv_blocks()).decode("utf-8") == ",".join(names) + "\n" + expected
         level = data.draw(st.integers(0, 3), label="level")
         records = [dict(zip(names, row)) for row in rows]
-        assert "".join(table.json_records(level)) == cli._render_json_value(records, level)
+        assert _text_or_error(lambda: "".join(table.json_records(level))) == _text_or_error(
+            lambda: cli._render_json_value(records, level)
+        )
 
     def test_values_equal_as_numbers_keep_their_own_text(self):
         # every table formats its own values, so values equal as numbers keep their own text
@@ -306,7 +345,7 @@ class TestTables:
             assert "".join(table.json_records(0)) == cli._render_json_value([{"v": v} for v in values], 0)
 
     def test_csv_text_holding_nul_and_any_surrogate_are_refused(self):
-        # the writer drops the NULs that pad its words; JSON escapes a NUL as \u0000
+        # the writer drops the NULs that pad its fields; JSON escapes a NUL as \u0000
         for values in (["a\0b"], ["\0", "a"]):
             table = Table(["name", "value"], [Coded(values, np.zeros(2, int)), np.ones(2)])
             with pytest.raises(ValueError, match="NUL"):
@@ -322,8 +361,8 @@ class TestTables:
         assert b"".join(table.csv_blocks()) == b"value\n5.0000000000000000e-01\n-inf\n\n"
         with pytest.raises(ValueError, match="refusing to print non-finite value -inf"):
             table.json_records(1)
-        values = np.full(3 * _WORDS_FROM, 0.5)  # laid out as words
-        values[_WORDS_FROM] = -math.inf
+        values = np.full(3 * _LAYOUT_FROM, 0.5)  # laid out as bytes
+        values[_LAYOUT_FROM] = -math.inf
         for column in (values, Coded(values, np.arange(values.size)[::-1])):
             table = Table(["value"], [column])
             assert b"".join(table.csv_blocks()).count(b"\n-inf\n") == 1

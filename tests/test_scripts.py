@@ -201,11 +201,23 @@ def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
     assert list(rows) == [
         "operational_joint_discrete", "operational_joint_phase", "quasi_joint_closed_form",
         "quasi_joint_phase_closed_form", "scan_negativity 100x100", "negativity_of, discrete",
-        "negativity_of, phase", "born_joint_discrete (control)",
+        "negativity_of, phase", "csv_blocks, 100x100 scan", "csv_blocks, 32768 shots",
+        "json_object, 256-point phase grid", "born_joint_discrete (control)",
     ]
     for this, other, ratio in rows.values():
         assert float(this) > 0.0 and float(other) > 0.0
+        # one round: the median of the paired ratios is that round's ratio
         assert float(ratio) == pytest.approx(float(this) / float(other), rel=0.01, abs=0.001)
+
+
+def test_ab_layers_ratio_is_the_median_of_per_round_ratios(monkeypatch, capsys):
+    # rounds of 1 against 1, 5 against 10 and 3 against 1: paired ratios 1, 0.5 and 3, medians 3 against 1
+    times = iter([1.0, 1.0, 10.0, 5.0, 3.0, 1.0])  # in run order: this tree goes first in even rounds
+    namespace = runpy.run_path(str(LAYERS_SCRIPT))
+    monkeypatch.setitem(namespace["main"].__globals__, "run", lambda tree: {"layer": next(times) * 1e-6})
+    monkeypatch.setattr(sys, "argv", [str(LAYERS_SCRIPT), "--against", str(SCRIPTS.parent), "--rounds", "3"])
+    assert namespace["main"]() == 0
+    assert capsys.readouterr().out.splitlines()[2].split() == ["layer", "3.00", "1.00", "1.000"]
 
 
 def test_ab_layers_script_rejects_a_tree_without_the_package(monkeypatch, capsys, tmp_path):
