@@ -254,17 +254,26 @@ def _texts(values, value_text: Callable) -> list[str]:
 
 
 def _rows(columns, texts: list[str], missing: str | None, value_text: Callable, start: int, stop: int, ends: dict) -> bytes:
-    """Rows ``start`` to ``stop`` of ``_blocks``, formatted field by field, ``ends`` in place."""
+    """Rows ``start`` to ``stop`` of ``_blocks``, formatted field by field, ``ends`` in place.
+
+    A field without text is looked for again row by row, so that the error
+    names the first one in the document, as the row-major layout does.
+    """
     fields = [itertools.repeat(texts[0])]
-    for column, text in zip(columns, texts[1:]):
-        if isinstance(column, Coded):
-            codes, values = column.codes_of(start, stop), column.values
-            picked = values[codes] if isinstance(values, np.ndarray) else [values[c] for c in codes.tolist()]
-            fields.append(_texts(picked, value_text))
-        else:
-            values = column[start:stop].tolist()
-            fields.append([missing if v != v and missing is not None else value_text(v) for v in values])
-        fields.append(itertools.repeat(text))
+    try:
+        for column, text in zip(columns, texts[1:]):
+            if isinstance(column, Coded):
+                codes, values = column.codes_of(start, stop), column.values
+                picked = values[codes] if isinstance(values, np.ndarray) else [values[c] for c in codes.tolist()]
+                fields.append(_texts(picked, value_text))
+            else:
+                values = column[start:stop].tolist()
+                fields.append([missing if v != v and missing is not None else value_text(v) for v in values])
+            fields.append(itertools.repeat(text))
+    except ValueError:
+        for row in range(start, stop) if stop - start > 1 else ():
+            _rows(columns, texts, missing, value_text, row, row + 1, {})
+        raise
     if ends:
         fields[-1] = [texts[-1]] * (stop - start)
         for r in ends:

@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import sys
+from gettext import gettext
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -40,7 +41,7 @@ from quasijoint._table import SIGNS, Arrays, Coded, Table
 from quasijoint.analysis import negativity_of, scan_negativity
 from quasijoint.inversion import (
     SingularInversion,
-    delta_coefficients,
+    _config_delta,
     quasi_joint_closed_form,
     quasi_joint_phase_closed_form,
 )
@@ -431,7 +432,7 @@ def cmd_invert(args: argparse.Namespace) -> _Report:
     opts, state, marker, config = _resolve_marked(args)
     discrete = opts["mode"] == DISCRETE_MODE
     joint = (quasi_joint_closed_form if discrete else quasi_joint_phase_closed_form)(state, marker)
-    delta, _, _ = delta_coefficients(marker.theta, marker.vartheta)  # singular configs raised above
+    delta = _config_delta(marker)  # singular configs raised above
     report = negativity_of(joint)
     (where, z), axis = report.argmin, "x" if discrete else "phi"
     least, total = report.min_value, report.total_negativity
@@ -523,9 +524,27 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with an argv that starts with a command word parsed once.
+
+    The top-level parser would hand every word after it to the command's
+    parser, so that parser alone parses it, and words it leaves raise the
+    top-level parser's error.  Any other argv goes through the top-level parser.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        return parser.parse_args(argv)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:

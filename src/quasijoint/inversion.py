@@ -40,8 +40,10 @@ from quasijoint.states import TWO_PI, PureState, _by_outcome, bloch_from_state
 #: denominators at or below this magnitude count as singular
 SINGULARITY_EPS = 1e-9
 
-#: a0 and az of the quasi joints, whose linear form takes (1, delta, 1) where the measured one takes gamma
+#: a0 and az of the quasi joints, whose linear form takes (1, delta, 1) where the measured one takes gamma,
+#: and delta at theta = 0; read-only, as every caller shares it
 _UNIT = _by_outcome(1.0, 1.0)
+_UNIT.flags.writeable = False
 
 
 class SingularInversion(ValueError):
@@ -133,13 +135,18 @@ def delta_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _config_delta(config: MarkerConfig) -> np.ndarray:
-    """delta pair of one configuration; raises where ``delta_coefficients`` masks it."""
+    """delta pair of one configuration, bit for bit as ``delta_coefficients`` gives it; raises where its masks flag.
+
+    The same numpy ufuncs in the same order, on Python floats rather than
+    through the broadcasting grid path.
+    """
     theta, vartheta = config.theta, config.vartheta  # reduced mod pi already, as the masks reduce them
-    _nonsingular(np.cos(theta), SingularMarking, "cos(theta)", theta, vartheta)
-    if theta != 0.0:  # the theta = 0 limit needs no analyzer
-        s2 = np.sin(2.0 * vartheta - theta)
-        _nonsingular(s2, SingularAnalyzer, "sin(2*vartheta - theta)", theta, vartheta)
-    return delta_coefficients(theta, vartheta)[0]
+    c = _nonsingular(np.cos(theta), SingularMarking, "cos(theta)", theta, vartheta)
+    if theta == 0.0:  # the theta = 0 limit needs no analyzer
+        return _UNIT
+    s2 = _nonsingular(np.sin(2.0 * vartheta - theta), SingularAnalyzer, "sin(2*vartheta - theta)", theta, vartheta)
+    den = c * s2
+    return _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
 
 
 def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJoint:

@@ -34,6 +34,7 @@ from quasijoint import _table
 from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, Arrays, Coded, Table
 from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
+from helpers import assert_same_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,6 +137,57 @@ class TestParserReuse:
             ).choices["scan"]
             assert out == fresh.format_help()
         assert max(map(len, out.splitlines())) <= 60
+
+
+_MARKED = ["--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1"]
+#: argv beyond the goldens'.  The top-level parser's own paths: no command, help, an unknown or abbreviated
+#: command word, a flag before the command.  A command parser's: help, an unknown flag, a bad choice, a
+#: missing value, trailing words, an abbreviated flag, and words after "--"
+_EDGE_ARGV = {
+    "empty": [],
+    "help": ["-h"],
+    "unknown command": ["inverse"],
+    "abbreviated command": ["inv", *_MARKED],
+    "flag before the command": ["--state", TILTED_STATE, "invert"],
+    "unknown top-level flag": ["--bogus", "3"],
+    "command help": ["invert", "-h"],
+    "unknown flag": ["invert", "--bogus", "3"],
+    "bad choice": ["invert", *_MARKED, "--mode", "sideways"],
+    "missing value": ["invert", "--state", TILTED_STATE, "--theta"],
+    "trailing words": ["invert", *_MARKED, "trailing", "words"],
+    "abbreviated flag": ["invert", "--state", TILTED_STATE, "--th", "0.6", "--vartheta", "1.1"],
+    "words after --": ["invert", *_MARKED, "--", "x"],
+}
+
+
+class TestParse:
+    """``main`` parses an argv that starts with a command word once, exactly as ``_parser().parse_args`` parses it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [case["argv"] for case in CASES + REPORT_CASES] + list(_EDGE_ARGV.values()),
+        ids=[case["name"] for case in CASES + REPORT_CASES] + list(_EDGE_ARGV),
+    )
+    def test_same_namespace_and_report_as_the_top_level_parser(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        parse_args = cli._parser().parse_args
+
+        def parsed(parse):
+            try:
+                return parse(argv), capsys.readouterr()
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        assert parsed(cli._parse) == parsed(parse_args)
+        runs = []
+        for parse in (cli._parse, parse_args):
+            monkeypatch.setattr(cli, "_parse", parse)
+            runs.append((run_cli(capsys, argv), {path.name: path.read_bytes() for path in tmp_path.iterdir()}))
+        assert runs[0] == runs[1]
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["quasijoint", "invert", *_MARKED])
+        assert cli._parse(None) == cli._parser().parse_args(None)
 
 
 #: doubles that _format_e16 writes by its per-element fallback, or that sit at its edges
@@ -272,15 +324,11 @@ def _signed(values: np.ndarray, sign: str) -> np.ndarray:
 
 
 def _text_or_error(render) -> str:
-    """What ``render`` returns, or the message of the ``ValueError`` it raises (inf has no JSON text) without its value.
-
-    A table of fewer than ``_LAYOUT_FROM`` rows is formatted column by column,
-    so with inf in two columns it may name another one than the first in the document.
-    """
+    """What ``render`` returns, or the message of the ``ValueError`` it raises: inf has no JSON text."""
     try:
         return render()
     except ValueError as error:
-        return "ValueError: " + str(error).rsplit(" ", 1)[0]
+        return f"ValueError: {error}"
 
 
 class TestTables:
@@ -330,11 +378,12 @@ class TestTables:
         rows = list(zip(*cells)) if n else []
         table = Table(names, columns)
         expected = "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
-        assert b"".join(table.csv_blocks()).decode("utf-8") == ",".join(names) + "\n" + expected
+        assert_same_text(b"".join(table.csv_blocks()).decode("utf-8"), ",".join(names) + "\n" + expected)
         level = data.draw(st.integers(0, 3), label="level")
         records = [dict(zip(names, row)) for row in rows]
-        assert _text_or_error(lambda: "".join(table.json_records(level))) == _text_or_error(
-            lambda: cli._render_json_value(records, level)
+        assert_same_text(
+            _text_or_error(lambda: "".join(table.json_records(level))),
+            _text_or_error(lambda: cli._render_json_value(records, level)),
         )
 
     def test_values_equal_as_numbers_keep_their_own_text(self):
@@ -368,6 +417,17 @@ class TestTables:
             assert b"".join(table.csv_blocks()).count(b"\n-inf\n") == 1
             with pytest.raises(ValueError, match="refusing to print non-finite value -inf"):
                 table.json_records(1)
+
+    @pytest.mark.parametrize("rows", [2, _LAYOUT_FROM + 1])
+    def test_the_first_value_without_json_text_in_the_document_is_named(self, rows):
+        # row by row below _LAYOUT_FROM rows, laid out as bytes from it: either way the error names -inf,
+        # in the first row, though the first column holds inf
+        first, second = np.full(rows, 0.5), np.full(rows, 0.5)
+        first[1], second[0] = math.inf, -math.inf
+        records = [{"a": a, "b": b} for a, b in zip(first.tolist(), second.tolist())]
+        for render in (lambda: Table(["a", "b"], [first, second]).json_records(0), lambda: cli._render_json_value(records, 0)):
+            with pytest.raises(ValueError, match="refusing to print non-finite value -inf$"):
+                render()
 
 
 class TestExitCodes:

@@ -12,12 +12,14 @@ expression it is written as, in its order of operations:
 with S = (+1, -1).  The angles include theta = 0, raw angles outside
 [0, pi), and configurations just off both singular lines.  The discrete
 kernel is also held, cell by cell, to the operational expression with
-gamma over a (theta, vartheta) grid.
+gamma over a (theta, vartheta) grid, and the one-configuration delta of
+the closed forms to the grid's ``delta_coefficients``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import hypothesis.strategies as st
@@ -29,7 +31,9 @@ from quasijoint import (
     DiscreteJoint,
     MarkerConfig,
     PhaseJoint,
+    SingularAnalyzer,
     SingularInversion,
+    SingularMarking,
     bloch_from_state,
     delta_coefficients,
     gamma_coefficients,
@@ -39,6 +43,7 @@ from quasijoint import (
     quasi_joint_phase_closed_form,
     scan_negativity,
 )
+from quasijoint.inversion import _config_delta
 from quasijoint.marking import _discrete_entries
 from helpers import haar_state
 
@@ -144,3 +149,46 @@ class TestExpressionOrder:
         for i, j in np.ndindex(len(thetas), len(varthetas)):
             g0, gx, gz = (g[i, j] for g in gamma)
             assert_same_bits(entries[..., i, j], 0.5 * (g0 + S[:, None] * gx * e.ex + S * gz * e.ez))
+
+
+#: theta at the theta = 0 limit, near it, and at pi/2 and around the marking threshold 1e-9 away from it
+_DELTA_THETAS = (0.0, -0.0, 1e-300, 1e-12, 1e-6, 0.7) + tuple(math.pi / 2 + d for d in (-2e-9, -1e-9, 0.0, 5e-10, 1e-9))
+#: 2*vartheta - theta at and near 0 and pi, on both sides of the analyzer threshold
+_DELTA_OFFSETS = (0.0, 1e-12, -1e-9, 1e-9, 2e-9, -2e-9, 0.3, math.pi, math.pi - 1e-9, math.pi + 1e-9, math.pi + 2e-9)
+
+
+class TestConfigDelta:
+    """The closed forms' one-configuration delta against the grid's ``delta_coefficients``, bit for bit,
+    raising exactly where its masks flag."""
+
+    @staticmethod
+    def assert_matches_the_grid(theta: float, vartheta: float) -> None:
+        delta, marking, analyzer = delta_coefficients(theta, vartheta)
+        config = MarkerConfig(theta, vartheta)
+        if marking or analyzer:
+            with pytest.raises(SingularMarking if marking else SingularAnalyzer):
+                _config_delta(config)
+        else:
+            assert_same_bits(_config_delta(config), delta)
+
+    @pytest.mark.parametrize("theta, offset", itertools.product(_DELTA_THETAS, _DELTA_OFFSETS))
+    def test_edges(self, theta, offset):
+        self.assert_matches_the_grid(theta, (theta + offset) / 2)
+
+    def test_edges_reach_every_branch(self):
+        # the edge grid reaches every branch: the theta = 0 limit, both errors and finite values
+        outcomes = set()
+        for theta, offset in itertools.product(_DELTA_THETAS, _DELTA_OFFSETS):
+            try:
+                delta = _config_delta(MarkerConfig(theta, (theta + offset) / 2))
+            except SingularInversion as error:
+                outcomes.add(type(error))
+            else:
+                outcomes.add("limit" if theta == 0.0 else "finite")
+                assert np.all(np.isfinite(delta))
+        assert outcomes == {SingularMarking, SingularAnalyzer, "limit", "finite"}
+
+    @given(edge_angles())
+    @settings(max_examples=300)
+    def test_any_angles(self, angles):
+        self.assert_matches_the_grid(*angles)
