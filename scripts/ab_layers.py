@@ -7,12 +7,14 @@ from its tree's src/ and times each layer on one fixed state and
 configuration: the four joint builders, a 100x100 ``scan_negativity``,
 ``negativity_of`` on a discrete and on a phase quasi joint, the table
 writer on a 100x100 scan's CSV, on 32,768 shots' CSV and on a 256-point
-phase grid's JSON, and ``born_joint_discrete``, the Born-rule oracle that
-serves as an unchanged control row.  A layer's time in a run is the least
-of REPEATS timeit repeats, per call.  Printed per layer: each tree's median
-over the rounds, in microseconds, and the median of the per-round ratios
-(this tree's run over the other tree's run in the same round), which a
-change in host load between rounds moves less than a ratio of medians.
+phase grid's JSON, and ``born_joint_discrete``, the Born-rule oracle.  The
+last row is a control: a fixed pure-Python loop that runs no quasijoint
+code, so no change to the package can move it.  A layer's time in a run is
+the least of REPEATS timeit repeats, per call.  Printed per layer: each
+tree's median over the rounds, in microseconds, and the median of the
+per-round ratios (this tree's run over the other tree's run in the same
+round), which a change in host load between rounds moves less than a ratio
+of medians.
 Example:
 
     python scripts/ab_layers.py --against ../parent --rounds 5
@@ -60,7 +62,8 @@ layers = {
     "csv_blocks, 100x100 scan": (lambda: deque(grid.csv_blocks(), 0), 10),
     "csv_blocks, 32768 shots": (lambda: deque(_shot_table(phi, z).csv_blocks(), 0), 10),
     "json_object, 256-point phase grid": (lambda: densities.json_object(1), 100),
-    "born_joint_discrete (control)": (lambda: q.born_joint_discrete(state, config), 1000),
+    "born_joint_discrete": (lambda: q.born_joint_discrete(state, config), 1000),
+    "pure-Python loop (control)": (lambda: sum(i * i for i in range(1000)), 100),
 }
 repeats = int(sys.argv[1])
 print(json.dumps({name: min(timeit.repeat(call, number=number, repeat=repeats)) / number

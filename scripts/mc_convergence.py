@@ -18,12 +18,17 @@ import numpy as np
 
 from quasijoint import (
     MarkerConfig,
+    SingularInversion,
     estimate_quasi_joint,
+    mu_x_matrix,
+    mu_z_matrix,
     operational_joint_discrete,
     quasi_joint_closed_form,
     sample_discrete,
 )
 from quasijoint.cli import parse_state
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def main() -> int:
@@ -44,6 +49,7 @@ def main() -> int:
     try:
         state = parse_state(args.state, "reim")
         shot_counts = [int(piece) for piece in args.shots.split(",")]
+        config = MarkerConfig(args.theta, args.vartheta)
     except ValueError as exc:  # StateValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -53,9 +59,19 @@ def main() -> int:
     if min(shot_counts) < 1:
         print(f"error: every --shots entry must be >= 1, got {args.shots!r}", file=sys.stderr)
         return 2
-    config = MarkerConfig(args.theta, args.vartheta)
-    measured = operational_joint_discrete(state, config)
-    truth = quasi_joint_closed_form(state, config).table
+    if max(shot_counts) > INT64_MAX:  # the multinomial draw takes an int64
+        print(f"error: every --shots entry must be <= {INT64_MAX}, got {args.shots!r}", file=sys.stderr)
+        return 2
+    try:  # before the first draw: the kernels every estimate inverts with, in its order, then the closed form
+        mu_x_matrix(config.theta), mu_z_matrix(config)
+        measured = operational_joint_discrete(state, config)
+        truth = quasi_joint_closed_form(state, config).table
+    except SingularInversion as exc:
+        print(f"error: singular configuration: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # just off the singular lines the closed form's entries can cancel to a zero sum
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows = []
     for n in shot_counts:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from quasijoint import PureState, scan_negativity
-from quasijoint.cli import parse_grid, parse_state
+from quasijoint.cli import parse_scan_grids, parse_state
 
 
 def main() -> int:
@@ -30,8 +30,7 @@ def main() -> int:
 
     try:
         state = parse_state(args.state, "reim")
-        t0, t1, tn = parse_grid(args.theta_grid, degrees=False)
-        v0, v1, vn = parse_grid(args.vartheta_grid, degrees=False)
+        (t0, t1, tn), (v0, v1, vn) = parse_scan_grids(args.theta_grid, args.vartheta_grid, degrees=False)
     except ValueError as exc:  # StateValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

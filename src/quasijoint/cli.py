@@ -261,8 +261,9 @@ def resolve_options(args: argparse.Namespace, required: Sequence[str]) -> dict:
         choices = _OPTIONS[name][2].get("choices")
         if choices and value not in choices:
             raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
-    if resolved.get("phi_points", 0) < 0:
-        raise ValueError("phi-points must be >= 0")
+    for name in ("phi_points", "seed"):  # a negative seed is rejected before --shots-out is opened
+        if resolved.get(name, 0) < 0:
+            raise ValueError(f"{name.replace('_', '-')} must be >= 0")
     if resolved.get("phi_points", 0) > MAX_PHI_POINTS:
         raise ValueError(f"phi-points must be <= {MAX_PHI_POINTS}")
     if resolved.get("mode") == PHASE_MODE and (resolved.get("n") or 0) > MAX_PHASE_SHOTS:
@@ -301,6 +302,14 @@ def parse_grid(spec: str, degrees: bool) -> tuple[float, float, int]:
     if not math.isfinite(stop - start):  # NaN or infinite bounds, or a span that overflows
         raise ValueError(f"grid {spec!r} needs finite bounds")
     return (start, stop, num)
+
+
+def parse_scan_grids(theta_grid: str, vartheta_grid: str, degrees: bool):
+    """Both scan axes as ``parse_grid`` triples, rejected above ``MAX_SCAN_CELLS`` cells before any is allocated."""
+    theta_spec, vartheta_spec = parse_grid(theta_grid, degrees), parse_grid(vartheta_grid, degrees)
+    if theta_spec[2] * vartheta_spec[2] > MAX_SCAN_CELLS:
+        raise ValueError(f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}")
+    return theta_spec, vartheta_spec
 
 
 def _echo(command: str, opts: dict, state: PureState, **parsed) -> dict:
@@ -477,10 +486,7 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
 def cmd_scan(args: argparse.Namespace) -> _Report:
     opts = resolve_options(args, ("state", "theta_grid", "vartheta_grid"))
     state = parse_state(opts["state"], opts["state_form"])
-    theta_spec = parse_grid(opts["theta_grid"], opts["degrees"])
-    vartheta_spec = parse_grid(opts["vartheta_grid"], opts["degrees"])
-    if theta_spec[2] * vartheta_spec[2] > MAX_SCAN_CELLS:
-        raise ValueError(f"scan grid of {theta_spec[2]} x {vartheta_spec[2]} cells exceeds {MAX_SCAN_CELLS}")
+    theta_spec, vartheta_spec = parse_scan_grids(opts["theta_grid"], opts["vartheta_grid"], opts["degrees"])
     grid = scan_negativity(state, np.linspace(*theta_spec), np.linspace(*vartheta_spec))
     config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
     table = grid.table()

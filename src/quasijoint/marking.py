@@ -6,9 +6,9 @@ theta = pi/2: full which-path tagging); the lower aperture leaves the
 marker in |right>.  An analyzer at angle vartheta reads the marker out
 jointly with the fringe or phase measurement.
 
-Composite amplitudes are ordered (upper,right), (upper,up), (lower,right),
-(lower,up): path index 0 is the upper aperture (z = +1), spin index 0 is
-|right>.  Every projection in this module uses that order.
+Composite amplitudes form a (2, 2) array indexed [path, spin], row-major
+(upper,right), (upper,up), (lower,right), (lower,up): path index 0 is the
+upper aperture (z = +1), spin index 0 is |right>.  Every projection uses it.
 
 The measured joints exist twice on purpose: once through the closed-form
 analyzer coefficients (`gamma_coefficients`) and once by direct Born-rule
@@ -76,36 +76,6 @@ class MarkerConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(_reduce_mod_pi(value)))
-
-
-@dataclass(frozen=True)
-class CompositeState:
-    """Normalized amplitudes over aperture (x) spin, basis order as in the module docstring."""
-
-    upper_right: complex
-    upper_up: complex
-    lower_right: complex
-    lower_up: complex
-
-    def __post_init__(self) -> None:
-        amps = [
-            complex(self.upper_right),
-            complex(self.upper_up),
-            complex(self.lower_right),
-            complex(self.lower_up),
-        ]
-        norm_sq = sum(abs(a) ** 2 for a in amps)
-        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > JOINT_TOL:
-            raise ValueError(f"composite norm^2 = {norm_sq!r}, must be 1")
-        for name, amp in zip(("upper_right", "upper_up", "lower_right", "lower_up"), amps):
-            object.__setattr__(self, name, amp)
-
-    def as_array(self) -> np.ndarray:
-        """2x2 array indexed [path, spin]; path 0 = upper (z=+1), spin 0 = right."""
-        return np.array(
-            [[self.upper_right, self.upper_up], [self.lower_right, self.lower_up]],
-            dtype=np.complex128,
-        )
 
 
 def _checked_table(joint: DiscreteJoint | PhaseJoint, shape: tuple[int, int]) -> list[float]:
@@ -180,24 +150,21 @@ class PhaseJoint:
         return PhaseDensity(*self.table[_outcome_index(z)].tolist())
 
 
-def entangled_state(state: PureState, theta: float) -> CompositeState:
-    """Composite state after marking: (alpha*cos(theta), alpha*sin(theta), beta, 0)."""
-    return CompositeState(
-        upper_right=state.alpha * math.cos(theta),
-        upper_up=state.alpha * math.sin(theta),
-        lower_right=state.beta,
-        lower_up=0.0,
-    )
+def entangled_state(state: PureState, theta: float) -> np.ndarray:
+    """Composite state after marking, a read-only complex (2, 2) array [path, spin]:
+    [[alpha*cos(theta), alpha*sin(theta)], [beta, 0]]."""
+    upper = [state.alpha * math.cos(theta), state.alpha * math.sin(theta)]
+    return _read_only_table([upper, [state.beta, 0.0]], complex, (2, 2))
 
 
-def analyzer_states(vartheta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal analyzer vectors for outcomes z = +1 and z = -1.
+def analyzer_states(vartheta: float) -> np.ndarray:
+    """Orthonormal analyzer vectors as the rows z = (+1, -1) of one (2, 2) array; unpacks as ``plus, minus``.
 
     z = +1 reads (cos(vartheta), sin(vartheta)); z = -1 the orthogonal
     (-sin(vartheta), cos(vartheta)).  Real-valued by construction.
     """
     c, s = math.cos(vartheta), math.sin(vartheta)
-    return np.array([c, s]), np.array([-s, c])
+    return np.array([[c, s], [-s, c]])
 
 
 def gamma_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,41 +224,32 @@ def operational_joint_phase(state: PureState, config: MarkerConfig) -> PhaseJoin
     return PhaseJoint(_phase_table(TWO_PI, *gamma, bloch_from_state(state)), kind=OPERATIONAL)
 
 
-def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:
-    """Reference path: project the composite state directly, cell by cell.
+def _born_projection(state: PureState, config: MarkerConfig, weights, norm: float) -> np.ndarray:
+    """|<analyzer(z)| <bra| composite>|^2 for the path bras (1, w)/norm: a row per weight w, columns z = (+1, -1).
 
-    Computes |<analyzer(z)| <x| composite>|^2 with no use of the gamma
-    coefficients.
+    With ``psi`` the composite [path, spin] array, a bra leaves the spin
+    amplitudes (psi[0] + w*psi[1])/norm; the analyzer rows are real, so they
+    need no conjugation.
     """
-    psi = entangled_state(state, config.theta).as_array()
-    vectors = dict(zip(OUTCOMES, analyzer_states(config.vartheta)))
-    values = {}
-    for x in OUTCOMES:
-        spin = (psi[0, :] + x * psi[1, :]) / math.sqrt(2.0)
-        for z in OUTCOMES:
-            vec = vectors[z]  # real components, no conjugation needed
-            amp = vec[0] * spin[0] + vec[1] * spin[1]
-            values[(x, z)] = abs(amp) ** 2
-    return DiscreteJoint(
-        [[values[(1, 1)], values[(1, -1)]], [values[(-1, 1)], values[(-1, -1)]]], kind=OPERATIONAL
-    )
+    psi = entangled_state(state, config.theta)
+    spin = (psi[0] + np.multiply.outer(weights, psi[1])) / norm
+    return np.abs(spin @ analyzer_states(config.vartheta).T) ** 2
+
+
+def born_joint_discrete(state: PureState, config: MarkerConfig) -> DiscreteJoint:
+    """Reference path: the composite state projected on the fringe bras (1, x)/sqrt(2), without gamma coefficients."""
+    return DiscreteJoint(_born_projection(state, config, _SIGNS, math.sqrt(2.0)), kind=OPERATIONAL)
 
 
 def born_joint_phase(state: PureState, config: MarkerConfig, phi) -> np.ndarray:
     """Reference path for the phase joint, evaluated on a phi grid.
 
     Returns an array of shape (len(phi), 2) holding
-    |<analyzer(z)| <phi| composite>|^2 with columns z = (+1, -1).
+    |<analyzer(z)| <phi| composite>|^2 with columns z = (+1, -1), where
+    <phi| = (1, exp(-i*phi))/sqrt(2*pi).
     """
-    psi = entangled_state(state, config.theta).as_array()
-    plus_vec, minus_vec = analyzer_states(config.vartheta)
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    lower_phase = np.exp(-1j * phi_arr)[:, None]  # conjugate of the lower-slit factor
-    spin = (psi[0, :][None, :] + lower_phase * psi[1, :][None, :]) / math.sqrt(TWO_PI)
-    out = np.empty((phi_arr.size, 2))
-    for col, vec in enumerate((plus_vec, minus_vec)):
-        out[:, col] = np.abs(spin @ vec.astype(np.complex128)) ** 2
-    return out
+    lower_phase = np.exp(-1j * np.atleast_1d(np.asarray(phi, dtype=float)))  # conjugate of the lower-slit factor
+    return _born_projection(state, config, lower_phase, math.sqrt(TWO_PI))
 
 
 def marginal_x(joint: DiscreteJoint) -> BinaryDistribution:

@@ -505,17 +505,21 @@ class TestExitCodes:
             assert out == ""
             assert str(MAX_SCAN_CELLS) in err
 
-    def test_oversized_phi_points_rejected(self, capsys):
-        too_many = str(MAX_PHI_POINTS + 1)
+    @pytest.mark.parametrize(
+        "points, message",
+        [(MAX_PHI_POINTS + 1, f"phi-points must be <= {MAX_PHI_POINTS}"), (-1, "phi-points must be >= 0")],
+        ids=["oversized", "negative"],
+    )
+    def test_oversized_phi_points_rejected(self, capsys, points, message):
         for argv in (
-            ["exact", "--state", "1,0,0,0", "--phi-points", too_many],
+            ["exact", "--state", "1,0,0,0", f"--phi-points={points}"],
             ["invert", "--state", "1,0,0,0", "--theta", "0.3", "--vartheta", "0.9",
-             "--mode", "phase", "--phi-points", too_many],
+             "--mode", "phase", f"--phi-points={points}"],
         ):
             code, out, err = run_cli(capsys, argv)
             assert code == 2
             assert out == ""
-            assert str(MAX_PHI_POINTS) in err
+            assert err == f"error: {message}\n"
 
     def test_oversized_phase_sample_rejected(self, capsys):
         for n in (MAX_PHASE_SHOTS + 1, 10**12):
@@ -540,6 +544,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: n must be >= 1\n"
         assert not target.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("mode", ["discrete", "phase"])
+    def test_negative_seed_leaves_shots_out_untouched(self, capsys, tmp_path, mode, source):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=-1\n")
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"old shots")
+        for target in (fresh, existing):
+            code, out, err = run_cli(
+                capsys,
+                ["sample", "--state", "0.6,0,0.8,0", "--theta", "0.7", "--vartheta", "1.1", "--mode", mode,
+                 "--n", "10", *seed, "--shots-out", str(target)],
+            )
+            assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
+        assert not fresh.exists()
+        assert existing.read_bytes() == b"old shots"
 
     def test_non_finite_grid_bounds_rejected(self, capsys):
         for theta_grid, vartheta_grid, extra in (
@@ -761,12 +783,27 @@ class TestOptionResolution:
         assert code == 0
         assert json.loads(out)["config"]["theta"] == 0.9
 
-    def test_unknown_config_key_is_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("thetta=0.6", "unknown config key 'thetta'"),
+            ("just a line", "config line 'just a line' is not key=value"),
+            ("mode=sideways", "unknown mode 'sideways'"),
+            ("state_form=polar", "unknown state form 'polar'"),
+        ],
+        ids=["unknown-key", "no-equals-sign", "mode-outside-choices", "state-form-outside-choices"],
+    )
+    def test_unknown_config_key_is_rejected(self, capsys, tmp_path, line, message):
         config = tmp_path / "run.cfg"
-        config.write_text("thetta=0.6\n")
-        code, _, err = run_cli(capsys, ["operational", "--config", str(config)])
+        config.write_text(f"state={TILTED_STATE}\ntheta=0.6\nvartheta=1.1\n{line}\n")
+        code, out, err = run_cli(capsys, ["operational", "--config", str(config)])
         assert code == 2
-        assert "thetta" in err
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unknown_state_form_is_rejected_by_the_parser_too(self):
+        with pytest.raises(ValueError, match="^unknown state form 'polar'$"):
+            cli.parse_state("1,0,0,0", "polar")
 
     @pytest.mark.parametrize(
         "line, commands",
@@ -789,24 +826,23 @@ class TestOptionResolution:
             assert out == ""
             assert err.startswith(f"error: config key '{key}': "), (command, err)
 
-    def test_degrees_flag(self, capsys):
-        code, out_deg, _ = run_cli(
-            capsys,
-            [
-                "operational",
-                "--state",
-                TILTED_STATE,
-                "--theta",
-                "45",
-                "--vartheta",
-                "90",
-                "--degrees",
-            ],
-        )
+    @pytest.mark.parametrize("flags, line", [(["--degrees"], ""), ([], "degrees=yes")], ids=["flag", "config-file"])
+    def test_degrees_flag(self, capsys, tmp_path, flags, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"state={TILTED_STATE}\ntheta=45\nvartheta=90\n{line}\n")
+        code, out_deg, _ = run_cli(capsys, ["operational", "--config", str(config), *flags])
         assert code == 0
+        assert '"theta": 7.8539816339744828e-01,' in out_deg
         config = json.loads(out_deg)["config"]
         assert config["theta"] == pytest.approx(math.pi / 4, abs=1e-15)
         assert config["vartheta"] == pytest.approx(math.pi / 2, abs=1e-15)
+
+    def test_degrees_off_in_a_config_file_reads_radians(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"state={TILTED_STATE}\ntheta=0.6\nvartheta=1.1\ndegrees=off\n")
+        code, out, _ = run_cli(capsys, ["operational", "--config", str(config)])
+        assert code == 0
+        assert out == (GOLDEN / "operational_discrete.json").read_text()
 
     def test_magphase_form_matches_reim(self, capsys):
         code, out_mag, _ = run_cli(

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 
 from quasijoint import (
-    CompositeState,
     DiscreteJoint,
     MarkerConfig,
     PhaseJoint,
@@ -70,7 +69,9 @@ class TestMarkerConfig:
 
 class TestAnalyzerStates:
     def test_aligned(self):
-        plus, minus = analyzer_states(0.0)
+        rows = analyzer_states(0.0)
+        assert rows.shape == (2, 2)
+        plus, minus = rows
         np.testing.assert_array_equal(plus, [1.0, 0.0])
         np.testing.assert_array_equal(minus, [0.0, 1.0])
 
@@ -140,30 +141,25 @@ class TestGammaCoefficients:
 class TestEntangledState:
     def test_full_marking_of_upper_path(self):
         composite = entangled_state(PureState(1, 0), math.pi / 2)
-        np.testing.assert_allclose(
-            composite.as_array(), [[0.0, 1.0], [0.0, 0.0]], atol=1e-15
-        )
+        np.testing.assert_allclose(composite, [[0.0, 1.0], [0.0, 0.0]], atol=1e-15)
+        assert composite.dtype == np.complex128 and not composite.flags.writeable
 
     def test_lower_path_never_marked(self):
         composite = entangled_state(PureState(0, 1), 1.234)
-        assert composite.lower_right == 1.0
-        assert composite.lower_up == 0.0
-        assert composite.upper_right == 0.0
+        assert composite[1, 0] == 1.0
+        assert composite[1, 1] == 0.0
+        assert composite[0, 0] == 0.0
 
     def test_balanced_state_half_marking(self):
         composite = entangled_state(PureState(SQRT1_2, SQRT1_2), math.pi / 4)
-        assert composite.upper_right == pytest.approx(0.5, abs=1e-12)
-        assert composite.upper_up == pytest.approx(0.5, abs=1e-12)
-        assert abs(composite.lower_right) == pytest.approx(SQRT1_2, abs=1e-12)
+        assert composite[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert composite[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert abs(composite[1, 0]) == pytest.approx(SQRT1_2, abs=1e-12)
 
     @given(pure_states(), any_configs())
     def test_unit_norm(self, state, cfg):
-        arr = entangled_state(state, cfg.theta).as_array()
+        arr = entangled_state(state, cfg.theta)
         assert float(np.sum(np.abs(arr) ** 2)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_composite_validation(self):
-        with pytest.raises(ValueError):
-            CompositeState(1.0, 1.0, 0.0, 0.0)
 
 
 class TestOperationalJointDiscrete:
@@ -328,6 +324,8 @@ class TestJointValidation:
         assert joint.value(-1, 1) == -0.1
         with pytest.raises(ValueError):
             joint.table[1, 0] = 0.5
+        with pytest.raises(ValueError, match="outcome must be \\+1 or -1, got 0"):
+            joint.value(0, 1)
         assert all(type(value) is float for _, value in joint.items())
         source = np.array([[0.5 / TWO_PI, 0.4, 0.0], [0.5 / TWO_PI, 0.0, -0.1]])
         phase = PhaseJoint(source, kind="quasi")
@@ -339,6 +337,8 @@ class TestJointValidation:
         for z in (1, -1):
             assert all(type(value) is float for value in astuple(phase.for_z(z)))
         assert phase.for_z(-1).c_sin == -0.1
+        with pytest.raises(ValueError, match="outcome must be \\+1 or -1, got 0"):
+            phase.for_z(0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

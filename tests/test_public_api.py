@@ -7,7 +7,6 @@ import quasijoint
 PUBLIC_NAMES = [
     "BinaryDistribution",
     "BlochExpectations",
-    "CompositeState",
     "DiscreteJoint",
     "EstimatedQuasiJoint",
     "MarkerConfig",

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from quasijoint.cli import MAX_SCAN_CELLS, main
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCAN_SCRIPT = SCRIPTS / "run_negativity_scan.py"
 MC_SCRIPT = SCRIPTS / "mc_convergence.py"
@@ -52,12 +54,12 @@ def test_scan_script_on_fully_flagged_grid(monkeypatch, capsys, tmp_path):
     ]
 
 
-def run_failing_script(monkeypatch, capsys, script: Path, *args: str) -> str:
-    """Run a script that must stop with exit 2 and one ``error:`` line; return that line."""
+def run_failing_script(monkeypatch, capsys, script: Path, *args: str, code: int = 2) -> str:
+    """Run a script that must stop with exit ``code`` and one ``error:`` line; return that line."""
     monkeypatch.setattr(sys, "argv", [str(script), *args])
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(script), run_name="__main__")
-    assert stop.value.code == 2
+    assert stop.value.code == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -70,6 +72,16 @@ def test_scan_script_rejects_non_finite_grid_bounds(monkeypatch, capsys):
         "--vartheta-grid", "0:1:2",
     )
     assert line == "error: grid '0:inf:3' needs finite bounds"
+
+
+def test_scan_script_rejects_a_grid_over_the_cli_cell_cap(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    line = run_failing_script(
+        monkeypatch, capsys, SCAN_SCRIPT, "--state", "0.6,0,0.8,0", "--theta-grid", "0:1:600",
+        "--vartheta-grid", "0:1:600", "--out", str(out),
+    )
+    assert line == f"error: scan grid of 600 x 600 cells exceeds {MAX_SCAN_CELLS}"
+    assert not out.exists()
 
 
 def test_scan_script_reports_an_unwritable_out_on_one_line(monkeypatch, capsys, tmp_path):
@@ -88,8 +100,9 @@ def test_scan_script_reports_an_unwritable_out_on_one_line(monkeypatch, capsys, 
         ("1,0,0,1", "0:1:2", "error: |alpha|^2 + |beta|^2 = 2.0 is more than"),
         ("nan,0,1,0", "0:1:2", "error: amplitudes must be finite"),
         ("0.6,0,0.8,0", "0:1", "error: grid must be start:stop:num, got '0:1'"),
+        ("0.6,0,0.8,0", "0:1:0", "error: grid needs at least one point"),
     ],
-    ids=["short-state", "unnormalized-state", "nan-state", "malformed-grid"],
+    ids=["short-state", "unnormalized-state", "nan-state", "malformed-grid", "empty-grid"],
 )
 def test_scan_script_reports_invalid_input_on_one_line(
     monkeypatch, capsys, state, vartheta_grid, message
@@ -131,6 +144,42 @@ def test_mc_convergence_script_rejects_bad_seeds_and_shots(monkeypatch, capsys, 
     line = run_failing_script(monkeypatch, capsys, MC_SCRIPT, *args, "--out", str(out))
     assert line == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (("--theta", "nan"), 2, "error: theta must be finite, got nan"),
+        (
+            ("--shots", "100,100000000000000000000"), 2,
+            "error: every --shots entry must be <= 9223372036854775807, got '100,100000000000000000000'",
+        ),
+        (
+            ("--theta", "0"), 3,
+            "error: singular configuration: sin(theta)*sin(2*vartheta - theta) = 0.000e+00 at theta = 0.0, "
+            "vartheta = 1.1; magnitude <= 1.0e-09 cannot be inverted",
+        ),
+        (
+            ("--theta", "1.5707963267948966"), 3,
+            "error: singular configuration: cos(theta) = 6.123e-17 at theta = 1.5707963267948966; "
+            "magnitude <= 1.0e-09 cannot be inverted",
+        ),
+        (
+            ("--theta", "1.5707963277948966", "--vartheta", "0.7853981632974483", "--state", "0.6,0,0.8,0"), 2,
+            "error: joint sums to 0.0, must be 1",
+        ),
+    ],
+    ids=["nan-theta", "shots-over-int64", "unmarked", "fully-marked", "near-singular"],
+)
+def test_mc_convergence_script_fails_before_its_first_draw(monkeypatch, capsys, tmp_path, args, code, message):
+    out = tmp_path / "mc.csv"
+    line = run_failing_script(monkeypatch, capsys, MC_SCRIPT, *args, "--out", str(out), code=code)
+    assert line == message
+    assert not out.exists()
+    if len(args) == 2 and args[0] == "--theta":  # `quasijoint sample` from the script's defaults prints the same line
+        defaults = ["--state", "0.9238795325112867,0,0.3826834323650898,0", "--theta", "0.7", "--vartheta", "1.1"]
+        assert main(["sample", *defaults, "--n", "100", *args]) == code
+        assert capsys.readouterr().err == message + "\n"
 
 
 def test_mc_convergence_script_writes_its_table(monkeypatch, capsys, tmp_path):
@@ -202,7 +251,7 @@ def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
         "operational_joint_discrete", "operational_joint_phase", "quasi_joint_closed_form",
         "quasi_joint_phase_closed_form", "scan_negativity 100x100", "negativity_of, discrete",
         "negativity_of, phase", "csv_blocks, 100x100 scan", "csv_blocks, 32768 shots",
-        "json_object, 256-point phase grid", "born_joint_discrete (control)",
+        "json_object, 256-point phase grid", "born_joint_discrete", "pure-Python loop (control)",
     ]
     for this, other, ratio in rows.values():
         assert float(this) > 0.0 and float(other) > 0.0

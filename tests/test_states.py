@@ -212,6 +212,12 @@ class TestEvaluatePhaseDensity:
             evaluate_phase_density(d, phi + TWO_PI), evaluate_phase_density(d, phi), atol=1e-14
         )
 
+    def test_non_finite_coefficient_and_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="c0 must be finite, got nan"):
+            PhaseDensity(float("nan"), 0.0, 0.0)
+        with pytest.raises(ValueError, match="grid needs at least one point"):
+            phase_grid(0)
+
 
 class TestBinaryDistribution:
     def test_validation(self):
