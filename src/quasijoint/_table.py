@@ -169,8 +169,9 @@ class Coded(NamedTuple):
         return len(self.values) * self.repeat if self.codes is None else len(self.codes)
 
     def codes_of(self, start: int, stop: int) -> np.ndarray:
+        """The codes of rows ``start`` to ``stop`` as intp, so that boolean codes index rather than mask."""
         if self.codes is not None:
-            return self.codes[start:stop]
+            return self.codes[start:stop].astype(np.intp, copy=False)
         codes = np.arange(start, stop)
         if self.repeat > 1:
             codes //= self.repeat
@@ -342,9 +343,12 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
             if start and column.codes is None and height % len(column) == 0 and marked is None:
                 continue  # whole cycles, as the first block wrote them
             codes = column.codes_of(start, stop)
-            block[:, offset : offset + table.itemsize].view(table.dtype)[:, 0] = table.take(codes, mode="wrap")
+            # a cycling column's codes lie in range, where take copies wide texts faster; explicit codes
+            # can be negative, and take's test of each code's sign costs more than indexing
+            picked = table.take(codes) if column.codes is None else table[codes]
+            block[:, offset : offset + table.itemsize].view(table.dtype)[:, 0] = picked
             if marked is not None:
-                wide.update(np.flatnonzero(marked.take(codes, mode="wrap")).tolist())
+                wide.update(np.flatnonzero(marked[codes]).tolist())
         for offset, column, empty in floats:
             values, field, absent = column[start:stop], block[:, offset : offset + empty.size], None
             if not np.isfinite(values).all():  # NaN is missing where it has a text; other rows by Python

@@ -60,7 +60,6 @@ from quasijoint.states import (
     PureState,
     StateValidationError,
     bloch_from_state,
-    evaluate_phase_density,
     exact_interference_distribution,
     exact_path_distribution,
     exact_phase_distribution,
@@ -105,7 +104,7 @@ def format_float(value: float) -> str:
 
 def _json_pieces(value, level: int, pieces: list[str]) -> None:
     """Append the JSON text of ``value`` at nesting ``level`` to ``pieces``: dicts, lists and tuples
-    nest, and a ``Table`` (a list of records) or ``Arrays`` (an object of lists) is rendered block by block."""
+    nest, and a ``Table`` (a list of records), ``Arrays`` or a ``_PhaseGrid`` (objects of lists) is rendered block by block."""
     if isinstance(value, float):
         pieces.append(format_float(value))
     elif isinstance(value, str):
@@ -120,6 +119,8 @@ def _json_pieces(value, level: int, pieces: list[str]) -> None:
         pieces += value.json_records(level)
     elif isinstance(value, Arrays):  # raises for the first non-finite value
         pieces += value.json_object(level)
+    elif isinstance(value, _PhaseGrid):
+        pieces += _phase_grid_pieces(value, level)
     elif isinstance(value, (dict, list, tuple)):
         brackets = "{}" if isinstance(value, dict) else "[]"
         if not value:
@@ -352,9 +353,54 @@ def _density_dict(density) -> dict:
     return {"c0": density.c0, "c_cos": density.c_cos, "c_sin": density.c_sin}
 
 
-def _density_grid(points: int, **densities) -> Arrays:
+class _PhaseGrid(NamedTuple):
+    """A report's ``phase_grid``: each row (c0, c_cos, c_sin) of ``table`` on ``points`` phases, one list per name."""
+
+    points: int
+    names: tuple[str, ...]
+    table: np.ndarray
+
+
+def _density_grid(points: int, **densities) -> _PhaseGrid:
+    table = np.array([(d.c0, d.c_cos, d.c_sin) for d in densities.values()])
+    return _PhaseGrid(points, tuple(densities), table)
+
+
+@functools.lru_cache(maxsize=4)
+def _phase_axis(points: int, level: int) -> list:
+    """A phase grid's axis: read-only phi, cos phi and sin phi, then the text pieces of
+    its ``"phi": [...]`` member at nesting ``level``, None until a report renders them.
+
+    Kept for the last few grid sizes and levels of the process, keyed by those
+    integers alone: the text of a 100,000-point axis is about 3 MB.
+    """
     phi = phase_grid(points)
-    return Arrays(("phi", *densities), (phi, *(evaluate_phase_density(d, phi) for d in densities.values())))
+    axis = [phi, np.cos(phi), np.sin(phi)]
+    for values in axis:
+        values.flags.writeable = False
+    return [*axis, None]
+
+
+def _phase_grid_pieces(grid: _PhaseGrid, level: int) -> list[str]:
+    """The JSON text of ``grid`` at nesting ``level``, in pieces.
+
+    Every slice is ``evaluate_phase_density``'s c0 + c_cos*cos(phi) + c_sin*sin(phi),
+    the same operations in the same order, in one broadcast over the table.  The
+    first report at a grid size and level formats phi with the densities and keeps
+    the phi member's text; a later one formats its densities only, after that text.
+    """
+    axis = _phase_axis(grid.points, level)
+    phi, cos, sin, phi_text = axis
+    c = grid.table
+    densities = list(c[:, :1] + c[:, 1:2] * cos + c[:, 2:3] * sin)
+    if phi_text is not None:
+        head, *rest = Arrays(grid.names, densities).json_object(level)
+        return [*phi_text, "," + head[1:], *rest]  # head[0] opens the object, which phi_text did
+    pieces = Arrays(("phi", *grid.names), (phi, *densities)).json_object(level)
+    close = "\n" + "  " * (level + 1) + "]"  # ends the phi list: its values sit one level deeper
+    last = next(i for i, piece in enumerate(pieces) if close in piece)
+    axis[3] = (*pieces[:last], pieces[last][: pieces[last].index(close) + len(close)])
+    return pieces
 
 
 def _slices(names: Sequence[str], table: np.ndarray, *coded: Coded) -> Table:

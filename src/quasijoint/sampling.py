@@ -315,11 +315,13 @@ def estimate_quasi_joint(counts: ShotCounts, config: MarkerConfig) -> EstimatedQ
 
     The estimate is exactly the discrete inversion applied to counts/N, so
     it inherits normalization; the errors are the multinomial covariance of
-    the frequencies pushed through the fixed kernel kron(mu_X, mu_Z).
+    the frequencies pushed through the fixed kernel kron(mu_X, mu_Z), built
+    as one broadcast product: entry (2i + k, 2j + l) is mu_X[i, j] * mu_Z[k, l].
     """
     freq = counts.frequencies()
     quasi = invert_joint_discrete(freq, config)
-    kernel = np.kron(mu_x_matrix(config.theta), mu_z_matrix(config))
+    mx, mz = mu_x_matrix(config.theta), mu_z_matrix(config)
+    kernel = (mx[:, None, :, None] * mz[None, :, None, :]).reshape(4, 4)
     p = freq.table.ravel()
     cov = (np.diag(p) - np.outer(p, p)) / counts.total
     variances = np.einsum("ai,ij,aj->a", kernel, cov, kernel)

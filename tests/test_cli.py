@@ -31,8 +31,9 @@ from quasijoint import (
 )
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from quasijoint import _table
-from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, Arrays, Coded, Table
+from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, SIGNS, Arrays, Coded, Table
 from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
+from quasijoint.states import PhaseDensity, evaluate_phase_density, phase_grid
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 from helpers import assert_same_text
 
@@ -54,6 +55,18 @@ class TestGoldenFiles:
         assert out == (GOLDEN / case["stdout"]).read_text()
         for produced, stored in case["files"].items():
             assert (tmp_path / produced).read_text() == (GOLDEN / stored).read_text()
+
+    def test_every_case_replays_byte_identical_in_one_warm_process(self, capsys, tmp_path, monkeypatch):
+        # a phase report after the first at its grid size and nesting level reuses that report's phi text
+        monkeypatch.chdir(tmp_path)
+        cli._phase_axis.cache_clear()
+        cases = CASES + REPORT_CASES
+        for case in cases + cases[::-1]:
+            code, out, err = run_cli(capsys, case["argv"])
+            assert code == 0, err
+            assert out == (GOLDEN / case["stdout"]).read_text(), case["name"]
+            for produced, stored in case["files"].items():
+                assert (tmp_path / produced).read_bytes() == (GOLDEN / stored).read_bytes(), case["name"]
 
     def test_large_outputs_match_their_pinned_digests(self, capsys, tmp_path):
         # the sha256sum lines of tests/large_outputs.sha256, which CI also checks with sha256sum
@@ -294,18 +307,60 @@ class TestJsonFloatArrays:
     @pytest.mark.parametrize(
         "argv, sizes",
         [
-            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"], [3 * 256]),
-            (["exact", "--state", "0.6,0,0.64,0.48", "--phi-points", "256"], [2 * 256]),
-            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1"], []),
+            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"], ([768], [512])),
+            (["exact", "--state", "0.6,0,0.64,0.48", "--phi-points", "256"], ([512], [256])),
+            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1"], ([], [])),
         ],
         ids=["invert_phase", "exact", "invert_discrete"],
     )
     def test_a_report_formats_its_phase_grid_in_one_kernel_call(self, argv, sizes, capsys, monkeypatch):
-        # a discrete report's tables are short, so they are formatted row by row
-        calls, kernel = [], _table._format_e16
-        monkeypatch.setattr(_table, "_format_e16", lambda values, out: calls.append(values.size) or kernel(values, out))
-        assert run_cli(capsys, argv)[0] == 0
-        assert calls == sizes
+        # a discrete report's tables are short, so they are formatted row by row; the first phase report
+        # at a grid size formats phi with the densities, a second one its densities only
+        cli._phase_axis.cache_clear()
+        kernel = _table._format_e16
+        for expected in sizes:
+            calls = []
+            monkeypatch.setattr(_table, "_format_e16", lambda values, out: calls.append(values.size) or kernel(values, out))
+            assert run_cli(capsys, argv)[0] == 0
+            assert calls == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 255, 256, 4096]),
+        st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 3), min_size=1, max_size=3),
+        st.integers(0, 3),
+    )
+    def test_grid_values_are_evaluate_phase_density_bit_for_bit(self, points, rows, level):
+        densities = {f"d{i}": PhaseDensity(*row) for i, row in enumerate(rows)}
+        grid, phi = cli._density_grid(points, **densities), phase_grid(points)
+        cli._phase_axis.cache_clear()
+        for _ in range(2):  # from an empty cache, then after the kept phi text
+            rendered = json.loads(cli._render_json_value(grid, level))  # %.16e reads back exactly
+            assert list(rendered) == ["phi", *densities]
+            assert np.array_equal(np.array(rendered["phi"]).view(np.uint64), phi.view(np.uint64))
+            for name, density in densities.items():
+                expected = evaluate_phase_density(density, phi)
+                assert np.array_equal(np.array(rendered[name]).view(np.uint64), expected.view(np.uint64))
+
+    def test_a_grid_renders_at_each_level_as_from_an_empty_cache(self):
+        # the phi text is kept per grid size and nesting level: a size-only key would indent level 2 as level 1
+        grid = cli._density_grid(300, plus=PhaseDensity(0.1, -0.05, 0.02), minus=PhaseDensity(0.06, 0.01, -0.03))
+        cold = {}
+        for level in (1, 2):
+            cli._phase_axis.cache_clear()
+            cold[level] = cli._render_json_value(grid, level)
+        cli._phase_axis.cache_clear()
+        for level in (1, 2, 1, 2):
+            assert cli._render_json_value(grid, level) == cold[level]
+
+    def test_the_kept_axis_is_read_only(self):
+        cli._phase_axis.cache_clear()
+        cli._render_json_value(cli._density_grid(5, values=PhaseDensity(0.1, 0.0, 0.0)), 2)
+        *arrays, text = cli._phase_axis(5, 2)
+        assert "".join(text) + "\n    }" == cli._render_json_value({"phi": phase_grid(5).tolist()}, 2)
+        for values in arrays:
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
 
 def _csv_field(value) -> str:
@@ -385,6 +440,21 @@ class TestTables:
             _text_or_error(lambda: "".join(table.json_records(level))),
             _text_or_error(lambda: cli._render_json_value(records, level)),
         )
+
+    @pytest.mark.parametrize("rows", [5, _LAYOUT_FROM + 1, _CSV_BLOCK + 3])
+    def test_negative_and_boolean_codes_index_as_in_python(self, rows):
+        # row by row, laid out in one block, and across blocks: a negative code counts from the end,
+        # and boolean codes (a scan's flag) pick values 0 and 1 rather than mask them
+        rng = np.random.default_rng(rows)
+        signs, flags, codes = rng.integers(-1, 2, rows), rng.random(rows) < 0.3, rng.integers(-3, 3, rows)
+        floats = np.array([0.25, -1.5, 3.0])
+        columns = [np.full(rows, 0.5), Coded(SIGNS, signs), Coded((0, 1), flags), Coded(np.array([7.0, 8.0]), flags), Coded(floats, codes)]
+        cells = zip([0.5] * rows, signs.tolist(), flags.astype(int).tolist(), [8.0 if f else 7.0 for f in flags], floats[codes].tolist())
+        expected = "".join(",".join(map(_csv_field, row)) + "\n" for row in cells)
+        assert b"".join(Table(list("abcde"), columns).csv_blocks(header=False)).decode() == expected
+        outside = Table(["a", "b"], [np.full(rows, 0.5), Coded((0, 1), np.full(rows, 2))])
+        with pytest.raises(IndexError):  # a code outside the values is refused, not wrapped
+            b"".join(outside.csv_blocks())
 
     def test_values_equal_as_numbers_keep_their_own_text(self):
         # every table formats its own values, so values equal as numbers keep their own text

@@ -12,8 +12,9 @@ expression it is written as, in its order of operations:
 with S = (+1, -1).  The angles include theta = 0, raw angles outside
 [0, pi), and configurations just off both singular lines.  The discrete
 kernel is also held, cell by cell, to the operational expression with
-gamma over a (theta, vartheta) grid, and the one-configuration delta of
-the closed forms to the grid's ``delta_coefficients``.
+gamma over a (theta, vartheta) grid, the one-configuration delta of the
+closed forms to the grid's ``delta_coefficients``, and the discrete
+estimate's standard errors to the kernel ``np.kron(mu_X, mu_Z)``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ from quasijoint import (
     DiscreteJoint,
     MarkerConfig,
     PhaseJoint,
+    ShotCounts,
     SingularAnalyzer,
     SingularInversion,
     SingularMarking,
     bloch_from_state,
     delta_coefficients,
+    estimate_quasi_joint,
     gamma_coefficients,
+    mu_x_matrix,
+    mu_z_matrix,
     operational_joint_discrete,
     operational_joint_phase,
     quasi_joint_closed_form,
@@ -95,6 +100,22 @@ def quasi_entry(delta, e, x: int, k: int):
 
 
 class TestExpressionOrder:
+    @given(edge_angles(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_estimate_kernel_is_kron(self, angles, seed):
+        # the delta-method errors through kron(mu_X, mu_Z), which the estimate builds as a broadcast product
+        config = MarkerConfig(*angles)
+        counts = ShotCounts(np.random.default_rng(seed).integers(0, 1000, (2, 2)) + np.eye(2, dtype=int))
+        try:
+            estimate = estimate_quasi_joint(counts, config)
+        except (SingularInversion, ValueError):  # singular, or inverted frequencies that do not sum to 1
+            return
+        p = counts.frequencies().table.ravel()
+        kernel = np.kron(mu_x_matrix(config.theta), mu_z_matrix(config))
+        cov = (np.diag(p) - np.outer(p, p)) / counts.total
+        variances = np.einsum("ai,ij,aj->a", kernel, cov, kernel)
+        assert_same_bits(estimate.stderrs, np.sqrt(np.clip(variances, 0.0, None)).reshape(2, 2))
+
     @given(haar_states, edge_angles())
     @settings(max_examples=300)
     def test_operational_builders(self, state, angles):

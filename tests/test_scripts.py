@@ -251,7 +251,7 @@ def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
         "operational_joint_discrete", "operational_joint_phase", "quasi_joint_closed_form",
         "quasi_joint_phase_closed_form", "scan_negativity 100x100", "negativity_of, discrete",
         "negativity_of, phase", "csv_blocks, 100x100 scan", "csv_blocks, 32768 shots",
-        "json_object, 256-point phase grid", "born_joint_discrete", "pure-Python loop (control)",
+        "phase grid, evaluate and render", "born_joint_discrete", "pure-Python loop (control)",
     ]
     for this, other, ratio in rows.values():
         assert float(this) > 0.0 and float(other) > 0.0
