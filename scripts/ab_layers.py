@@ -6,16 +6,17 @@ tree goes first alternates round by round.  A subprocess imports quasijoint
 from its tree's src/ and times each layer on one fixed state and
 configuration: the four joint builders, a 100x100 ``scan_negativity``,
 ``negativity_of`` on a discrete and on a phase quasi joint, the table
-writer on a 100x100 scan's CSV and on 32,768 shots' CSV, a 256-point phase
-grid evaluated and rendered as JSON, and ``born_joint_discrete``, the
-Born-rule oracle.  The
-last row is a control: a fixed pure-Python loop that runs no quasijoint
-code, so no change to the package can move it.  A layer's time in a run is
-the least of REPEATS timeit repeats, per call.  Printed per layer: each
-tree's median over the rounds, in microseconds, and the median of the
-per-round ratios (this tree's run over the other tree's run in the same
-round), which a change in host load between rounds moves less than a ratio
-of medians.
+writer on a 100x100 scan's CSV and on 32,768 shots' CSV, a phase report's
+256-point ``phase_grid`` evaluated and rendered as JSON at the level the
+report renders it at, once with its phi axis kept and once after clearing
+it (the first report at a grid size), and ``born_joint_discrete``, the
+Born-rule oracle.  The last row is a control: a fixed pure-Python loop
+that runs no quasijoint code, so no change to the package can move it.  A
+layer's time in a run is the least of REPEATS timeit repeats, per call.
+Printed per layer: each tree's median over the rounds, in microseconds, and
+the median of the per-round ratios (this tree's run over the other tree's
+run in the same round), which a change in host load between rounds moves
+less than a ratio of medians.
 Example:
 
     python scripts/ab_layers.py --against ../parent --rounds 5
@@ -51,7 +52,8 @@ thetas, varthetas = np.linspace(0.0, 1.5707963267948966, 100), np.linspace(0.0, 
 discrete, phase = q.quasi_joint_closed_form(state, config), q.quasi_joint_phase_closed_form(state, config)
 grid, measured = q.scan_negativity(state, thetas, varthetas), q.operational_joint_phase(state, config)
 phi, z = (block.copy() for block in next(_phase_blocks(measured, 32768, 5)))
-plus, minus = measured.for_z(1), measured.for_z(-1)
+invert = ["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"]
+phase_grid = cli.cmd_invert(cli._parse(invert)).result()["phase_grid"]
 layers = {
     "operational_joint_discrete": (lambda: q.operational_joint_discrete(state, config), 1000),
     "operational_joint_phase": (lambda: q.operational_joint_phase(state, config), 1000),
@@ -62,7 +64,8 @@ layers = {
     "negativity_of, phase": (lambda: q.negativity_of(phase), 1000),
     "csv_blocks, 100x100 scan": (lambda: deque(grid.csv_blocks(), 0), 10),
     "csv_blocks, 32768 shots": (lambda: deque(_shot_table(phi, z).csv_blocks(), 0), 10),
-    "phase grid, evaluate and render": (lambda: cli._render_json_value(cli._density_grid(256, plus=plus, minus=minus), 1), 100),
+    "phase grid, evaluate and render": (lambda: cli._render_json_value(phase_grid, 2), 100),
+    "phase grid, first at its size": (lambda: (cli._phase_axis.cache_clear(), cli._render_json_value(phase_grid, 2)), 100),
     "born_joint_discrete": (lambda: q.born_joint_discrete(state, config), 1000),
     "pure-Python loop (control)": (lambda: sum(i * i for i in range(1000)), 100),
 }

@@ -11,8 +11,11 @@ alternates request by request.  A latency is the worker's: from the call of
 ``quasijoint.cli.main`` until the report is written.  Printed per tree: the
 median of each request kind, with the median of its paired differences (the
 same request in the same round), the pool's p50 and p90 over all samples and
-over per-request minima (the least of a request's rounds), the peak RSS, and
-how many requests printed different stdout on the two trees.  Example:
+over per-request minima (the least of a request's rounds), and how many
+requests printed different stdout on the two trees.  No peak RSS is
+printed: a worker's peak moved with which tree ran as "this" (+1.4% to
++1.8% one way, -0.0% swapped, +0.9% with the same tree on both sides), so
+memory is read from perfbench/run.py's ``peak_rss_mb`` instead.  Example:
 
     python scripts/ab_requests.py --against ../parent --workload ensemble --seed 1 --rounds 5
 """
@@ -71,14 +74,13 @@ class Server:
             raise RuntimeError(f"{argv} crashed the serving process:\n{reply['stderr']}")
         return reply["latency_s"], self.stdout.read_bytes()
 
-    def close(self) -> float:
-        """Stop the process; its peak RSS in MB."""
-        peak = self.call({"op": "finish"})["peak_rss_kb"] / 1024.0
+    def close(self) -> None:
+        """Stop the process, after the worker's own finish step."""
+        self.call({"op": "finish"})
         self.proc.stdin.close()
         self.proc.wait(timeout=30)
         self.proc.stdout.close()
         self.dir.cleanup()
-        return peak
 
 
 def p90(samples: list[float]) -> float:
@@ -125,14 +127,15 @@ def main() -> int:
                 if outputs[0] != outputs[1]:
                     differ.add(i)
     finally:
-        peaks = [server.close() for server in servers]
+        for server in servers:
+            server.close()
 
     print(f"{args.workload}, seed {args.seed}: {count} requests x {args.rounds} rounds; "
           f"this tree {ROOT}, against {against}")
     print(f"{'':44s} {'this':>10s} {'against':>10s} {'change':>8s} {'paired ms':>10s}")
 
-    def row(label: str, this: float, other: float, scale: float = 1e3, paired: str = "") -> None:
-        print(f"{label:44s} {this * scale:10.4f} {other * scale:10.4f} {100 * (this / other - 1):+7.1f}% {paired}")
+    def row(label: str, this: float, other: float, paired: str = "") -> None:
+        print(f"{label:44s} {this * 1e3:10.4f} {other * 1e3:10.4f} {100 * (this / other - 1):+7.1f}% {paired}")
 
     for kind in sorted(set(kinds)):
         picked = [i for i, k in enumerate(kinds) if k == kind]
@@ -145,7 +148,6 @@ def main() -> int:
     for label, (this, other) in (("all samples", every), ("per-request minima", least)):
         row(f"pool p50 ms, {label}", statistics.median(this), statistics.median(other))
         row(f"pool p90 ms, {label}", p90(this), p90(other))
-    row("peak RSS MB", peaks[0], peaks[1], 1.0)
     print(f"requests whose stdout differs between the trees: {len(differ)} of {count}")
     return 0
 

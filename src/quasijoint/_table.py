@@ -2,15 +2,15 @@
 
 A ``Table`` is column names plus columns: float64 arrays, NaN marking a
 missing value, and ``Coded`` columns of a few distinct values formatted
-once.  Its two templates (CSV rows, JSON records at a nesting level) are
-written by ``_blocks``, and so are ``Arrays``, named float arrays written as
-one JSON object of lists: all their values run through ``_blocks`` as one
-column, cut at the array boundaries.  A short table is formatted row by
-row.  In a longer one every row is the same bytes in a row-major buffer of
-at most ``_CSV_BLOCK`` rows, each text and field at its own width, float
-fields written by ``_format_e16``, the exact vectorised ``%.16e`` kernel,
-and the NULs that pad the shorter fields dropped as each block is emitted.
-Either way the text is byte-identical to formatting every field with Python.
+once.  Its three templates (CSV rows, JSON records at a nesting level, and
+a JSON object of one list per float column, all its values run through as
+one column cut at the column boundaries) are written by ``_blocks``.  A
+short table is formatted row by row.  In a longer one every row is the
+same bytes in a row-major buffer of at most ``_CSV_BLOCK`` rows, each text
+and field at its own width, float fields written by ``_format_e16``, the
+exact vectorised ``%.16e`` kernel, and the NULs that pad the shorter fields
+dropped as each block is emitted.  Either way the text is byte-identical
+to formatting every field with Python.
 """
 
 from __future__ import annotations
@@ -202,25 +202,18 @@ class Table(NamedTuple):
         blocks = [b.decode("utf-8") for b in _blocks(self.columns, texts, "null", _json_value, {len(self.columns[0]): end})]
         return ["[\n", *blocks] if blocks else ["[]"]
 
-
-class Arrays(NamedTuple):
-    """One or more named 1-D float64 arrays, written as a JSON object of lists."""
-
-    names: Sequence[str]
-    arrays: Sequence[np.ndarray]
-
     def json_object(self, level: int) -> list[str]:
-        """The arrays as a JSON object at nesting ``level`` whose values are lists, in pieces.
+        """The columns, 1-D float64 arrays, as a JSON object of lists at nesting ``level``, in pieces.
 
-        Every value is formatted in one pass over the arrays joined end to
-        end, which ``_blocks`` cuts at each array's last row.  NaN, like inf,
+        Every value is formatted in one pass over the columns joined end to
+        end, which ``_blocks`` cuts at each column's last row.  NaN, like inf,
         has no text: the first non-finite value raises, in document order.
         """
-        for values in self.arrays:
+        for values in self.columns:
             if values.dtype != np.float64 or values.ndim != 1:
                 raise TypeError(f"cannot render a {values.dtype} array of shape {values.shape} in a report")
         pad, ends, rows, text = "  " * (level + 1), {}, 0, "{\n"  # ends[0]: the text before the first value
-        for i, (name, values) in enumerate(zip(self.names, self.arrays)):
+        for i, (name, values) in enumerate(zip(self.names, self.columns)):
             text += (",\n" if i else "") + f'{pad}"{name}": ' + ("[\n" if values.size else "[]")
             if values.size:
                 ends[rows] = text
@@ -228,7 +221,7 @@ class Arrays(NamedTuple):
                 text = "\n" + pad + "]"
         ends[rows] = text + "\n" + "  " * level + "}"
         head = ends.pop(0)
-        blocks = _blocks([np.concatenate(self.arrays)], ["  " * (level + 2), ",\n"], None, _json_value, ends)
+        blocks = _blocks([np.concatenate(self.columns)], ["  " * (level + 2), ",\n"], None, _json_value, ends)
         return [head, *(b.decode("utf-8") for b in blocks)]
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from quasijoint._table import SIGNS, Arrays, Coded, Table
+from quasijoint._table import SIGNS, Coded, Table
 from quasijoint.analysis import negativity_of, scan_negativity
 from quasijoint.inversion import (
     SingularInversion,
@@ -104,7 +104,7 @@ def format_float(value: float) -> str:
 
 def _json_pieces(value, level: int, pieces: list[str]) -> None:
     """Append the JSON text of ``value`` at nesting ``level`` to ``pieces``: dicts, lists and tuples
-    nest, and a ``Table`` (a list of records), ``Arrays`` or a ``_PhaseGrid`` (objects of lists) is rendered block by block."""
+    nest, and a ``Table`` (a list of records) or a ``_PhaseGrid`` (an object of lists) is rendered block by block."""
     if isinstance(value, float):
         pieces.append(format_float(value))
     elif isinstance(value, str):
@@ -117,8 +117,6 @@ def _json_pieces(value, level: int, pieces: list[str]) -> None:
         pieces.append(str(value))
     elif isinstance(value, Table):  # NamedTuples, so before the tuples
         pieces += value.json_records(level)
-    elif isinstance(value, Arrays):  # raises for the first non-finite value
-        pieces += value.json_object(level)
     elif isinstance(value, _PhaseGrid):
         pieces += _phase_grid_pieces(value, level)
     elif isinstance(value, (dict, list, tuple)):
@@ -361,46 +359,33 @@ class _PhaseGrid(NamedTuple):
     table: np.ndarray
 
 
-def _density_grid(points: int, **densities) -> _PhaseGrid:
-    table = np.array([(d.c0, d.c_cos, d.c_sin) for d in densities.values()])
-    return _PhaseGrid(points, tuple(densities), table)
-
-
 @functools.lru_cache(maxsize=4)
-def _phase_axis(points: int, level: int) -> list:
-    """A phase grid's axis: read-only phi, cos phi and sin phi, then the text pieces of
-    its ``"phi": [...]`` member at nesting ``level``, None until a report renders them.
+def _phase_axis(points: int, level: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """A phase grid's axis: read-only cos phi and sin phi, and the grid object's
+    text at nesting ``level`` up to the end of its ``"phi": [...]`` member.
 
     Kept for the last few grid sizes and levels of the process, keyed by those
     integers alone: the text of a 100,000-point axis is about 3 MB.
     """
     phi = phase_grid(points)
-    axis = [phi, np.cos(phi), np.sin(phi)]
-    for values in axis:
-        values.flags.writeable = False
-    return [*axis, None]
+    cos, sin = np.cos(phi), np.sin(phi)
+    cos.flags.writeable = sin.flags.writeable = False
+    text = "".join(Table(("phi",), (phi,)).json_object(level))
+    return cos, sin, text[: -len("\n" + "  " * level + "}")]  # the object stays open for the densities
 
 
 def _phase_grid_pieces(grid: _PhaseGrid, level: int) -> list[str]:
-    """The JSON text of ``grid`` at nesting ``level``, in pieces.
+    """The JSON text of ``grid`` at nesting ``level``, in pieces: the kept phi member, then the densities.
 
     Every slice is ``evaluate_phase_density``'s c0 + c_cos*cos(phi) + c_sin*sin(phi),
-    the same operations in the same order, in one broadcast over the table.  The
-    first report at a grid size and level formats phi with the densities and keeps
-    the phi member's text; a later one formats its densities only, after that text.
+    the same operations in the same order, in one broadcast over the table, and
+    all of them are formatted in one pass.
     """
-    axis = _phase_axis(grid.points, level)
-    phi, cos, sin, phi_text = axis
+    cos, sin, phi_text = _phase_axis(grid.points, level)
     c = grid.table
     densities = list(c[:, :1] + c[:, 1:2] * cos + c[:, 2:3] * sin)
-    if phi_text is not None:
-        head, *rest = Arrays(grid.names, densities).json_object(level)
-        return [*phi_text, "," + head[1:], *rest]  # head[0] opens the object, which phi_text did
-    pieces = Arrays(("phi", *grid.names), (phi, *densities)).json_object(level)
-    close = "\n" + "  " * (level + 1) + "]"  # ends the phi list: its values sit one level deeper
-    last = next(i for i, piece in enumerate(pieces) if close in piece)
-    axis[3] = (*pieces[:last], pieces[last][: pieces[last].index(close) + len(close)])
-    return pieces
+    head, *rest = Table(grid.names, densities).json_object(level)
+    return [phi_text, "," + head[1:], *rest]  # head[0] opens the object, which phi_text did
 
 
 def _slices(names: Sequence[str], table: np.ndarray, *coded: Coded) -> Table:
@@ -431,7 +416,7 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
         fields.update(last)
         points = 0 if discrete else config["phi_points"]
         if points:
-            fields["phase_grid"] = _density_grid(points, plus=joint.for_z(1), minus=joint.for_z(-1))
+            fields["phase_grid"] = _PhaseGrid(points, ("plus", "minus"), joint.table)
         return fields
 
     return _Report(config, result, table, note)
@@ -457,7 +442,8 @@ def cmd_exact(args: argparse.Namespace) -> _Report:
             "phase_density": _density_dict(density),
         }
         if opts["phi_points"]:
-            fields["phase_grid"] = _density_grid(opts["phi_points"], values=density)
+            row = (density.c0, density.c_cos, density.c_sin)
+            fields["phase_grid"] = _PhaseGrid(opts["phi_points"], ("values",), np.array([row]))
         return fields
 
     rows = {

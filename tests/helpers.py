@@ -162,6 +162,60 @@ def mu_phi_kernel(theta: float) -> PhaseKernel:
     return PhaseKernel(k0=1.0 / TWO_PI, g=2.0 / (TWO_PI * math.cos(theta)))
 
 
+#: the Pauli matrices in the path basis (upper, lower), so that <Z> = |alpha|^2 - |beta|^2
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_IDENTITY = np.eye(2)
+
+
+def _density_matrix(state: PureState) -> np.ndarray:
+    """rho = |psi><psi| of the amplitude pair."""
+    psi = np.array([state.alpha, state.beta])
+    return np.outer(psi, psi.conj())
+
+
+def context_parameter(config: MarkerConfig) -> float:
+    """t = tan(theta) / tan(2*vartheta - theta): the inferred joint's one departure from Margenau-Hill."""
+    return math.tan(config.theta) / math.tan(2.0 * config.vartheta - config.theta)
+
+
+def margenau_hill_discrete(state: PureState, t: float = 0.0) -> np.ndarray:
+    """Re Tr(Pi_x Pi_z rho) + t*x*z*<X>/4 as a (2, 2) array [x, z], both (+1, -1).
+
+    The Margenau-Hill distribution of the fringe projector Pi_x = (1 + x sigma_x)/2
+    and the path projector Pi_z = (1 + z sigma_z)/2, built from the density
+    matrix by products and traces alone: the oracle shares no delta, gamma or
+    kernel code with the package.  With ``t`` from ``context_parameter`` it is
+    the inferred quasi joint; with t = 0, Margenau-Hill alone.
+    """
+    rho = _density_matrix(state)
+    ex = np.trace(SIGMA_X @ rho).real
+    table = np.empty((2, 2))
+    for i, x in enumerate((1, -1)):
+        for j, z in enumerate((1, -1)):
+            product = (_IDENTITY + x * SIGMA_X) / 2 @ ((_IDENTITY + z * SIGMA_Z) / 2) @ rho
+            table[i, j] = np.trace(product).real + t * x * z * ex / 4
+    return table
+
+
+def margenau_hill_phase(state: PureState, phi: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """Re Tr(E_phi Pi_z rho) + t*z*(cos(phi)<X> + sin(phi)<Y>)/(4 pi) as a (2, len(phi)) array [z, phi].
+
+    E_phi = (1 + cos(phi) sigma_x + sin(phi) sigma_y)/(2 pi) is the phase POVM;
+    otherwise as ``margenau_hill_discrete``.
+    """
+    rho = _density_matrix(state)
+    ex, ey = np.trace(SIGMA_X @ rho).real, np.trace(SIGMA_Y @ rho).real
+    cos, sin = np.cos(phi), np.sin(phi)
+    povm = (_IDENTITY + cos[:, None, None] * SIGMA_X + sin[:, None, None] * SIGMA_Y) / TWO_PI
+    rows = []
+    for z in (1, -1):
+        mh = np.einsum("nij,ji->n", povm, (_IDENTITY + z * SIGMA_Z) / 2 @ rho).real
+        rows.append(mh + t * z * (cos * ex + sin * ey) / (2.0 * TWO_PI))
+    return np.array(rows)
+
+
 def assert_same_text(text: str, expected: str) -> None:
     """String equality; a mismatch names its first differing line.
 

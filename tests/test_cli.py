@@ -31,7 +31,7 @@ from quasijoint import (
 )
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from quasijoint import _table
-from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, SIGNS, Arrays, Coded, Table
+from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, SIGNS, Coded, Table
 from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
 from quasijoint.states import PhaseDensity, evaluate_phase_density, phase_grid
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
@@ -57,7 +57,7 @@ class TestGoldenFiles:
             assert (tmp_path / produced).read_text() == (GOLDEN / stored).read_text()
 
     def test_every_case_replays_byte_identical_in_one_warm_process(self, capsys, tmp_path, monkeypatch):
-        # a phase report after the first at its grid size and nesting level reuses that report's phi text
+        # a phase report after the first at its grid size and nesting level reuses the phi text kept for them
         monkeypatch.chdir(tmp_path)
         cli._phase_axis.cache_clear()
         cases = CASES + REPORT_CASES
@@ -235,25 +235,25 @@ def _grids(draw):
     for _ in range(draw(st.integers(1, 4), label="arrays")):
         pool = np.append(draw(_float_arrays()), 0.5)
         arrays.append(pool[rng.integers(pool.size, size=draw(_GRID_LENGTHS | st.integers(0, 300)))])
-    return Arrays([f"a{i}" for i in range(len(arrays))], arrays)
+    return Table([f"a{i}" for i in range(len(arrays))], arrays)
 
 
-def _as_lists(grid: Arrays) -> dict:
-    return {name: values.tolist() for name, values in zip(grid.names, grid.arrays)}
+def _as_lists(grid: Table) -> dict:
+    return {name: values.tolist() for name, values in zip(grid.names, grid.columns)}
 
 
 class TestJsonFloatArrays:
-    """Named float64 arrays render, in one formatter pass, exactly as a dict of their ``tolist()``."""
+    """A table's float64 columns render as a JSON object, in one formatter pass, exactly as a dict of their ``tolist()``."""
 
     @given(_float_arrays(), st.integers(0, 3))
     def test_matches_list_rendering(self, values, level):
-        grid = Arrays(["v"], [values])
-        assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
+        grid = Table(["v"], [values])
+        assert "".join(grid.json_object(level)) == cli._render_json_value(_as_lists(grid), level)
 
     @settings(max_examples=40, deadline=None)
     @given(_grids(), st.integers(0, 3))
     def test_grid_matches_its_arrays_rendered_one_by_one(self, grid, level):
-        assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
+        assert "".join(grid.json_object(level)) == cli._render_json_value(_as_lists(grid), level)
 
     def test_values_longer_than_their_slot_next_to_the_cuts(self):
         # rows formatted by Python, on either side of every array boundary and block edge: 24 characters
@@ -263,14 +263,14 @@ class TestJsonFloatArrays:
             for values in arrays:
                 values[[0, -1]] = sign * 1e-100
             arrays[1][n // 2] = sign * 5e-324
-            grid = Arrays(["phi", "plus", "minus"], arrays)
-            assert cli._render_json_value(grid, 2) == cli._render_json_value(_as_lists(grid), 2)
+            grid = Table(["phi", "plus", "minus"], arrays)
+            assert "".join(grid.json_object(2)) == cli._render_json_value(_as_lists(grid), 2)
 
     def test_empty_array(self):
         for level in range(4):
             for arrays in ([[]], [[], [0.5] * 70, []], [[], []]):
-                grid = Arrays([f"a{i}" for i in range(len(arrays))], [np.array(a, dtype=np.float64) for a in arrays])
-                assert cli._render_json_value(grid, level) == cli._render_json_value(_as_lists(grid), level)
+                grid = Table([f"a{i}" for i in range(len(arrays))], [np.array(a, dtype=np.float64) for a in arrays])
+                assert "".join(grid.json_object(level)) == cli._render_json_value(_as_lists(grid), level)
 
     def test_only_one_dimensional_float64_arrays(self):
         # np.int64 is no Python int: library values reach reports as Python scalars
@@ -279,7 +279,7 @@ class TestJsonFloatArrays:
                 cli._render_json_value(values, 0)
             for arrays in ([values], [np.zeros(3), values, np.zeros(3)]):
                 with pytest.raises(TypeError):
-                    cli._render_json_value(Arrays([f"a{i}" for i in range(len(arrays))], arrays), 1)
+                    "".join(Table([f"a{i}" for i in range(len(arrays))], arrays).json_object(1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_element_raises_the_list_message(self, bad):
@@ -287,7 +287,7 @@ class TestJsonFloatArrays:
             with pytest.raises(ValueError) as from_list:
                 cli._render_json_value(values, 1)
             with pytest.raises(ValueError) as from_array:
-                cli._render_json_value(Arrays(["v"], [np.array(values)]), 1)
+                "".join(Table(["v"], [np.array(values)]).json_object(1))
             assert str(from_array.value) == str(from_list.value)
             assert str(from_array.value) == f"refusing to print non-finite value {bad!r}"
 
@@ -297,9 +297,9 @@ class TestJsonFloatArrays:
         for first, second in ((math.inf, math.nan), (math.nan, -math.inf)):
             phi, plus, minus = np.linspace(0.0, 1.0, n), np.full(n, 0.5), np.full(n, 0.5)
             plus[-1], minus[0] = first, second
-            grid = Arrays(["phi", "plus", "minus"], [phi, plus, minus])
+            grid = Table(["phi", "plus", "minus"], [phi, plus, minus])
             with pytest.raises(ValueError) as from_grid:
-                cli._render_json_value(grid, 1)
+                "".join(grid.json_object(1))
             with pytest.raises(ValueError) as from_lists:
                 cli._render_json_value(_as_lists(grid), 1)
             assert str(from_grid.value) == str(from_lists.value) == f"refusing to print non-finite value {first!r}"
@@ -307,15 +307,15 @@ class TestJsonFloatArrays:
     @pytest.mark.parametrize(
         "argv, sizes",
         [
-            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"], ([768], [512])),
-            (["exact", "--state", "0.6,0,0.64,0.48", "--phi-points", "256"], ([512], [256])),
+            (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"], ([256, 512], [512])),
+            (["exact", "--state", "0.6,0,0.64,0.48", "--phi-points", "256"], ([256, 256], [256])),
             (["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1"], ([], [])),
         ],
         ids=["invert_phase", "exact", "invert_discrete"],
     )
-    def test_a_report_formats_its_phase_grid_in_one_kernel_call(self, argv, sizes, capsys, monkeypatch):
+    def test_a_report_formats_its_densities_in_one_kernel_call_after_phi_once(self, argv, sizes, capsys, monkeypatch):
         # a discrete report's tables are short, so they are formatted row by row; the first phase report
-        # at a grid size formats phi with the densities, a second one its densities only
+        # at a grid size formats phi in a call of its own, then its densities; a second one its densities only
         cli._phase_axis.cache_clear()
         kernel = _table._format_e16
         for expected in sizes:
@@ -332,7 +332,7 @@ class TestJsonFloatArrays:
     )
     def test_grid_values_are_evaluate_phase_density_bit_for_bit(self, points, rows, level):
         densities = {f"d{i}": PhaseDensity(*row) for i, row in enumerate(rows)}
-        grid, phi = cli._density_grid(points, **densities), phase_grid(points)
+        grid, phi = cli._PhaseGrid(points, tuple(densities), np.array(rows)), phase_grid(points)
         cli._phase_axis.cache_clear()
         for _ in range(2):  # from an empty cache, then after the kept phi text
             rendered = json.loads(cli._render_json_value(grid, level))  # %.16e reads back exactly
@@ -344,7 +344,7 @@ class TestJsonFloatArrays:
 
     def test_a_grid_renders_at_each_level_as_from_an_empty_cache(self):
         # the phi text is kept per grid size and nesting level: a size-only key would indent level 2 as level 1
-        grid = cli._density_grid(300, plus=PhaseDensity(0.1, -0.05, 0.02), minus=PhaseDensity(0.06, 0.01, -0.03))
+        grid = cli._PhaseGrid(300, ("plus", "minus"), np.array([(0.1, -0.05, 0.02), (0.06, 0.01, -0.03)]))
         cold = {}
         for level in (1, 2):
             cli._phase_axis.cache_clear()
@@ -354,13 +354,22 @@ class TestJsonFloatArrays:
             assert cli._render_json_value(grid, level) == cold[level]
 
     def test_the_kept_axis_is_read_only(self):
+        # an immutable entry: rendering grids at its size and level changes neither its arrays nor its text
         cli._phase_axis.cache_clear()
-        cli._render_json_value(cli._density_grid(5, values=PhaseDensity(0.1, 0.0, 0.0)), 2)
-        *arrays, text = cli._phase_axis(5, 2)
-        assert "".join(text) + "\n    }" == cli._render_json_value({"phi": phase_grid(5).tolist()}, 2)
+        entry = cli._phase_axis(5, 2)
+        assert isinstance(entry, tuple)
+        *arrays, text = entry
+        phi = phase_grid(5)
+        assert text + "\n    }" == cli._render_json_value({"phi": phi.tolist()}, 2)
+        assert np.array_equal(arrays[0], np.cos(phi)) and np.array_equal(arrays[1], np.sin(phi))
         for values in arrays:
             with pytest.raises(ValueError):
                 values[0] = 1.0
+        kept = [values.copy() for values in arrays]
+        for row in ((0.1, 0.0, 0.0), (0.2, -0.1, 0.05)):
+            cli._render_json_value(cli._PhaseGrid(5, ("values",), np.array([row])), 2)
+            assert cli._phase_axis(5, 2) is entry
+            assert entry[2] == text and all(map(np.array_equal, entry[:2], kept))
 
 
 def _csv_field(value) -> str:

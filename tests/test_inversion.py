@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from quasijoint import (
     MarkerConfig,
@@ -38,9 +39,13 @@ from quasijoint import (
     quasi_joint_phase_closed_form,
 )
 from helpers import (
+    any_configs,
+    context_parameter,
     haar_state,
     invertible_config,
     invertible_configs,
+    margenau_hill_discrete,
+    margenau_hill_phase,
     mu_phi_kernel,
     pure_states,
     x_response_matrix,
@@ -322,6 +327,36 @@ class TestQuasiClosedForm:
                 near = quasi_joint_closed_form(state, tiny).table
                 limit = quasi_joint_closed_form(state, zero).table
                 np.testing.assert_allclose(near, limit, atol=1e-4)
+
+
+class TestMargenauHill:
+    """The inferred joint is the Margenau-Hill distribution plus t = tan(theta)/tan(2 vartheta - theta) times
+    one context term, against a density-matrix oracle that shares no algebra with the kernels."""
+
+    @staticmethod
+    def slices_on(state: PureState, cfg: MarkerConfig, phi: np.ndarray) -> np.ndarray:
+        """The phase closed form's slices z = (+1, -1) on ``phi``, one row each."""
+        joint = quasi_joint_phase_closed_form(state, cfg)
+        return np.array([evaluate_phase_density(joint.for_z(z), phi) for z in (1, -1)])
+
+    @given(pure_states(), any_configs())
+    @settings(max_examples=200)
+    def test_closed_forms_are_margenau_hill_plus_the_context_term(self, state, cfg):
+        # off both singular lines: cos(theta) and sin(2 vartheta - theta) away from 0
+        assume(abs(math.cos(cfg.theta)) > 0.05 and abs(math.sin(2.0 * cfg.vartheta - cfg.theta)) > 0.05)
+        t, phi = context_parameter(cfg), phase_grid(64)
+        discrete = quasi_joint_closed_form(state, cfg).table
+        np.testing.assert_allclose(discrete, margenau_hill_discrete(state, t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.slices_on(state, cfg, phi), margenau_hill_phase(state, phi, t), rtol=0, atol=1e-12)
+
+    @given(pure_states(), st.floats(0.0, math.pi, exclude_max=True), st.sampled_from((1, 3)))
+    @settings(max_examples=200)
+    def test_on_the_optimal_analyzer_line_the_closed_forms_are_margenau_hill(self, state, theta, quarters):
+        # t = 0 on vartheta = theta/2 + pi/4 (mod pi/2), away from the marking line cos(theta) = 0
+        assume(abs(math.cos(theta)) > 0.05)
+        cfg, phi = MarkerConfig(theta, theta / 2.0 + quarters * math.pi / 4.0), phase_grid(64)
+        np.testing.assert_allclose(quasi_joint_closed_form(state, cfg).table, margenau_hill_discrete(state), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.slices_on(state, cfg, phi), margenau_hill_phase(state, phi), rtol=0, atol=1e-12)
 
 
 class TestPhaseKernel:
