@@ -9,10 +9,16 @@ configuration: the four joint builders, a 100x100 ``scan_negativity``,
 writer on a 100x100 scan's CSV and on 32,768 shots' CSV, a phase report's
 256-point ``phase_grid`` evaluated and rendered as JSON at the level the
 report renders it at, once with its phi axis kept and once after clearing
-it (the first report at a grid size), and ``born_joint_discrete``, the
-Born-rule oracle.  The last row is a control: a fixed pure-Python loop
-that runs no quasijoint code, so no change to the package can move it.  A
-layer's time in a run is the least of REPEATS timeit repeats, per call.
+it (the first report at a grid size), ``born_joint_discrete``, the
+Born-rule oracle, then the Bloch expectations, the gamma and delta
+coefficients and the two inversion kernels of one configuration,
+``invert_joint_discrete``, ``estimate_quasi_joint`` on 100,000-shot counts,
+the phase sampler drawing one 32,768-shot block, the estimator's pass over
+one drawn block, and one whole ``invert --mode phase`` request through
+``cli.main``, its report written to the null device.  The last row is a
+control: a fixed pure-Python loop that runs no quasijoint code, so no
+change to the package can move it.  A layer's time in a run is the least
+of REPEATS timeit repeats, per call.
 Printed per layer: each tree's median over the rounds, in microseconds, and
 the median of the per-round ratios (this tree's run over the other tree's
 run in the same round), which a change in host load between rounds moves
@@ -39,12 +45,13 @@ REPEATS = 7
 
 #: the program each subprocess runs: argv[1] is the repeat count; prints {layer: seconds per call}
 CHILD = """
-import json, sys, timeit
+import contextlib, json, os, sys, timeit
 from collections import deque
 import numpy as np
 import quasijoint as q
 from quasijoint import cli
-from quasijoint.sampling import _phase_blocks, _shot_table
+from quasijoint.inversion import _config_delta
+from quasijoint.sampling import _phase_blocks, _phase_pass, _shot_table
 
 state = q.PureState(0.6, 0.64 + 0.48j)
 config = q.MarkerConfig(0.7, 1.1)
@@ -52,8 +59,17 @@ thetas, varthetas = np.linspace(0.0, 1.5707963267948966, 100), np.linspace(0.0, 
 discrete, phase = q.quasi_joint_closed_form(state, config), q.quasi_joint_phase_closed_form(state, config)
 grid, measured = q.scan_negativity(state, thetas, varthetas), q.operational_joint_phase(state, config)
 phi, z = (block.copy() for block in next(_phase_blocks(measured, 32768, 5)))
+measured_discrete = q.operational_joint_discrete(state, config)
+counts = q.sample_discrete(measured_discrete, 100000, 5)
 invert = ["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"]
-phase_grid = cli.cmd_invert(cli._parse(invert)).result()["phase_grid"]
+result = cli.cmd_invert(cli._parse(invert)).result
+phase_grid = (result() if callable(result) else result)["phase_grid"]  # a closure in older trees
+devnull = open(os.devnull, "w")
+
+def request():
+    with contextlib.redirect_stdout(devnull):
+        cli.main(invert)
+
 layers = {
     "operational_joint_discrete": (lambda: q.operational_joint_discrete(state, config), 1000),
     "operational_joint_phase": (lambda: q.operational_joint_phase(state, config), 1000),
@@ -67,6 +83,15 @@ layers = {
     "phase grid, evaluate and render": (lambda: cli._render_json_value(phase_grid, 2), 100),
     "phase grid, first at its size": (lambda: (cli._phase_axis.cache_clear(), cli._render_json_value(phase_grid, 2)), 100),
     "born_joint_discrete": (lambda: q.born_joint_discrete(state, config), 1000),
+    "bloch_from_state": (lambda: q.bloch_from_state(state), 1000),
+    "gamma_coefficients, one config": (lambda: q.gamma_coefficients(config.theta, config.vartheta), 1000),
+    "_config_delta, one config": (lambda: _config_delta(config), 1000),
+    "mu_x_matrix with mu_z_matrix": (lambda: (q.mu_x_matrix(config.theta), q.mu_z_matrix(config)), 1000),
+    "invert_joint_discrete": (lambda: q.invert_joint_discrete(measured_discrete, config), 1000),
+    "estimate_quasi_joint, 1e5 shots": (lambda: q.estimate_quasi_joint(counts, config), 1000),
+    "_phase_blocks, one 32768 block": (lambda: deque(_phase_blocks(measured, 32768, 5), 0), 10),
+    "_phase_pass, one 32768 block": (lambda: _phase_pass([(phi, z)]), 10),
+    "invert --mode phase request": (request, 100),
     "pure-Python loop (control)": (lambda: sum(i * i for i in range(1000)), 100),
 }
 repeats = int(sys.argv[1])

@@ -23,7 +23,7 @@ import numpy as np
 
 from quasijoint._table import Coded, Table
 from quasijoint.inversion import _UNIT, delta_coefficients
-from quasijoint.marking import DiscreteJoint, PhaseJoint, _discrete_entries
+from quasijoint.marking import DiscreteJoint, PhaseJoint, _discrete_entries, _reduce_mod
 from quasijoint.states import OUTCOMES, TWO_PI, PureState, bloch_from_state
 
 SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
@@ -38,8 +38,8 @@ _SERIES_TERMS = 8
 class NegativityReport:
     """Minimum entry/value, where it occurs, and the total negative mass.
 
-    ``argmin`` is (x, z) for discrete joints and (phi_star, z) for phase
-    joints.  ``total_negativity`` is the sum (discrete) or integral
+    ``argmin`` is (x, z) for discrete joints and (phi_star, z), phi_star in
+    [0, 2*pi), for phase joints.  ``total_negativity`` is the sum (discrete) or integral
     (continuous, in closed form per slice) of the negative part's magnitude.
     """
 
@@ -124,7 +124,8 @@ def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
     """Locate and quantify the negative part of a joint (quasi or operational).
 
     For phase joints the per-slice minimum sits at
-    phi_star = atan2(-c_sin, -c_cos) with value c0 - sqrt(c_cos^2 + c_sin^2).
+    phi_star = atan2(-c_sin, -c_cos), reduced into [0, 2*pi), with value
+    c0 - sqrt(c_cos^2 + c_sin^2).
     Operational input is allowed; its report is trivially nonnegative-min.
     """
     if isinstance(joint, DiscreteJoint):
@@ -136,7 +137,7 @@ def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
         amplitudes = [math.hypot(c_cos, c_sin) for _, c_cos, c_sin in rows]
         minima = [row[0] - amplitude for row, amplitude in zip(rows, amplitudes)]
         k = int(minima[1] < minima[0])  # z = +1 on a tie
-        phi_star = math.atan2(-rows[k][2], -rows[k][1]) % TWO_PI
+        phi_star = float(_reduce_mod(math.atan2(-rows[k][2], -rows[k][1]), TWO_PI))
         total = _negative_mass(rows[0][0], amplitudes[0]) + _negative_mass(rows[1][0], amplitudes[1])
         return NegativityReport(min_value=minima[k], argmin=(phi_star, OUTCOMES[k]), total_negativity=total)
     raise TypeError(f"expected DiscreteJoint or PhaseJoint, got {type(joint).__name__}")

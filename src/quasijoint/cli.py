@@ -33,7 +33,7 @@ import sys
 from gettext import gettext
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,11 +85,12 @@ _X, _Z = Coded(SIGNS, np.array([1, 1, -1, -1])), Coded(SIGNS, np.array([1, -1, 1
 
 
 class _Report(NamedTuple):
-    """A command's config echo, JSON ``result``, built only for JSON, and CSV ``table``.
+    """A command's config echo, JSON ``result`` and CSV ``table``, built for either format.
+    A ``_PhaseGrid`` in the result is evaluated only when the JSON writer renders it.
     The optional ``(label, fields)`` note prints as ``# label key=value ...`` before the table."""
 
     config: dict
-    result: Callable[[], dict]
+    result: dict
     table: Table
     note: tuple[str, dict] | None = None
 
@@ -142,8 +143,10 @@ def _render_json_value(value, level: int) -> str:
     return "".join(pieces)
 
 
-def render_json(report: dict) -> str:
-    return _render_json_value(report, 0) + "\n"
+def render_json(report: _Report) -> str:
+    """The ``{"command", "config", "result"}`` object, as text."""
+    envelope = {"command": report.config["command"], "config": report.config, "result": report.result}
+    return _render_json_value(envelope, 0) + "\n"
 
 
 def _csv_text(value) -> str:
@@ -404,21 +407,16 @@ def _joint_report(config: dict, joint, first: dict, last: dict, note=None) -> _R
         table = Table(("x", "z", "value"), (_X, _Z, joint.table.ravel()))
     else:
         table = _slices(("z", "c0", "c_cos", "c_sin"), joint.table)
-
-    def result() -> dict:
-        fields = {"joint": {"kind": joint.kind, "values" if discrete else "slices": table}, **first}
-        if discrete:
-            fields["marginal_x"] = _binary_dict(marginal_x(joint))
-            fields["marginal_z"] = _binary_dict(marginal_z(joint))
-        else:
-            fields["marginal_phase"] = _density_dict(marginal_phase(joint))
-            fields["marginal_z"] = _binary_dict(marginal_z_of_phase(joint))
-        fields.update(last)
-        points = 0 if discrete else config["phi_points"]
-        if points:
-            fields["phase_grid"] = _PhaseGrid(points, ("plus", "minus"), joint.table)
-        return fields
-
+    result = {"joint": {"kind": joint.kind, "values" if discrete else "slices": table}, **first}
+    if discrete:
+        result["marginal_x"] = _binary_dict(marginal_x(joint))
+        result["marginal_z"] = _binary_dict(marginal_z(joint))
+    else:
+        result["marginal_phase"] = _density_dict(marginal_phase(joint))
+        result["marginal_z"] = _binary_dict(marginal_z_of_phase(joint))
+    result.update(last)
+    if not discrete and config["phi_points"]:
+        result["phase_grid"] = _PhaseGrid(config["phi_points"], ("plus", "minus"), joint.table)
     return _Report(config, result, table, note)
 
 
@@ -433,19 +431,15 @@ def cmd_exact(args: argparse.Namespace) -> _Report:
     path = exact_path_distribution(state)
     fringe = exact_interference_distribution(state)
     density = exact_phase_distribution(state)
-
-    def result() -> dict:
-        fields = {
-            "bloch": {"ex": bloch.ex, "ey": bloch.ey, "ez": bloch.ez},
-            "path": _binary_dict(path),
-            "interference": _binary_dict(fringe),
-            "phase_density": _density_dict(density),
-        }
-        if opts["phi_points"]:
-            row = (density.c0, density.c_cos, density.c_sin)
-            fields["phase_grid"] = _PhaseGrid(opts["phi_points"], ("values",), np.array([row]))
-        return fields
-
+    result = {
+        "bloch": {"ex": bloch.ex, "ey": bloch.ey, "ez": bloch.ez},
+        "path": _binary_dict(path),
+        "interference": _binary_dict(fringe),
+        "phase_density": _density_dict(density),
+    }
+    if opts["phi_points"]:
+        row = (density.c0, density.c_cos, density.c_sin)
+        result["phase_grid"] = _PhaseGrid(opts["phi_points"], ("values",), np.array([row]))
     rows = {
         "ex": bloch.ex, "ey": bloch.ey, "ez": bloch.ez,
         "path_plus": path.p_plus, "path_minus": path.p_minus,
@@ -495,23 +489,17 @@ def cmd_sample(args: argparse.Namespace) -> _Report:
         counts = Table(("x", "z", "count"), (_X, _Z, Coded(shots.counts.ravel().tolist())))
         if opts["shots_out"]:
             _write(opts["shots_out"], counts.csv_blocks())
-
-        def result() -> dict:
-            return {"counts": counts, "estimate": table}
-
+        result = {"counts": counts, "estimate": table}
     else:
         joint = operational_joint_phase(state, marker)
         _check_draw(joint, opts["n"])  # a rejected run leaves no --shots-out file
         with open(opts["shots_out"], "wb") if opts["shots_out"] else contextlib.nullcontext() as handle:
             counts, estimates = _phase_pass(_phase_blocks(joint, opts["n"], opts["seed"]), handle)
         table = _slices(("z", "count", "c0_hat", "c_cos_hat", "c_sin_hat"), estimates, Coded(counts))
-
-        def result() -> dict:
-            return {
-                "slice_counts": {"plus": counts[0], "minus": counts[1]},
-                "harmonic_estimates": _slices(("z", "c0", "c_cos", "c_sin"), estimates),
-            }
-
+        result = {
+            "slice_counts": {"plus": counts[0], "minus": counts[1]},
+            "harmonic_estimates": _slices(("z", "c0", "c_cos", "c_sin"), estimates),
+        }
     return _Report(config, result, table)
 
 
@@ -522,7 +510,7 @@ def cmd_scan(args: argparse.Namespace) -> _Report:
     grid = scan_negativity(state, np.linspace(*theta_spec), np.linspace(*vartheta_spec))
     config = _echo("scan", opts, state, theta_grid=list(theta_spec), vartheta_grid=list(vartheta_spec))
     table = grid.table()
-    return _Report(config, lambda: {"cells": table}, table)
+    return _Report(config, {"cells": table}, table)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +575,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report = args.handler(args)
-        config = report.config
-        if config["format"] == "json":
-            text = render_json(
-                {"command": config["command"], "config": config, "result": report.result()}
-            )
-            blocks = [text.encode("utf-8")]
+        if report.config["format"] == "json":
+            blocks = [render_json(report).encode("utf-8")]
         else:
             blocks = render_csv(report)
-        _write(config["output"], blocks)
+        _write(report.config["output"], blocks)
         return 0
     except SingularInversion as exc:
         print(f"error: singular configuration: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
     _discrete_entries,
-    _reduce_mod_pi,
+    _reduce_mod,
     _phase_table,
 )
 from quasijoint.states import TWO_PI, PureState, _by_outcome, bloch_from_state
@@ -123,7 +123,7 @@ def delta_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
     delta is NaN under either mask.  theta = 0 returns (1, 1) for every analyzer angle
     and is never masked.
     """
-    theta, vartheta = _reduce_mod_pi(theta), _reduce_mod_pi(vartheta)
+    theta, vartheta = _reduce_mod(theta, math.pi), _reduce_mod(vartheta, math.pi)
     c = np.cos(theta)
     s2 = np.sin(2.0 * vartheta - theta)
     limit = theta == 0.0

@@ -102,12 +102,15 @@ def phase_negativity_reference(table) -> tuple[float, tuple[float, int], float]:
     """``(min_value, argmin, total_negativity)`` of a phase table, read slice by slice off ``PhaseDensity``.
 
     The slice oracle for ``negativity_of`` on a ``PhaseJoint``: the +1 slice
-    wins a tie, and each slice's negative mass comes from its
+    wins a tie, phi_star lies in [0, 2*pi), a tiny negative angle that rounds
+    up to 2*pi reading 0, and each slice's negative mass comes from its
     ``PhaseDensity.amplitude``.
     """
     slices = _reference_slices(table)
     best_z, best = min(zip((1, -1), slices), key=lambda item: item[1].min_value)
     phi_star = math.atan2(-best.c_sin, -best.c_cos) % TWO_PI
+    if phi_star == TWO_PI:
+        phi_star = 0.0
     total = _negative_mass(slices[0].c0, slices[0].amplitude) + _negative_mass(slices[1].c0, slices[1].amplitude)
     return best.min_value, (phi_star, best_z), total
 

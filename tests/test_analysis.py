@@ -180,6 +180,7 @@ class TestNegativityOf:
             report = negativity_of(joint)
             expected = phase_negativity_reference(joint.table)
             assert (report.min_value, report.argmin, report.total_negativity) == expected
+            assert 0.0 <= report.argmin[0] < TWO_PI
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

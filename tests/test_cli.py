@@ -371,6 +371,16 @@ class TestJsonFloatArrays:
             assert cli._phase_axis(5, 2) is entry
             assert entry[2] == text and all(map(np.array_equal, entry[:2], kept))
 
+    @pytest.mark.parametrize("command", ["invert", "operational", "exact"])
+    def test_a_csv_report_never_evaluates_its_phase_grid(self, command, capsys):
+        # the grid is a result node that only the JSON writer evaluates; at 100,000 points its text is about 3 MB
+        marked = ["--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"] if command != "exact" else []
+        argv = [command, "--state", "0.6,0,0.64,0.48", *marked, "--format", "csv", "--phi-points", str(MAX_PHI_POINTS)]
+        cli._phase_axis.cache_clear()
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert cli._phase_axis.cache_info().currsize == 0
+
 
 def _csv_field(value) -> str:
     return "" if value is None else f"{value:.16e}" if isinstance(value, float) else str(value)
@@ -942,6 +952,16 @@ class TestOptionResolution:
         )
         assert code == 0
         assert out_mag == out_reim
+
+    def test_a_half_turn_magphase_state_reports_its_phase_argmin_as_zero(self, capsys):
+        # sin(180 deg) leaves <Y> = 1.2e-16, so the slice's minimum sits a hair below phi = 0,
+        # which reduced mod 2*pi rounds up to 2*pi itself; [0, 2*pi) holds it as 0
+        argv = ["invert", "--state", "0.6,0,0.8,180", "--state-form", "magphase", "--theta", "0.4",
+                "--vartheta", "1.0", "--mode", "phase", "--format", "csv"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        note = next(line for line in out.splitlines() if line.startswith("# negativity "))
+        assert "argmin_phi=0.0000000000000000e+00" in note.split()
 
     @pytest.mark.parametrize("case", CASES + REPORT_CASES, ids=lambda c: c["name"])
     def test_output_file_matches_stdout(self, case, capsys, tmp_path, monkeypatch):
