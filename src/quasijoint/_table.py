@@ -290,9 +290,8 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
     coded field at the width of its longest text, and a float field at
     ``_E16_WIDTH`` bytes, plus a sign slot where some value of the column
     has its sign bit set.  Shorter fields are padded with NULs, which are
-    dropped as each block is emitted; a layout with no such slot skips that
-    pass.  A float field whose text is longer than its slot, like inf, has
-    its row formatted field by field.
+    dropped as each block is emitted.  A float field whose text is longer
+    than its slot, like inf, has its row formatted field by field.
     """
     rows = len(columns[0])
     if not rows:
@@ -300,13 +299,12 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
     if rows < _LAYOUT_FROM:
         yield _rows(columns, texts, missing, value_text, 0, rows, ends)
         return
-    layout, coded, floats, holes = bytearray(), [], [], False  # a row's bytes, the fields at their offsets, any NUL slot
+    layout, coded, floats = bytearray(), [], []  # a row's bytes, the fields at their offsets
     for column, text in zip(columns, texts):
         layout += text.encode("utf-8")
         values = column.values if isinstance(column, Coded) else column
         if not isinstance(column, Coded):  # the field of a missing value sets the width
             signs = np.count_nonzero(np.signbit(values))
-            holes |= 0 < signs < values.size
             empty = np.frombuffer((missing or "").encode("ascii").ljust(_E16_WIDTH + (signs > 0), b"\0"), np.uint8)
             floats.append((len(layout), column, empty))
             layout += bytes(empty.size)
@@ -318,7 +316,6 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
             table = table.view(f"S{table.shape[1]}")[:, 0]
         else:  # NUL-padded to the longest text
             table, marked = np.array([t.encode("utf-8") for t in _texts(values, value_text)], "S"), np.zeros(len(values), bool)
-        holes |= b"\0" in table.tobytes()
         coded.append((len(layout), column, table, marked if marked.any() else None))
         layout += bytes(table.itemsize)
     layout += texts[-1].encode("utf-8")
@@ -331,7 +328,7 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
     for start in range(0, rows, height):
         block = cells[: min(height, rows - start)]
         stop = start + len(block)
-        wide, nul = set(), holes  # rows formatted field by field: a float text longer than its slot, or inf
+        wide = set()  # rows formatted field by field: a float text longer than its slot, or inf
         for offset, column, table, marked in coded:
             if start and column.codes is None and height % len(column) == 0 and marked is None:
                 continue  # whole cycles, as the first block wrote them
@@ -348,7 +345,6 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
                 absent = np.isnan(values) & (missing is not None)
                 wide.update(np.flatnonzero(~np.isfinite(values) & ~absent).tolist())
                 values = np.where(np.isfinite(values), values, 0.0)
-                nul |= absent.any()
             wide.update(_format_e16(values, field))
             if absent is not None:
                 np.copyto(field, empty, where=absent[:, None])
@@ -359,7 +355,7 @@ def _blocks(columns, texts: list[str], missing: str | None, value_text: Callable
                 pieces += [view[a * stride : r * stride], _rows(columns, texts, missing, value_text, start + r, start + r + 1, {})]
                 a = r + 1
             pieces.append(view[a * stride : b * stride])
-            text = buffer if pieces[0].nbytes == len(buffer) else b"".join(pieces)  # the whole buffer is not copied
-            text = text.replace(b"\0", b"") if nul else bytes(text)
+            text = buffer if pieces[0].nbytes == len(buffer) else b"".join(pieces)  # the whole buffer skips the join's copy
+            text = text.replace(b"\0", b"")
             end = ends.get(start + b)
             yield text if end is None else text[: -len(texts[-1].encode("utf-8"))] + end.encode("utf-8")

@@ -137,7 +137,7 @@ def negativity_of(joint: DiscreteJoint | PhaseJoint) -> NegativityReport:
         amplitudes = [math.hypot(c_cos, c_sin) for _, c_cos, c_sin in rows]
         minima = [row[0] - amplitude for row, amplitude in zip(rows, amplitudes)]
         k = int(minima[1] < minima[0])  # z = +1 on a tie
-        phi_star = float(_reduce_mod(math.atan2(-rows[k][2], -rows[k][1]), TWO_PI))
+        phi_star = _reduce_mod(math.atan2(-rows[k][2], -rows[k][1]), TWO_PI)
         total = _negative_mass(rows[0][0], amplitudes[0]) + _negative_mass(rows[1][0], amplitudes[1])
         return NegativityReport(min_value=minima[k], argmin=(phi_star, OUTCOMES[k]), total_negativity=total)
     raise TypeError(f"expected DiscreteJoint or PhaseJoint, got {type(joint).__name__}")

@@ -14,9 +14,9 @@ SingularMarking on every route (full marking, fringes irrecoverable).
 SingularAnalyzer (the analyzer outcomes resolve no path information) has
 one condition per route.  The matrix route (mu_Z, both data inversions)
 needs sin(theta)*sin(2*vartheta - theta) away from 0.  The closed forms
-need only sin(2*vartheta - theta) away from 0, with theta = 0 exempt: it is
-served by the closed-form limit expressions, where the divergent mu_Z
-matrix is never needed; the matrix route rejects it.
+need only sin(2*vartheta - theta) away from 0, at every theta: they never
+build the mu_Z matrix, whose sin(theta) factor makes the matrix route
+reject theta = 0.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from quasijoint.states import TWO_PI, PureState, _by_outcome, bloch_from_state
 #: denominators at or below this magnitude count as singular
 SINGULARITY_EPS = 1e-9
 
-#: a0 and az of the quasi joints, whose linear form takes (1, delta, 1) where the measured one takes gamma,
-#: and delta at theta = 0; read-only, as every caller shares it
+#: a0 and az of the quasi joints, whose linear form takes (1, delta, 1) where the measured one takes gamma;
+#: read-only, as every caller shares it
 _UNIT = _by_outcome(1.0, 1.0)
 _UNIT.flags.writeable = False
 
@@ -120,18 +120,17 @@ def delta_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
     shaped like the broadcast angles, mark |cos(theta)| <= SINGULARITY_EPS
     (where the closed forms raise ``SingularMarking``) and
     |sin(2*vartheta - theta)| <= SINGULARITY_EPS (``SingularAnalyzer``);
-    delta is NaN under either mask.  theta = 0 returns (1, 1) for every analyzer angle
-    and is never masked.
+    delta is NaN under either mask.  theta = 0 takes the same rule; there
+    delta is exactly (1, 1) wherever sin(2*vartheta) is away from 0.
     """
-    theta, vartheta = _reduce_mod(theta, math.pi), _reduce_mod(vartheta, math.pi)
+    theta = _reduce_mod(np.asarray(theta, dtype=float), math.pi)
+    vartheta = _reduce_mod(np.asarray(vartheta, dtype=float), math.pi)
     c = np.cos(theta)
     s2 = np.sin(2.0 * vartheta - theta)
-    limit = theta == 0.0
     marking = np.broadcast_to(np.abs(c) <= SINGULARITY_EPS, np.shape(s2))
-    analyzer = (np.abs(s2) <= SINGULARITY_EPS) & ~limit
-    den = np.where(limit | marking | analyzer, np.nan, c * s2)
-    delta = _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
-    return np.where(limit[..., None], 1.0, delta), marking, analyzer
+    analyzer = np.abs(s2) <= SINGULARITY_EPS
+    den = np.where(marking | analyzer, np.nan, c * s2)
+    return _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den), marking, analyzer
 
 
 def _config_delta(config: MarkerConfig) -> np.ndarray:
@@ -142,8 +141,6 @@ def _config_delta(config: MarkerConfig) -> np.ndarray:
     """
     theta, vartheta = config.theta, config.vartheta  # reduced mod pi already, as the masks reduce them
     c = _nonsingular(np.cos(theta), SingularMarking, "cos(theta)", theta, vartheta)
-    if theta == 0.0:  # the theta = 0 limit needs no analyzer
-        return _UNIT
     s2 = _nonsingular(np.sin(2.0 * vartheta - theta), SingularAnalyzer, "sin(2*vartheta - theta)", theta, vartheta)
     den = c * s2
     return _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
@@ -153,8 +150,9 @@ def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJ
     """Reconstructed joint P(x, z) = [1 + x*delta(z)<X> + z<Z>]/4 straight from the state.
 
     Identical to inverting the measured joint wherever both kernels exist.
-    At theta = 0 it takes delta = (1, 1), giving [1 + z<Z> + x<X>]/4: the
-    theta -> 0 limit only where sin(2*vartheta) != 0 (else delta -> (0, 2)).
+    At theta = 0, where the measured route has no mu_Z, delta = (1, 1) gives
+    [1 + z<Z> + x<X>]/4; where sin(2*vartheta) vanishes too it raises
+    ``SingularAnalyzer``, as delta has no limit there.
     """
     pp, pm, mp, mm = _discrete_entries(0.25, _UNIT, _config_delta(config), _UNIT, bloch_from_state(state))
     return DiscreteJoint([[pp, pm], [mp, mm]], kind=QUASI)
@@ -163,8 +161,9 @@ def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJ
 def quasi_joint_phase_closed_form(state: PureState, config: MarkerConfig) -> PhaseJoint:
     """Reconstructed phase joint [1 + delta(z)(cos(phi)<X> + sin(phi)<Y>) + z<Z>]/(4*pi).
 
-    The phase twin of ``quasi_joint_closed_form``: at theta = 0 delta(z) = 1
-    for both z, the theta -> 0 limit only where sin(2*vartheta) != 0.
+    The phase twin of ``quasi_joint_closed_form``, with the same delta and
+    the same singular rule: at theta = 0 delta(z) = 1 for both z, and
+    sin(2*vartheta) = 0 raises ``SingularAnalyzer``.
     """
     delta = _config_delta(config)
     return PhaseJoint(_phase_table(2.0 * TWO_PI, _UNIT, delta, _UNIT, bloch_from_state(state)), kind=QUASI)
@@ -175,8 +174,8 @@ def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:
 
     This is the data-driven route; it genuinely needs sin(theta) != 0
     because the measured phase joint carries no path signal at theta = 0.
-    For the state-side formula with the theta = 0 limit use
-    ``quasi_joint_phase_closed_form``.
+    The state-side ``quasi_joint_phase_closed_form`` needs only
+    sin(2*vartheta - theta) != 0, so it also serves theta = 0.
     """
     if joint.kind != OPERATIONAL:
         raise ValueError("only measured (operational) joints can be inverted")

@@ -50,8 +50,8 @@ JOINT_TOL = 1e-12
 
 
 def _reduce_mod(angle, period: float):
-    """Angle(s) reduced mod ``period`` into [0, period), elementwise; a scalar comes back a scalar."""
-    reduced = np.remainder(angle, period)
+    """A float or an array of angles reduced mod ``period`` into [0, period); ``%`` gives numpy's bits on both."""
+    reduced = angle % period
     return reduced * (reduced < period)  # a tiny negative angle rounds up to the period: map it to 0
 
 
@@ -75,7 +75,7 @@ class MarkerConfig:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(_reduce_mod(value, math.pi)))
+            object.__setattr__(self, name, _reduce_mod(value, math.pi))
 
 
 def _checked_table(joint: DiscreteJoint | PhaseJoint, shape: tuple[int, int]) -> list[float]:
@@ -177,7 +177,8 @@ def gamma_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
     gamma_X may be negative; gamma_Z(+1) equals gamma_Z(-1) identically,
     which is why the fringe marginal carries no path term.
     """
-    theta, vartheta = _reduce_mod(theta, math.pi), _reduce_mod(vartheta, math.pi)
+    theta = _reduce_mod(np.asarray(theta, dtype=float), math.pi)
+    vartheta = _reduce_mod(np.asarray(vartheta, dtype=float), math.pi)
     cd = np.cos(vartheta - theta)
     sd = np.sin(vartheta - theta)
     cv = np.cos(vartheta)

@@ -570,6 +570,15 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: singular configuration: sin(theta)*sin(2*vartheta - theta) = ")
 
+    def test_zero_marking_on_the_analyzer_line_is_singular(self, capsys):
+        # theta = 0 takes the analyzer check too: sin(2*vartheta) = 0 has no finite delta
+        code, out, err = run_cli(capsys, ["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0", "--vartheta", "0"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: singular configuration: sin(2*vartheta - theta) = 0.000e+00 at theta = 0.0, vartheta = 0.0;"
+            " magnitude <= 1.0e-09 cannot be inverted\n"
+        )
+
     def test_near_singular_sample_prints_one_error_line(self, capsys):
         # just off both singular lines the inverted frequencies sum to exactly 0
         argv = ["sample", "--state", "0.6,0,0.8,0", "--theta", "1.5707963277948966",

@@ -38,6 +38,7 @@ from quasijoint import (
     quasi_joint_closed_form,
     quasi_joint_phase_closed_form,
 )
+from quasijoint.inversion import _config_delta
 from helpers import (
     any_configs,
     context_parameter,
@@ -189,9 +190,25 @@ class TestDelta:
         assert d_minus == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_marking_limit(self):
-        cfg = MarkerConfig(0.0, 1.234)
-        (d_plus, d_minus), _, _ = delta_coefficients(cfg.theta, cfg.vartheta)
-        assert (d_plus, d_minus) == (1.0, 1.0)
+        # at theta = 0 the formula itself gives exactly (1, 1) wherever sin(2*vartheta) is away from 0
+        varthetas = [1.234, *np.linspace(-4.0, 4.0, 50)]
+        assert min(abs(math.sin(2.0 * v)) for v in varthetas) > 1e-6
+        for vartheta in varthetas:
+            cfg = MarkerConfig(0.0, vartheta)
+            (d_plus, d_minus), marking, analyzer = delta_coefficients(cfg.theta, cfg.vartheta)
+            assert (d_plus, d_minus, marking, analyzer) == (1.0, 1.0, False, False)
+            assert _config_delta(cfg).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("vartheta", [0.0, math.pi / 2], ids=["zero", "half-pi"])
+    def test_zero_marking_on_the_analyzer_line_is_singular(self, vartheta):
+        # theta = 0 has no exemption: sin(2*vartheta) = 0 is the analyzer line there as at any theta
+        delta, marking, analyzer = delta_coefficients(0.0, vartheta)
+        assert analyzer and not marking
+        assert np.isnan(delta).all()
+        cfg = MarkerConfig(0.0, vartheta)
+        for closed_form in (quasi_joint_closed_form, quasi_joint_phase_closed_form):
+            with pytest.raises(SingularAnalyzer, match=re.escape("sin(2*vartheta - theta)")):
+                closed_form(TILTED, cfg)
 
     def test_thirty_sixty(self):
         cfg = MarkerConfig(math.pi / 6, math.pi / 3)

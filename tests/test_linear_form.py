@@ -172,7 +172,7 @@ class TestExpressionOrder:
             assert_same_bits(entries[..., i, j], 0.5 * (g0 + S[:, None] * gx * e.ex + S * gz * e.ez))
 
 
-#: theta at the theta = 0 limit, near it, and at pi/2 and around the marking threshold 1e-9 away from it
+#: theta at 0, near it, and at pi/2 and around the marking threshold 1e-9 away from it
 _DELTA_THETAS = (0.0, -0.0, 1e-300, 1e-12, 1e-6, 0.7) + tuple(math.pi / 2 + d for d in (-2e-9, -1e-9, 0.0, 5e-10, 1e-9))
 #: 2*vartheta - theta at and near 0 and pi, on both sides of the analyzer threshold
 _DELTA_OFFSETS = (0.0, 1e-12, -1e-9, 1e-9, 2e-9, -2e-9, 0.3, math.pi, math.pi - 1e-9, math.pi + 1e-9, math.pi + 2e-9)
@@ -197,7 +197,7 @@ class TestConfigDelta:
         self.assert_matches_the_grid(theta, (theta + offset) / 2)
 
     def test_edges_reach_every_branch(self):
-        # the edge grid reaches every branch: the theta = 0 limit, both errors and finite values
+        # the edge grid reaches both errors, finite values at theta = 0 and finite values elsewhere
         outcomes = set()
         for theta, offset in itertools.product(_DELTA_THETAS, _DELTA_OFFSETS):
             try:

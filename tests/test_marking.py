@@ -18,6 +18,7 @@ from quasijoint import (
     bloch_from_state,
     born_joint_discrete,
     born_joint_phase,
+    delta_coefficients,
     entangled_state,
     evaluate_phase_density,
     gamma_coefficients,
@@ -29,6 +30,7 @@ from quasijoint import (
     operational_joint_phase,
     phase_grid,
 )
+from quasijoint.marking import _reduce_mod
 from helpers import any_configs, haar_state, operational_phase_table_accepted, phase_tables, pure_states
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -65,6 +67,18 @@ class TestMarkerConfig:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             MarkerConfig(float("inf"), 0.0)
+
+    @pytest.mark.parametrize("period", [math.pi, TWO_PI], ids=["pi", "two-pi"])
+    def test_reduction_of_a_float_has_numpys_bits(self, period):
+        # a tiny negative angle rounds up to the period in both remainders and is mapped to 0
+        for angle in (-1e-17, -0.0, 0.0, math.pi, 0.7 + math.pi, 1e300, -1e300, -0.3, 4.0):
+            reduced = _reduce_mod(angle, period)
+            expected = np.remainder(angle, period)
+            assert type(reduced) is float
+            assert np.float64(reduced).tobytes() == (expected * (expected < period)).tobytes()
+            assert 0.0 <= reduced < period
+        cfg = MarkerConfig(-1e-17, 0.7 + math.pi)
+        assert (type(cfg.theta), type(cfg.vartheta)) == (float, float)
 
 
 class TestAnalyzerStates:
@@ -128,6 +142,13 @@ class TestGammaCoefficients:
             for j, vartheta in enumerate(varthetas):
                 for array, scalar in zip(arrays, gamma_coefficients(theta, vartheta)):
                     assert np.array_equal(array[i, j], scalar)
+
+    def test_lists_match_arrays(self):
+        thetas, varthetas = [0.0, -0.7, 3.5], [[0.4], [-2.5]]
+        for coefficients in (gamma_coefficients, delta_coefficients):
+            for from_lists, from_arrays in zip(coefficients(thetas, varthetas),
+                                               coefficients(np.array(thetas), np.array(varthetas))):
+                assert np.array_equal(from_lists, from_arrays, equal_nan=True)
 
     @given(any_configs())
     def test_invariants(self, cfg):

@@ -31,7 +31,7 @@ def test_scan_script_reports_most_negative_cell(monkeypatch, capsys, tmp_path):
     lines = run_scan_script(
         monkeypatch, capsys, "--theta-grid", "0:1.4:5", "--vartheta-grid", "0:3.1:7", "--out", str(out)
     )
-    assert lines[0] == f"wrote 35 cells to {out} (0 singular)"
+    assert lines[0] == f"wrote 35 cells to {out} (1 singular)"  # theta = 0, vartheta = 0 lies on the analyzer line
     assert lines[1].startswith("most negative: -")
     assert out.read_text().startswith("theta,vartheta,min_value,flag\n")
 
