@@ -10,9 +10,10 @@ writer on a 100x100 scan's CSV and on 32,768 shots' CSV, a phase report's
 256-point ``phase_grid`` evaluated and rendered as JSON at the level the
 report renders it at, once with its phi axis kept and once after clearing
 it (the first report at a grid size), ``born_joint_discrete``, the
-Born-rule oracle, then the Bloch expectations, the gamma and delta
-coefficients and the two inversion kernels of one configuration,
-``invert_joint_discrete``, ``estimate_quasi_joint`` on 100,000-shot counts,
+Born-rule oracle, then the Bloch expectations, the construction of one
+``MarkerConfig``, the gamma and delta coefficients and the two inversion
+kernels of one configuration, ``invert_joint_discrete``,
+``estimate_quasi_joint`` on 100,000-shot counts,
 the phase sampler drawing one 32,768-shot block, the estimator's pass over
 one drawn block, and one whole ``invert --mode phase`` request through
 ``cli.main``, its report written to the null device.  The last row is a
@@ -62,8 +63,7 @@ phi, z = (block.copy() for block in next(_phase_blocks(measured, 32768, 5)))
 measured_discrete = q.operational_joint_discrete(state, config)
 counts = q.sample_discrete(measured_discrete, 100000, 5)
 invert = ["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"]
-result = cli.cmd_invert(cli._parse(invert)).result
-phase_grid = (result() if callable(result) else result)["phase_grid"]  # a closure in older trees
+phase_grid = cli.cmd_invert(cli._parse(invert)).result["phase_grid"]
 devnull = open(os.devnull, "w")
 
 def request():
@@ -78,12 +78,13 @@ layers = {
     "scan_negativity 100x100": (lambda: q.scan_negativity(state, thetas, varthetas), 10),
     "negativity_of, discrete": (lambda: q.negativity_of(discrete), 1000),
     "negativity_of, phase": (lambda: q.negativity_of(phase), 1000),
-    "csv_blocks, 100x100 scan": (lambda: deque(grid.csv_blocks(), 0), 10),
+    "csv_blocks, 100x100 scan": (lambda: deque(grid.table().csv_blocks(), 0), 10),
     "csv_blocks, 32768 shots": (lambda: deque(_shot_table(phi, z).csv_blocks(), 0), 10),
     "phase grid, evaluate and render": (lambda: cli._render_json_value(phase_grid, 2), 100),
     "phase grid, first at its size": (lambda: (cli._phase_axis.cache_clear(), cli._render_json_value(phase_grid, 2)), 100),
     "born_joint_discrete": (lambda: q.born_joint_discrete(state, config), 1000),
     "bloch_from_state": (lambda: q.bloch_from_state(state), 1000),
+    "MarkerConfig(0.7, 1.1)": (lambda: q.MarkerConfig(0.7, 1.1), 1000),
     "gamma_coefficients, one config": (lambda: q.gamma_coefficients(config.theta, config.vartheta), 1000),
     "_config_delta, one config": (lambda: _config_delta(config), 1000),
     "mu_x_matrix with mu_z_matrix": (lambda: (q.mu_x_matrix(config.theta), q.mu_z_matrix(config)), 1000),

@@ -38,7 +38,7 @@ def main() -> int:
 
     try:
         with open(args.out, "wb") as handle:
-            handle.writelines(grid.csv_blocks())
+            handle.writelines(grid.table().csv_blocks())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +76,9 @@ class ScanGrid:
             ),
         )
 
-    def csv_blocks(self) -> Iterator[bytes]:
-        """The ASCII bytes of ``to_csv()``: the header line, then one block per 4,096 cells at most."""
-        return self.table().csv_blocks()
-
     def to_csv(self) -> str:
         """One ``theta,vartheta,min_value,flag`` line per cell, theta-major, floats as ``.16e``."""
-        return b"".join(self.csv_blocks()).decode("ascii")
+        return b"".join(self.table().csv_blocks()).decode("ascii")
 
 
 def p_min_discrete(state: PureState) -> float:

@@ -113,17 +113,17 @@ def delta_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Fringe-amplitude factors delta(z) over any broadcast shape of the angles, with singular masks.
 
     delta(+1) = sin(2*vartheta)/D and delta(-1) = sin(2*vartheta - 2*theta)/D
-    with D = cos(theta)*sin(2*vartheta - theta), both angles reduced mod pi
-    as in ``MarkerConfig``.  Returns ``(delta, marking, analyzer)``: delta
-    has a trailing analyzer axis z = (+1, -1) and sums to 2 along it, which
-    is what makes the reconstructed marginals exact.  The boolean masks,
+    with D = cos(theta)*sin(2*vartheta - theta), the angles reduced as in
+    ``MarkerConfig``.  Returns ``(delta, marking, analyzer)``: delta has a
+    trailing analyzer axis z = (+1, -1) and sums to 2 along it, which is
+    what makes the reconstructed marginals exact.  The boolean masks,
     shaped like the broadcast angles, mark |cos(theta)| <= SINGULARITY_EPS
     (where the closed forms raise ``SingularMarking``) and
     |sin(2*vartheta - theta)| <= SINGULARITY_EPS (``SingularAnalyzer``);
     delta is NaN under either mask.  theta = 0 takes the same rule; there
     delta is exactly (1, 1) wherever sin(2*vartheta) is away from 0.
     """
-    theta = _reduce_mod(np.asarray(theta, dtype=float), math.pi)
+    theta = _reduce_mod(np.asarray(theta, dtype=float), TWO_PI)
     vartheta = _reduce_mod(np.asarray(vartheta, dtype=float), math.pi)
     c = np.cos(theta)
     s2 = np.sin(2.0 * vartheta - theta)
@@ -139,7 +139,7 @@ def _config_delta(config: MarkerConfig) -> np.ndarray:
     The same numpy ufuncs in the same order, on Python floats rather than
     through the broadcasting grid path.
     """
-    theta, vartheta = config.theta, config.vartheta  # reduced mod pi already, as the masks reduce them
+    theta, vartheta = config.theta, config.vartheta
     c = _nonsingular(np.cos(theta), SingularMarking, "cos(theta)", theta, vartheta)
     s2 = _nonsingular(np.sin(2.0 * vartheta - theta), SingularAnalyzer, "sin(2*vartheta - theta)", theta, vartheta)
     den = c * s2

@@ -48,6 +48,9 @@ QUASI: Kind = "quasi"
 #: slack on normalization and (for operational tables) nonnegativity
 JOINT_TOL = 1e-12
 
+#: each ``MarkerConfig`` angle with the period it is reduced by; a module constant, so no call builds the pairs
+_ANGLE_PERIODS = (("theta", TWO_PI), ("vartheta", math.pi))
+
 
 def _reduce_mod(angle, period: float):
     """A float or an array of angles reduced mod ``period`` into [0, period); ``%`` gives numpy's bits on both."""
@@ -59,23 +62,22 @@ def _reduce_mod(angle, period: float):
 class MarkerConfig:
     """Marking angle theta and analyzer angle vartheta, radians.
 
-    Both angles are reduced mod pi into [0, pi) at construction.  For the
-    analyzer this is exact: vartheta and vartheta + pi give the same
-    projectors.  For the marking angle the mod-pi representative yields the
-    same statistics up to the fringe relabeling x -> -x (phi -> phi + pi).
-    The canonical marking regime is [0, pi/2]; values in (pi/2, pi) are
-    legitimate over-rotations and are kept as given.
+    At construction theta is reduced mod 2*pi into [0, 2*pi) and vartheta
+    mod pi into [0, pi); both reductions are exact, as the marked state
+    repeats with period 2*pi and the analyzer projectors with period pi.
+    The canonical marking regime is [0, pi/2]; other values are legitimate
+    over-rotations and are kept as given.
     """
 
     theta: float
     vartheta: float
 
     def __post_init__(self) -> None:
-        for name in ("theta", "vartheta"):
+        for name, period in _ANGLE_PERIODS:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, _reduce_mod(value, math.pi))
+            object.__setattr__(self, name, _reduce_mod(value, period))
 
 
 def _checked_table(joint: DiscreteJoint | PhaseJoint, shape: tuple[int, int]) -> list[float]:
@@ -170,15 +172,14 @@ def analyzer_states(vartheta: float) -> np.ndarray:
 def gamma_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analyzer coefficients (gamma_0, gamma_X, gamma_Z) over any broadcast shape of the angles.
 
-    Both angles are reduced mod pi as in ``MarkerConfig``.  Each coefficient
-    is an array with a trailing analyzer axis z = (+1, -1), kept as the
-    literal per-outcome trigonometric forms.  gamma_0 weights the constant
-    term, gamma_X the fringe/phase harmonic, gamma_Z the path term.
-    gamma_X may be negative; gamma_Z(+1) equals gamma_Z(-1) identically,
-    which is why the fringe marginal carries no path term.
+    Each coefficient is an array with a trailing analyzer axis z = (+1, -1),
+    kept as the literal per-outcome trigonometric forms.  gamma_0 weights
+    the constant term, gamma_X the fringe/phase harmonic, gamma_Z the path
+    term.  gamma_X may be negative; gamma_Z(+1) equals gamma_Z(-1)
+    identically, which is why the fringe marginal carries no path term.
     """
-    theta = _reduce_mod(np.asarray(theta, dtype=float), math.pi)
-    vartheta = _reduce_mod(np.asarray(vartheta, dtype=float), math.pi)
+    theta = np.asarray(theta, dtype=float)
+    vartheta = np.asarray(vartheta, dtype=float)
     cd = np.cos(vartheta - theta)
     sd = np.sin(vartheta - theta)
     cv = np.cos(vartheta)

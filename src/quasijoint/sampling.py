@@ -93,7 +93,10 @@ class ShotCounts:
         return self.counts.item(_outcome_index(x, z))
 
     def frequencies(self) -> DiscreteJoint:
-        return DiscreteJoint(self.counts / self.total, kind=OPERATIONAL)
+        total = self.total
+        if not total:
+            raise ValueError("cannot estimate frequencies from an empty count record (total=0)")
+        return DiscreteJoint(self.counts / total, kind=OPERATIONAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +125,9 @@ class PhaseShots:
     def total(self) -> int:
         return self.phi.size
 
-    def csv_blocks(self) -> Iterator[bytes]:
-        """The ASCII bytes of ``to_csv()``: the header line, then one block per 4,096 shots at most.
-
-        Beyond the shots themselves, memory stays at one block's buffers
-        whatever the shot count, so writing each block as it comes streams the file.
-        """
-        return _shot_table(self.phi, self.z).csv_blocks()
-
     def to_csv(self) -> str:
         """One ``phi,z`` line per shot in draw order, phi as ``%.16e``, z as ``%d``."""
-        return b"".join(self.csv_blocks()).decode("ascii")
+        return b"".join(_shot_table(self.phi, self.z).csv_blocks()).decode("ascii")
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,7 @@ def pure_states(draw) -> PureState:
 
 @st.composite
 def any_configs(draw) -> MarkerConfig:
-    theta = draw(st.floats(0.0, math.pi, allow_nan=False, exclude_max=True))
+    theta = draw(st.floats(0.0, TWO_PI, allow_nan=False, exclude_max=True))
     vartheta = draw(st.floats(0.0, math.pi, allow_nan=False, exclude_max=True))
     return MarkerConfig(theta, vartheta)
 

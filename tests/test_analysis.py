@@ -364,8 +364,8 @@ class TestScanNegativity:
         grid = scan_negativity(haar_state(np.random.default_rng(5)), thetas, varthetas)
         text = grid.to_csv()
         assert_same_text(text, scan_csv_reference(grid))
-        assert written_csv(grid) == text.encode("ascii")
-        assert all(block.count(b"\n") <= _CSV_BLOCK for block in grid.csv_blocks())
+        assert written_csv(grid.table()) == text.encode("ascii")
+        assert all(block.count(b"\n") <= _CSV_BLOCK for block in grid.table().csv_blocks())
 
     @pytest.mark.parametrize(
         "shape",
@@ -380,7 +380,7 @@ class TestScanNegativity:
             min_values=np.where(singular, np.nan, rng.uniform(-0.3, 0.3, shape)),
             singular=singular,
         )
-        lines = [block.count(b"\n") for block in grid.csv_blocks()]
+        lines = [block.count(b"\n") for block in grid.table().csv_blocks()]
         assert lines[0] == 1 and max(lines[1:]) <= _CSV_BLOCK and sum(lines) == singular.size + 1
         assert_same_text(grid.to_csv(), scan_csv_reference(grid))
 
@@ -400,7 +400,7 @@ class TestScanNegativity:
         text = grid.to_csv()
         assert_same_text(text, scan_csv_reference(grid))
         assert "-1.0000000000000000e-100,-2.0000000000000000e-150,,1\n" in text
-        assert written_csv(grid) == text.encode("ascii")
+        assert written_csv(grid.table()) == text.encode("ascii")
         # the JSON records of the same cells, through the same writer
         cells = [
             {"theta": theta, "vartheta": vartheta, "min_value": None if flag else value, "flag": int(flag)}
@@ -417,7 +417,7 @@ class TestScanNegativity:
         )
         tracemalloc.start()
         try:
-            DiscardingSink().writelines(grid.csv_blocks())
+            DiscardingSink().writelines(grid.table().csv_blocks())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -430,7 +430,7 @@ class TestScanNegativity:
         try:
             for k in range(4):
                 grid = scan_negativity(state, [0.3], np.linspace(0.0, 3.0 + 0.01 * k, 50_000))
-                DiscardingSink().writelines(grid.csv_blocks())
+                DiscardingSink().writelines(grid.table().csv_blocks())
                 del grid
                 if not k:
                     held, _ = tracemalloc.get_traced_memory()

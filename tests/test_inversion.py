@@ -345,6 +345,20 @@ class TestQuasiClosedForm:
                 limit = quasi_joint_closed_form(state, zero).table
                 np.testing.assert_allclose(near, limit, atol=1e-4)
 
+    @pytest.mark.parametrize("theta", [0.4, -0.3])
+    def test_marking_shift_by_pi_keeps_the_quasi_joint(self, theta):
+        # the fringe flip of the measured joint is undone by the inversion: delta has period pi in theta
+        state, vartheta = PureState(0.6, 0.64 + 0.48j), 1.1
+        base, shifted = MarkerConfig(theta, vartheta), MarkerConfig(theta + math.pi, vartheta)
+        closed = quasi_joint_closed_form(state, base).table
+        np.testing.assert_allclose(quasi_joint_closed_form(state, shifted).table, closed, atol=1e-12)
+        pipeline = invert_joint_discrete(operational_joint_discrete(state, shifted), shifted)
+        np.testing.assert_allclose(pipeline.table, closed, atol=1e-12)
+        phase = quasi_joint_phase_closed_form(state, base).table
+        np.testing.assert_allclose(quasi_joint_phase_closed_form(state, shifted).table, phase, atol=1e-12)
+        phase_pipeline = invert_joint_phase(operational_joint_phase(state, shifted), shifted)
+        np.testing.assert_allclose(phase_pipeline.table, phase, atol=1e-12)
+
 
 class TestMargenauHill:
     """The inferred joint is the Margenau-Hill distribution plus t = tan(theta)/tan(2 vartheta - theta) times

@@ -40,8 +40,9 @@ TWO_PI = 2.0 * math.pi
 class TestMarkerConfig:
     def test_canonical_range(self):
         cfg = MarkerConfig(-0.3, 4.0)
-        assert 0.0 <= cfg.theta < math.pi
+        assert 0.0 <= cfg.theta < TWO_PI
         assert 0.0 <= cfg.vartheta < math.pi
+        assert cfg.theta == TWO_PI - 0.3  # not pi - 0.3: theta + pi is another marked state
 
     def test_reduction_is_idempotent(self):
         cfg = MarkerConfig(0.7, 2.9)
@@ -55,14 +56,14 @@ class TestMarkerConfig:
         np.testing.assert_allclose(base.table, shifted.table, atol=1e-12)
 
     def test_marking_shift_by_pi_flips_the_fringe(self):
-        # the documented caveat: the mod-pi representative of theta + pi
-        # reproduces the literal statistics at theta + pi only after x -> -x
+        # MarkerConfig keeps theta + pi, so gamma_X(+1) is the literal cos(vartheta - theta)*cos(vartheta) there,
+        # which the negated marked amplitude makes minus its value at theta
         theta, vartheta = 0.4, 1.1
-        cfg = MarkerConfig(theta, vartheta)
+        cfg = MarkerConfig(theta + math.pi, vartheta)
+        assert cfg.theta == theta + math.pi
         _, gx, _ = gamma_coefficients(cfg.theta, cfg.vartheta)
-        diff = vartheta - (theta + math.pi)
-        literal_gx_plus = math.cos(diff) * math.cos(vartheta)
-        assert literal_gx_plus == pytest.approx(-gx[0], abs=1e-12)
+        literal_gx_plus = math.cos(vartheta - (theta + math.pi)) * math.cos(vartheta)
+        assert gx[0] == pytest.approx(literal_gx_plus, abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -249,6 +250,53 @@ class TestOperationalJointPhase:
         direct = born_joint_phase(state, cfg, phi)
         np.testing.assert_allclose(evaluate_phase_density(joint.for_z(1), phi), direct[:, 0], atol=1e-12)
         np.testing.assert_allclose(evaluate_phase_density(joint.for_z(-1), phi), direct[:, 1], atol=1e-12)
+
+
+def literal_oracles(state, theta, vartheta, phi):
+    """Both measured joints at the literal angles, from ``entangled_state`` and ``analyzer_states`` without a
+    ``MarkerConfig``: the discrete table [x, z] and the phase densities [phi, z]."""
+    psi = entangled_state(state, theta)
+    analyzer = analyzer_states(vartheta)
+    discrete = [[abs(analyzer[k] @ (psi[0] + x * psi[1])) ** 2 / 2.0 for k in range(2)] for x in (1, -1)]
+    spin = (psi[0] + np.exp(-1j * phi)[:, None] * psi[1]) / math.sqrt(TWO_PI)
+    return np.array(discrete), np.abs(spin @ analyzer.T) ** 2
+
+
+class TestMarkingShiftByPi:
+    """theta + pi negates the marked upper amplitude, which flips the fringe: x -> -x, phi -> phi + pi."""
+
+    @given(pure_states(), any_configs())
+    @settings(max_examples=80)
+    def test_discrete_rows_swap(self, state, cfg):
+        base = operational_joint_discrete(state, cfg).table
+        shifted = operational_joint_discrete(state, MarkerConfig(cfg.theta + math.pi, cfg.vartheta)).table
+        np.testing.assert_allclose(shifted, base[::-1], atol=1e-12)
+
+    @given(pure_states(), any_configs())
+    @settings(max_examples=80)
+    def test_phase_harmonics_change_sign(self, state, cfg):
+        base = operational_joint_phase(state, cfg).table
+        shifted = operational_joint_phase(state, MarkerConfig(cfg.theta + math.pi, cfg.vartheta)).table
+        np.testing.assert_allclose(shifted[:, 0], base[:, 0], atol=1e-12)
+        np.testing.assert_allclose(shifted[:, 1:], -base[:, 1:], atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.4 + math.pi, -0.3, 0.7 + 3 * math.pi])
+    def test_joints_match_an_oracle_at_the_literal_angle(self, theta):
+        state, vartheta, phi = PureState(0.6, 0.64 + 0.48j), 1.1, phase_grid(64)
+        discrete, phase = literal_oracles(state, theta, vartheta, phi)
+        cfg = MarkerConfig(theta, vartheta)
+        np.testing.assert_allclose(operational_joint_discrete(state, cfg).table, discrete, atol=1e-12)
+        joint = operational_joint_phase(state, cfg)
+        for k, z in enumerate((1, -1)):
+            np.testing.assert_allclose(evaluate_phase_density(joint.for_z(z), phi), phase[:, k], atol=1e-12)
+
+    def test_only_gamma_x_changes_sign(self):
+        theta, vartheta = 0.4, 1.1
+        (g0, gx, gz), (s0, sx, sz) = gamma_coefficients(theta, vartheta), gamma_coefficients(theta + math.pi, vartheta)
+        np.testing.assert_allclose(s0, g0, atol=1e-12)
+        np.testing.assert_allclose(sz, gz, atol=1e-12)
+        np.testing.assert_allclose(sx, -gx, atol=1e-12)
+        assert np.abs(gx).min() > 0.1  # the sign change is visible
 
 
 class TestMarginals:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 
 import hypothesis.strategies as st
@@ -28,7 +29,7 @@ from quasijoint import (
     sample_phase,
 )
 from quasijoint._table import _CSV_BLOCK, _E16_WIDTH, _format_e16
-from quasijoint.sampling import _SAMPLE_BLOCK, _asin, _phase_blocks, _phase_pass, _wrap_phase
+from quasijoint.sampling import _SAMPLE_BLOCK, _asin, _phase_blocks, _phase_pass, _shot_table, _wrap_phase
 from helpers import (
     DiscardingSink,
     assert_same_text,
@@ -108,6 +109,15 @@ class TestSampleDiscrete:
             counts.counts[0, 0] = 0
         assert type(counts.count(1, 1)) is int and type(counts.total) is int
         assert counts.total == 6
+
+    def test_empty_record_is_rejected_before_it_divides(self):
+        empty = ShotCounts([[0, 0], [0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"empty count record \(total=0\)"):
+                empty.frequencies()
+            with pytest.raises(ValueError, match=r"empty count record \(total=0\)"):
+                estimate_quasi_joint(empty, MarkerConfig(0.7, 1.1))
 
     @pytest.mark.parametrize(
         "bad",
@@ -319,12 +329,12 @@ class TestPhaseShotsCsv:
         shots = PhaseShots(phi=phi, z=z)
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
-        assert written_csv(shots) == text.encode("ascii")
+        assert written_csv(_shot_table(shots.phi, shots.z)) == text.encode("ascii")
 
     def test_blocks_hold_at_most_one_block_of_rows(self):
         total = 3 * _CSV_BLOCK + 5
         shots = PhaseShots(phi=np.full(total, 0.5), z=np.ones(total, np.int64))
-        lines = [block.count(b"\n") for block in shots.csv_blocks()]
+        lines = [block.count(b"\n") for block in _shot_table(shots.phi, shots.z).csv_blocks()]
         assert lines == [1, _CSV_BLOCK, _CSV_BLOCK, _CSV_BLOCK, 5]
 
     @pytest.mark.parametrize("z", [1, -1])
@@ -333,9 +343,9 @@ class TestPhaseShotsCsv:
         shots = PhaseShots(phi=np.array([phi]), z=np.array([z]))
         text = shots.to_csv()
         assert_same_text(text, phase_shots_csv_reference(shots))
-        assert written_csv(shots) == text.encode("ascii")
+        assert written_csv(_shot_table(shots.phi, shots.z)) == text.encode("ascii")
 
-    # to_csv holds about 10 MB at 2e5 shots; csv_blocks holds one block's buffers
+    # to_csv holds about 10 MB at 2e5 shots; the table's csv_blocks hold one block's buffers
     @pytest.mark.parametrize("total", [1 << 16, 1 << 19])
     def test_writing_holds_one_block_whatever_the_shot_count(self, total):
         rng = np.random.default_rng(total)
@@ -343,7 +353,7 @@ class TestPhaseShotsCsv:
         shots = PhaseShots(phi=rng.uniform(0.0, TWO_PI, total), z=z)
         tracemalloc.start()
         try:
-            DiscardingSink().writelines(shots.csv_blocks())
+            DiscardingSink().writelines(_shot_table(shots.phi, shots.z).csv_blocks())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
