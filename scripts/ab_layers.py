@@ -11,8 +11,10 @@ writer on a 100x100 scan's CSV and on 32,768 shots' CSV, a phase report's
 report renders it at, once with its phi axis kept and once after clearing
 it (the first report at a grid size), ``born_joint_discrete``, the
 Born-rule oracle, then the Bloch expectations, the construction of one
-``MarkerConfig``, the gamma and delta coefficients and the two inversion
-kernels of one configuration, ``invert_joint_discrete``,
+``MarkerConfig``, the gamma coefficients, the delta coefficients on both
+routes (the closed forms' ``_config_delta`` and the grid's
+``delta_coefficients``) and the two inversion kernels of one
+configuration, ``invert_joint_discrete``,
 ``estimate_quasi_joint`` on 100,000-shot counts,
 the phase sampler drawing one 32,768-shot block, the estimator's pass over
 one drawn block, and one whole ``invert --mode phase`` request through
@@ -87,6 +89,7 @@ layers = {
     "MarkerConfig(0.7, 1.1)": (lambda: q.MarkerConfig(0.7, 1.1), 1000),
     "gamma_coefficients, one config": (lambda: q.gamma_coefficients(config.theta, config.vartheta), 1000),
     "_config_delta, one config": (lambda: _config_delta(config), 1000),
+    "delta_coefficients, one config": (lambda: q.delta_coefficients(config.theta, config.vartheta), 1000),
     "mu_x_matrix with mu_z_matrix": (lambda: (q.mu_x_matrix(config.theta), q.mu_z_matrix(config)), 1000),
     "invert_joint_discrete": (lambda: q.invert_joint_discrete(measured_discrete, config), 1000),
     "estimate_quasi_joint, 1e5 shots": (lambda: q.estimate_quasi_joint(counts, config), 1000),

@@ -146,15 +146,16 @@ def scan_negativity(
     """Minimum entry of the reconstructed discrete joint per (theta, vartheta) cell.
 
     The whole grid is evaluated in one pass: one ``delta_coefficients`` call
-    over the broadcast angles, the four entries [1 + x*delta(z)<X> + z<Z>]/4
-    of every cell, then their minimum in the joint's (x, z) order, so each
-    value equals ``negativity_of(quasi_joint_closed_form(...)).min_value``
-    bit for bit.  Singular cells (vanishing kernel denominator) are flagged,
-    never raised, so full grids can sweep across the singular lines.
+    over both axes, reduced as in ``MarkerConfig``, the four entries
+    [1 + x*delta(z)<X> + z<Z>]/4 of every cell, then their minimum in the
+    joint's (x, z) order, so each value equals
+    ``negativity_of(quasi_joint_closed_form(...)).min_value`` bit for bit.
+    Singular cells (vanishing kernel denominator) are flagged, never raised,
+    so full grids can sweep across the singular lines.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     varthetas = np.asarray(vartheta_grid, dtype=float)
-    delta, marking, analyzer = delta_coefficients(thetas[:, None], varthetas[None, :])
+    delta, marking, analyzer = delta_coefficients(_reduce_mod(thetas, TWO_PI)[:, None], _reduce_mod(varthetas, math.pi)[None, :])
     entries = _discrete_entries(0.25, _UNIT, delta, _UNIT, bloch_from_state(state))
     return ScanGrid(
         theta_values=thetas,

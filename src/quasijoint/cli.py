@@ -226,9 +226,9 @@ _OPTIONS = {
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and #-comments ignored; unknown keys rejected."""
+    """key=value lines in UTF-8, a leading byte-order mark allowed; blank lines and #-comments ignored; unknown keys rejected."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

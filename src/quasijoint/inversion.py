@@ -32,7 +32,6 @@ from quasijoint.marking import (
     MarkerConfig,
     PhaseJoint,
     _discrete_entries,
-    _reduce_mod,
     _phase_table,
 )
 from quasijoint.states import TWO_PI, PureState, _by_outcome, bloch_from_state
@@ -109,41 +108,42 @@ def invert_joint_discrete(joint: DiscreteJoint, config: MarkerConfig) -> Discret
     return DiscreteJoint(table, kind=QUASI)
 
 
+def _delta(theta, vartheta, den) -> np.ndarray:
+    """delta pair (sin(2*vartheta), sin(2*vartheta - 2*theta))/den, with a trailing analyzer axis; both routes return it."""
+    return _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
+
+
 def delta_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fringe-amplitude factors delta(z) over any broadcast shape of the angles, with singular masks.
 
     delta(+1) = sin(2*vartheta)/D and delta(-1) = sin(2*vartheta - 2*theta)/D
-    with D = cos(theta)*sin(2*vartheta - theta), the angles reduced as in
-    ``MarkerConfig``.  Returns ``(delta, marking, analyzer)``: delta has a
-    trailing analyzer axis z = (+1, -1) and sums to 2 along it, which is
-    what makes the reconstructed marginals exact.  The boolean masks,
-    shaped like the broadcast angles, mark |cos(theta)| <= SINGULARITY_EPS
-    (where the closed forms raise ``SingularMarking``) and
-    |sin(2*vartheta - theta)| <= SINGULARITY_EPS (``SingularAnalyzer``);
-    delta is NaN under either mask.  theta = 0 takes the same rule; there
-    delta is exactly (1, 1) wherever sin(2*vartheta) is away from 0.
+    with D = cos(theta)*sin(2*vartheta - theta), for angles as ``MarkerConfig``
+    holds them; others give delta up to rounding, and an unflagged NaN once
+    2*vartheta overflows (above about 9e307).  Returns ``(delta, marking,
+    analyzer)``: delta has a trailing analyzer axis z = (+1, -1) and sums to 2
+    along it, which is what makes the reconstructed marginals exact.  The
+    boolean masks, shaped like the broadcast angles, mark |cos(theta)| <=
+    SINGULARITY_EPS (where the closed forms raise ``SingularMarking``) and
+    |sin(2*vartheta - theta)| <= SINGULARITY_EPS (``SingularAnalyzer``); delta
+    is NaN under either mask.  theta = 0 takes the same rule; there delta is
+    exactly (1, 1) wherever sin(2*vartheta) is away from 0.
     """
-    theta = _reduce_mod(np.asarray(theta, dtype=float), TWO_PI)
-    vartheta = _reduce_mod(np.asarray(vartheta, dtype=float), math.pi)
+    theta = np.asarray(theta, dtype=float)
+    vartheta = np.asarray(vartheta, dtype=float)
     c = np.cos(theta)
     s2 = np.sin(2.0 * vartheta - theta)
     marking = np.broadcast_to(np.abs(c) <= SINGULARITY_EPS, np.shape(s2))
     analyzer = np.abs(s2) <= SINGULARITY_EPS
     den = np.where(marking | analyzer, np.nan, c * s2)
-    return _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den), marking, analyzer
+    return _delta(theta, vartheta, den), marking, analyzer
 
 
 def _config_delta(config: MarkerConfig) -> np.ndarray:
-    """delta pair of one configuration, bit for bit as ``delta_coefficients`` gives it; raises where its masks flag.
-
-    The same numpy ufuncs in the same order, on Python floats rather than
-    through the broadcasting grid path.
-    """
+    """``delta_coefficients`` for one configuration, on its Python floats without the grid's masks; raises where they flag."""
     theta, vartheta = config.theta, config.vartheta
     c = _nonsingular(np.cos(theta), SingularMarking, "cos(theta)", theta, vartheta)
     s2 = _nonsingular(np.sin(2.0 * vartheta - theta), SingularAnalyzer, "sin(2*vartheta - theta)", theta, vartheta)
-    den = c * s2
-    return _by_outcome(np.sin(2.0 * vartheta) / den, np.sin(2.0 * (vartheta - theta)) / den)
+    return _delta(theta, vartheta, c * s2)
 
 
 def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJoint:
@@ -151,8 +151,7 @@ def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJ
 
     Identical to inverting the measured joint wherever both kernels exist.
     At theta = 0, where the measured route has no mu_Z, delta = (1, 1) gives
-    [1 + z<Z> + x<X>]/4; where sin(2*vartheta) vanishes too it raises
-    ``SingularAnalyzer``, as delta has no limit there.
+    [1 + z<Z> + x<X>]/4.
     """
     pp, pm, mp, mm = _discrete_entries(0.25, _UNIT, _config_delta(config), _UNIT, bloch_from_state(state))
     return DiscreteJoint([[pp, pm], [mp, mm]], kind=QUASI)
@@ -161,9 +160,7 @@ def quasi_joint_closed_form(state: PureState, config: MarkerConfig) -> DiscreteJ
 def quasi_joint_phase_closed_form(state: PureState, config: MarkerConfig) -> PhaseJoint:
     """Reconstructed phase joint [1 + delta(z)(cos(phi)<X> + sin(phi)<Y>) + z<Z>]/(4*pi).
 
-    The phase twin of ``quasi_joint_closed_form``, with the same delta and
-    the same singular rule: at theta = 0 delta(z) = 1 for both z, and
-    sin(2*vartheta) = 0 raises ``SingularAnalyzer``.
+    The phase twin of ``quasi_joint_closed_form``, with the same delta.
     """
     delta = _config_delta(config)
     return PhaseJoint(_phase_table(2.0 * TWO_PI, _UNIT, delta, _UNIT, bloch_from_state(state)), kind=QUASI)

@@ -872,6 +872,14 @@ class TestOptionResolution:
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == (GOLDEN / "operational_discrete.json").read_bytes()
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+    def test_config_file_may_start_with_a_byte_order_mark(self, capsys, tmp_path, bom):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(bom + f"state={TILTED_STATE}\ntheta=0.6\nvartheta=1.1\n".encode())
+        code, out, err = run_cli(capsys, ["operational", "--config", str(config)])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "operational_discrete.json").read_text()
+
     def test_flags_override_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(f"state={TILTED_STATE}\ntheta=0.6\nvartheta=1.1\n")

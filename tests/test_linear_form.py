@@ -149,7 +149,10 @@ class TestExpressionOrder:
         thetas = np.array([theta for theta, _ in angles] + [math.pi / 2] * with_singular)
         varthetas = np.array([vartheta for _, vartheta in angles] + [thetas[0] / 2] * with_singular)
         e = bloch_from_state(state)
-        delta, marking, analyzer = delta_coefficients(thetas[:, None], varthetas[None, :])
+        # the scan reduces each axis as MarkerConfig reduces one configuration's angles
+        reduced_thetas = np.array([MarkerConfig(theta, 0.0).theta for theta in thetas])
+        reduced_varthetas = np.array([MarkerConfig(0.0, vartheta).vartheta for vartheta in varthetas])
+        delta, marking, analyzer = delta_coefficients(reduced_thetas[:, None], reduced_varthetas[None, :])
         expected = np.empty(delta.shape[:2])
         for i, j in np.ndindex(expected.shape):
             entries = [quasi_entry(delta[i, j], e, x, k) for x in OUTCOMES for k in (0, 1)]
@@ -184,8 +187,8 @@ class TestConfigDelta:
 
     @staticmethod
     def assert_matches_the_grid(theta: float, vartheta: float) -> None:
-        delta, marking, analyzer = delta_coefficients(theta, vartheta)
         config = MarkerConfig(theta, vartheta)
+        delta, marking, analyzer = delta_coefficients(config.theta, config.vartheta)
         if marking or analyzer:
             with pytest.raises(SingularMarking if marking else SingularAnalyzer):
                 _config_delta(config)

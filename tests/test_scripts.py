@@ -254,7 +254,7 @@ def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
         "negativity_of, phase", "csv_blocks, 100x100 scan", "csv_blocks, 32768 shots",
         "phase grid, evaluate and render", "phase grid, first at its size", "born_joint_discrete",
         "bloch_from_state", "MarkerConfig(0.7, 1.1)", "gamma_coefficients, one config", "_config_delta, one config",
-        "mu_x_matrix with mu_z_matrix", "invert_joint_discrete", "estimate_quasi_joint, 1e5 shots",
+        "delta_coefficients, one config", "mu_x_matrix with mu_z_matrix", "invert_joint_discrete", "estimate_quasi_joint, 1e5 shots",
         "_phase_blocks, one 32768 block", "_phase_pass, one 32768 block", "invert --mode phase request",
         "pure-Python loop (control)",
     ]
