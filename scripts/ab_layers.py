@@ -17,25 +17,32 @@ routes (the closed forms' ``_config_delta`` and the grid's
 configuration, ``invert_joint_discrete``,
 ``estimate_quasi_joint`` on 100,000-shot counts,
 the phase sampler drawing one 32,768-shot block, the estimator's pass over
-one drawn block, and one whole ``invert --mode phase`` request through
-``cli.main``, its report written to the null device.  The last row is a
-control: a fixed pure-Python loop that runs no quasijoint code, so no
+that block's shots as the tree's sampler yields them, the fused pass that
+draws and sums 2^17 shots, and one whole ``invert --mode phase`` request
+through ``cli.main``, its report written to the null device.  The last row
+is a control: a fixed pure-Python loop that runs no quasijoint code, so no
 change to the package can move it.  A layer's time in a run is the least
 of REPEATS timeit repeats, per call.
 Printed per layer: each tree's median over the rounds, in microseconds, and
 the median of the per-round ratios (this tree's run over the other tree's
 run in the same round), which a change in host load between rounds moves
-less than a ratio of medians.
+less than a ratio of medians.  ``--json PATH`` also writes every row's
+median, min and interquartile range per tree with its paired ratio, beside
+the host's CPU count, the Python and numpy versions and whether each
+tree's src/ held ``__pycache__`` (the subprocesses run with ``-B``, so
+they read cached bytecode but never write it).
 Example:
 
-    python scripts/ab_layers.py --against ../parent --rounds 5
+    python scripts/ab_layers.py --against ../parent --rounds 10 --json BENCH_label.json
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -61,7 +68,8 @@ config = q.MarkerConfig(0.7, 1.1)
 thetas, varthetas = np.linspace(0.0, 1.5707963267948966, 100), np.linspace(0.0, 3.1, 100)
 discrete, phase = q.quasi_joint_closed_form(state, config), q.quasi_joint_phase_closed_form(state, config)
 grid, measured = q.scan_negativity(state, thetas, varthetas), q.operational_joint_phase(state, config)
-phi, z = (block.copy() for block in next(_phase_blocks(measured, 32768, 5)))
+chunks = [(chunk_phi.copy(), chunk_z.copy()) for chunk_phi, chunk_z in _phase_blocks(measured, 32768, 5)]
+phi, z = (np.concatenate(column) for column in zip(*chunks))
 measured_discrete = q.operational_joint_discrete(state, config)
 counts = q.sample_discrete(measured_discrete, 100000, 5)
 invert = ["invert", "--state", "0.6,0,0.64,0.48", "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase"]
@@ -94,7 +102,8 @@ layers = {
     "invert_joint_discrete": (lambda: q.invert_joint_discrete(measured_discrete, config), 1000),
     "estimate_quasi_joint, 1e5 shots": (lambda: q.estimate_quasi_joint(counts, config), 1000),
     "_phase_blocks, one 32768 block": (lambda: deque(_phase_blocks(measured, 32768, 5), 0), 10),
-    "_phase_pass, one 32768 block": (lambda: _phase_pass([(phi, z)]), 10),
+    "_phase_pass, one 32768 block": (lambda: _phase_pass(chunks), 10),
+    "_phase_pass over 2^17 shots": (lambda: _phase_pass(_phase_blocks(measured, 1 << 17, 5)), 3),
     "invert --mode phase request": (request, 100),
     "pure-Python loop (control)": (lambda: sum(i * i for i in range(1000)), 100),
 }
@@ -114,10 +123,21 @@ def run(tree: Path) -> dict[str, float]:
     return json.loads(done.stdout)
 
 
+def spread(values: list[float]) -> dict[str, float]:
+    """Median, least value and interquartile range of one tree's per-round times, in microseconds."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": statistics.median(values) * 1e6, "min": min(values) * 1e6, "iqr": (q3 - q1) * 1e6}
+
+
+def holds_pycache(tree: Path) -> bool:
+    return any((tree / "src").rglob("__pycache__"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, type=Path, help="a source tree holding src/quasijoint")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--json", type=Path, help="also write the rows and the host to this JSON file")
     args = parser.parse_args()
     against = args.against.resolve()
     if not (against / "src" / "quasijoint" / "__init__.py").is_file():
@@ -125,6 +145,9 @@ def main() -> int:
         return 2
     if args.rounds < 1:
         print("error: --rounds must be >= 1", file=sys.stderr)
+        return 2
+    if args.json is not None and not args.json.resolve().parent.is_dir():
+        print(f"error: no directory to write {args.json} into", file=sys.stderr)
         return 2
     trees = (ROOT, against)
     runs = [[], []]  # [tree] -> one {layer: seconds} per round
@@ -134,10 +157,20 @@ def main() -> int:
 
     print(f"{args.rounds} rounds, min of {REPEATS} repeats per run; this tree {ROOT}, against {against}")
     print(f"{'per call, median over rounds':36s} {'this us':>10s} {'against us':>10s} {'ratio':>7s}")
+    rows = []
     for name in runs[0][0]:
         this, other = ([result[name] for result in side] for side in runs)
         ratio = statistics.median(a / b for a, b in zip(this, other))  # paired by round
         print(f"{name:36s} {statistics.median(this) * 1e6:10.2f} {statistics.median(other) * 1e6:10.2f} {ratio:7.3f}")
+        rows.append({"name": name, "unit": "us/call", "rounds": args.rounds, "this": spread(this),
+                     "against": spread(other), "paired_ratio": ratio})
+    if args.json is not None:
+        record = {
+            "rounds": args.rounds, "repeats": REPEATS, "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+            "pycache": {"this": holds_pycache(ROOT), "against": holds_pycache(against)}, "rows": rows,
+        }
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import assume
 
-from quasijoint import MarkerConfig, PhaseDensity, PhaseShots, PureState, ScanGrid, gamma_coefficients
+from quasijoint import MarkerConfig, PhaseDensity, PhaseJoint, PhaseShots, PureState, ScanGrid, gamma_coefficients
 from quasijoint.analysis import _negative_mass
 from quasijoint.marking import JOINT_TOL
+from quasijoint.sampling import _asin, _wrap_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,6 +247,32 @@ class DiscardingSink:
 def written_csv(table) -> bytes:
     """The bytes a file receives from ``table.csv_blocks()``, block by block."""
     return b"".join(table.csv_blocks())
+
+
+def phase_shots_reference(joint: PhaseJoint, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """sample_phase's (phi, z) with one phi cursor: each 2^15-shot block's U1 values, then its U2 values.
+
+    The whole record at once, block by block, with no buffers and no chunks.
+    """
+    z_seq, phi_seq = np.random.SeedSequence(seed).spawn(2)
+    v = np.random.default_rng(z_seq).random(n)
+    phi_rng = np.random.default_rng(phi_seq)
+    rows = joint.table.tolist()
+    w_plus = min(max(TWO_PI * rows[0][0], 0.0), 1.0)
+    share = [min(math.hypot(c_cos, c_sin) / c0, 1.0) if c0 > 0.0 else 0.0 for c0, c_cos, c_sin in rows]
+    minus = v >= w_plus
+    cardioid = (v >= w_plus * (1.0 - share[0])) & (v < w_plus + (1.0 - w_plus) * share[1])
+    phase0 = np.array([math.atan2(c_sin, c_cos) for _, c_cos, c_sin in rows])
+    phi = np.empty(n)
+    for start in range(0, n, 1 << 15):
+        block = slice(start, start + (1 << 15))
+        u1 = phi_rng.random(v[block].size)
+        u2 = phi_rng.random(np.count_nonzero(cardioid[block]))
+        drawn = u1 * TWO_PI
+        u = 2.0 * _asin(np.cos(u2 * TWO_PI) * np.sqrt(u1[cardioid[block]]))
+        drawn[cardioid[block]] = _wrap_phase(u + phase0[minus[block][cardioid[block]].astype(int)])
+        phi[block] = drawn
+    return phi, np.where(minus, -1, 1)
 
 
 def phase_shots_csv_reference(shots: PhaseShots) -> str:

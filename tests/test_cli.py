@@ -32,7 +32,7 @@ from quasijoint import (
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from quasijoint import _table
 from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, SIGNS, Coded, Table
-from quasijoint.sampling import _SAMPLE_BLOCK, _phase_blocks
+from quasijoint.sampling import _SAMPLE_BLOCK, _SAMPLE_CHUNK, _phase_blocks
 from quasijoint.states import PhaseDensity, evaluate_phase_density, phase_grid
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 from helpers import assert_same_text
@@ -786,8 +786,8 @@ class TestReproducibility:
     @pytest.mark.parametrize("shots_out", [False, True])
     @pytest.mark.parametrize("n", [1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7])
     def test_phase_sample_matches_the_library(self, capsys, tmp_path, n, shots_out):
-        # the CLI draws, sums and writes block by block without a record; the
-        # library builds the record and sums it in the same blocks
+        # the CLI draws, sums and writes chunk by chunk without a record; the
+        # library builds the record and sums it in the same chunks
         target = tmp_path / "shots.csv"
         argv = ["sample", "--state", TILTED_STATE, "--theta", "0.6", "--vartheta", "1.1",
                 "--mode", "phase", "--n", str(n), "--seed", "11"]
@@ -809,7 +809,7 @@ class TestReproducibility:
             assert target.read_bytes() == shots.to_csv().encode("ascii")
         start = 0
         for phi, z in _phase_blocks(joint, n, 11):
-            assert phi.size == z.size == min(_SAMPLE_BLOCK, n - start)
+            assert phi.size == z.size == min(_SAMPLE_CHUNK, n - start)  # chunks split each block evenly
             np.testing.assert_array_equal(phi, shots.phi[start : start + phi.size])
             np.testing.assert_array_equal(z, shots.z[start : start + z.size])
             start += phi.size

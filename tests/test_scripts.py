@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import platform
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quasijoint.cli import MAX_SCAN_CELLS, main
@@ -255,8 +258,8 @@ def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
         "phase grid, evaluate and render", "phase grid, first at its size", "born_joint_discrete",
         "bloch_from_state", "MarkerConfig(0.7, 1.1)", "gamma_coefficients, one config", "_config_delta, one config",
         "delta_coefficients, one config", "mu_x_matrix with mu_z_matrix", "invert_joint_discrete", "estimate_quasi_joint, 1e5 shots",
-        "_phase_blocks, one 32768 block", "_phase_pass, one 32768 block", "invert --mode phase request",
-        "pure-Python loop (control)",
+        "_phase_blocks, one 32768 block", "_phase_pass, one 32768 block", "_phase_pass over 2^17 shots",
+        "invert --mode phase request", "pure-Python loop (control)",
     ]
     for this, other, ratio in rows.values():
         assert float(this) > 0.0 and float(other) > 0.0
@@ -272,6 +275,46 @@ def test_ab_layers_ratio_is_the_median_of_per_round_ratios(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(LAYERS_SCRIPT), "--against", str(SCRIPTS.parent), "--rounds", "3"])
     assert namespace["main"]() == 0
     assert capsys.readouterr().out.splitlines()[2].split() == ["layer", "3.00", "1.00", "1.000"]
+
+
+def test_ab_layers_json_records_each_row_and_the_host(monkeypatch, capsys, tmp_path):
+    # the same three rounds as above: this tree 1, 5, 3 and the other 1, 10, 1 microseconds
+    times = iter([1.0, 1.0, 10.0, 5.0, 3.0, 1.0])
+    namespace = runpy.run_path(str(LAYERS_SCRIPT))
+    monkeypatch.setitem(namespace["main"].__globals__, "run", lambda tree: {"layer": next(times) * 1e-6})
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", [str(LAYERS_SCRIPT), "--against", str(SCRIPTS.parent), "--rounds", "3",
+                                      "--json", str(out)])
+    assert namespace["main"]() == 0
+    record = json.loads(out.read_text())
+    assert record["rounds"] == 3 and record["repeats"] == 7
+    assert record["nproc"] >= 1 and record["python"] == platform.python_version()
+    assert record["numpy"] == np.__version__
+    assert set(record["pycache"]) == {"this", "against"} and all(isinstance(v, bool) for v in record["pycache"].values())
+    [row] = record["rows"]
+    assert row["name"] == "layer" and row["unit"] == "us/call" and row["rounds"] == 3
+    # inclusive quartiles: 2 and 4 of (1, 3, 5), 1 and 5.5 of (1, 1, 10)
+    assert row["this"] == pytest.approx({"median": 3.0, "min": 1.0, "iqr": 2.0})
+    assert row["against"] == pytest.approx({"median": 1.0, "min": 1.0, "iqr": 4.5})
+    assert row["paired_ratio"] == pytest.approx(1.0)
+    assert capsys.readouterr().out.splitlines()[2].split() == ["layer", "3.00", "1.00", "1.000"]
+
+
+def test_ab_layers_json_of_one_round_has_no_spread(monkeypatch, capsys, tmp_path):
+    namespace = runpy.run_path(str(LAYERS_SCRIPT))
+    monkeypatch.setitem(namespace["main"].__globals__, "run", lambda tree: {"layer": 2e-6})
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", [str(LAYERS_SCRIPT), "--against", str(SCRIPTS.parent), "--rounds", "1",
+                                      "--json", str(out)])
+    assert namespace["main"]() == 0
+    [row] = json.loads(out.read_text())["rows"]
+    assert row["this"] == row["against"] == pytest.approx({"median": 2.0, "min": 2.0, "iqr": 0.0})
+
+
+def test_ab_layers_script_rejects_a_json_path_without_its_directory(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "missing" / "bench.json"
+    line = run_failing_script(monkeypatch, capsys, LAYERS_SCRIPT, "--against", str(SCRIPTS.parent), "--json", str(out))
+    assert line == f"error: no directory to write {out} into"
 
 
 def test_ab_layers_script_rejects_a_tree_without_the_package(monkeypatch, capsys, tmp_path):
