@@ -16,8 +16,8 @@ routes (the closed forms' ``_config_delta`` and the grid's
 ``delta_coefficients``) and the two inversion kernels of one
 configuration, ``invert_joint_discrete``,
 ``estimate_quasi_joint`` on 100,000-shot counts,
-the phase sampler drawing one 32,768-shot block, the estimator's pass over
-that block's shots as the tree's sampler yields them, the fused pass that
+the phase sampler drawing 32,768 shots, the estimator's pass over those
+shots in the chunks the tree's sampler yields, the fused pass that
 draws and sums 2^17 shots, and one whole ``invert --mode phase`` request
 through ``cli.main``, its report written to the null device.  The last row
 is a control: a fixed pure-Python loop that runs no quasijoint code, so no
@@ -27,7 +27,8 @@ Printed per layer: each tree's median over the rounds, in microseconds, and
 the median of the per-round ratios (this tree's run over the other tree's
 run in the same round), which a change in host load between rounds moves
 less than a ratio of medians.  ``--json PATH`` also writes every row's
-median, min and interquartile range per tree with its paired ratio, beside
+median, min and interquartile range per tree with its paired ratio and the
+inclusive quartiles of the per-round ratios (their spread), beside
 the host's CPU count, the Python and numpy versions and whether each
 tree's src/ held ``__pycache__`` (the subprocesses run with ``-B``, so
 they read cached bytecode but never write it).
@@ -101,8 +102,8 @@ layers = {
     "mu_x_matrix with mu_z_matrix": (lambda: (q.mu_x_matrix(config.theta), q.mu_z_matrix(config)), 1000),
     "invert_joint_discrete": (lambda: q.invert_joint_discrete(measured_discrete, config), 1000),
     "estimate_quasi_joint, 1e5 shots": (lambda: q.estimate_quasi_joint(counts, config), 1000),
-    "_phase_blocks, one 32768 block": (lambda: deque(_phase_blocks(measured, 32768, 5), 0), 10),
-    "_phase_pass, one 32768 block": (lambda: _phase_pass(chunks), 10),
+    "_phase_blocks, 32768 shots": (lambda: deque(_phase_blocks(measured, 32768, 5), 0), 10),
+    "_phase_pass, 32768 shots": (lambda: _phase_pass(chunks), 10),
     "_phase_pass over 2^17 shots": (lambda: _phase_pass(_phase_blocks(measured, 1 << 17, 5)), 3),
     "invert --mode phase request": (request, 100),
     "pure-Python loop (control)": (lambda: sum(i * i for i in range(1000)), 100),
@@ -123,9 +124,15 @@ def run(tree: Path) -> dict[str, float]:
     return json.loads(done.stdout)
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The inclusive first and third quartiles; one value is both."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return [q1, q3]
+
+
 def spread(values: list[float]) -> dict[str, float]:
     """Median, least value and interquartile range of one tree's per-round times, in microseconds."""
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, q3 = quartiles(values)
     return {"median": statistics.median(values) * 1e6, "min": min(values) * 1e6, "iqr": (q3 - q1) * 1e6}
 
 
@@ -136,7 +143,7 @@ def holds_pycache(tree: Path) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, type=Path, help="a source tree holding src/quasijoint")
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--json", type=Path, help="also write the rows and the host to this JSON file")
     args = parser.parse_args()
     against = args.against.resolve()
@@ -160,10 +167,11 @@ def main() -> int:
     rows = []
     for name in runs[0][0]:
         this, other = ([result[name] for result in side] for side in runs)
-        ratio = statistics.median(a / b for a, b in zip(this, other))  # paired by round
+        ratios = [a / b for a, b in zip(this, other)]  # paired by round
+        ratio = statistics.median(ratios)
         print(f"{name:36s} {statistics.median(this) * 1e6:10.2f} {statistics.median(other) * 1e6:10.2f} {ratio:7.3f}")
         rows.append({"name": name, "unit": "us/call", "rounds": args.rounds, "this": spread(this),
-                     "against": spread(other), "paired_ratio": ratio})
+                     "against": spread(other), "paired_ratio": ratio, "paired_ratio_quartiles": quartiles(ratios)})
     if args.json is not None:
         record = {
             "rounds": args.rounds, "repeats": REPEATS, "nproc": len(os.sched_getaffinity(0)),

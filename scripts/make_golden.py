@@ -11,7 +11,9 @@ bits: glibc's FMA variants and its plain ones differ on about 7 in 10,000
 values.  CI regenerates the goldens a third time with those variants off
 (``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4``) and requires the same
 bytes, but the larger outputs pinned in tests/large_outputs.sha256 do change
-there: their digests are glibc's FMA path.
+there: their digests are glibc's FMA path.  The golden phase samples draw 50
+and 500 shots, inside the sampler's first 2^14-shot chunk; the chunk size
+fixes the bits of longer records, such as the pinned 10^6-shot export.
 """
 
 from __future__ import annotations

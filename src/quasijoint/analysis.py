@@ -25,8 +25,6 @@ from quasijoint.inversion import _UNIT, delta_coefficients
 from quasijoint.marking import DiscreteJoint, PhaseJoint, _discrete_entries, _reduce_mod
 from quasijoint.states import OUTCOMES, TWO_PI, PureState, bloch_from_state
 
-SCAN_CSV_HEADER = "theta,vartheta,min_value,flag"
-
 #: below this t = sqrt(A^2 - c0^2) / c0 the negative mass of a phase slice is
 #: summed as a series, with this many terms (truncation below 2e-17 relative)
 _SERIES_BELOW = 0.1
@@ -67,7 +65,7 @@ class ScanGrid:
         index; a flagged cell's NaN minimum leaves its field empty.
         """
         return Table(
-            SCAN_CSV_HEADER.split(","),
+            ("theta", "vartheta", "min_value", "flag"),
             (
                 Coded(self.theta_values, repeat=self.vartheta_values.size),
                 Coded(self.vartheta_values),
@@ -151,10 +149,14 @@ def scan_negativity(
     joint's (x, z) order, so each value equals
     ``negativity_of(quasi_joint_closed_form(...)).min_value`` bit for bit.
     Singular cells (vanishing kernel denominator) are flagged, never raised,
-    so full grids can sweep across the singular lines.
+    so full grids can sweep across the singular lines; a NaN or infinite
+    angle on either axis raises ``ValueError``.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     varthetas = np.asarray(vartheta_grid, dtype=float)
+    for name, values in (("theta", thetas), ("vartheta", varthetas)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} grid angles must be finite, got {float(values[~np.isfinite(values)][0])!r}")
     delta, marking, analyzer = delta_coefficients(_reduce_mod(thetas, TWO_PI)[:, None], _reduce_mod(varthetas, math.pi)[None, :])
     entries = _discrete_entries(0.25, _UNIT, delta, _UNIT, bloch_from_state(state))
     return ScanGrid(

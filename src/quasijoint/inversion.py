@@ -82,10 +82,8 @@ def mu_z_matrix(config: MarkerConfig) -> np.ndarray:
         math.sin(config.theta) * math.sin(2.0 * config.vartheta - config.theta),
         SingularAnalyzer, "sin(theta)*sin(2*vartheta - theta)", config.theta, config.vartheta,
     )
-    sv = math.sin(config.vartheta)
-    cv = math.cos(config.vartheta)
-    sd = math.sin(config.vartheta - config.theta)
-    cd = math.cos(config.vartheta - config.theta)
+    sv, cv = math.sin(config.vartheta), math.cos(config.vartheta)
+    sd, cd = math.sin(config.vartheta - config.theta), math.cos(config.vartheta - config.theta)
     return np.array([[sv * sv / den, -cv * cv / den], [-sd * sd / den, cd * cd / den]])
 
 

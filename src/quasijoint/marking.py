@@ -111,9 +111,7 @@ class DiscreteJoint:
         if abs(total - 1.0) > JOINT_TOL:
             raise ValueError(f"joint sums to {total!r}, must be 1")
         if self.kind == OPERATIONAL and min(values) < -JOINT_TOL:
-            raise ValueError(
-                f"operational joint has negative entry {min(values)!r}"
-            )
+            raise ValueError(f"operational joint has negative entry {min(values)!r}")
 
     def value(self, x: int, z: int) -> float:
         return self.table.item(_outcome_index(x, z))
@@ -180,10 +178,8 @@ def gamma_coefficients(theta, vartheta) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     theta = np.asarray(theta, dtype=float)
     vartheta = np.asarray(vartheta, dtype=float)
-    cd = np.cos(vartheta - theta)
-    sd = np.sin(vartheta - theta)
-    cv = np.cos(vartheta)
-    sv = np.sin(vartheta)
+    cd, sd = np.cos(vartheta - theta), np.sin(vartheta - theta)
+    cv, sv = np.cos(vartheta), np.sin(vartheta)
     return (
         _by_outcome(0.5 * (cd * cd + cv * cv), 0.5 * (sd * sd + sv * sv)),
         _by_outcome(cd * cv, sd * sv),

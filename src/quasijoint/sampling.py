@@ -3,14 +3,11 @@
 Shots are drawn from operational (measured) distributions only; quasi
 joints have negative weights and are rejected.  All randomness flows from
 numpy's PCG64 generator seeded by the caller, so runs are reproducible
-bit-for-bit.  The phase sampler draws each slice exactly, as a mixture of
-a uniform and a shifted cardioid part, with no retry loop: the seed spawns
-one stream for the analyzer outcome and mixture part and one for the
-phase, shots are drawn in fixed blocks, and the arcsine is built from
-correctly rounded operations, so the bits do not depend on which SIMD
-paths numpy picks.  They do depend on the C library's ``cos`` and
-``atan2``: glibc picks FMA variants of ``sin``/``cos`` on CPUs that have
-FMA, and those move last bits, so the pinned digests are glibc's FMA path.
+bit-for-bit.  The phase sampler (``sample_phase``) draws each slice
+exactly, with no retry loop, and its bits do not depend on which SIMD paths
+numpy picks.  They do depend on the C library's ``cos`` and ``atan2``:
+glibc picks FMA variants of ``sin``/``cos`` on CPUs that have FMA, and
+those move last bits, so the pinned digests are glibc's FMA path.
 
 Empirical frequencies pushed through the discrete inversion give an
 estimate of the quasi joint; standard errors are first-order (delta
@@ -43,13 +40,10 @@ from quasijoint.marking import (
 )
 from quasijoint.states import OUTCOMES, TWO_PI, _outcome_index, _read_only_table
 
-#: shots per block of the phi stream: a block's U1 draws come before its U2
-#: draws, so this length is part of every phase shot's bits (and the pinned
-#: digests); it sizes no buffer
-_SAMPLE_BLOCK = 1 << 15
-#: shots drawn, checked and yielded at a time by _phase_blocks, into a few
-#: buffers of this length allocated once; it sets the pass's memory and,
-#: through the per-chunk sums, the estimates' last bits, but not the shots
+#: shots per chunk of _phase_blocks, drawn into a few buffers of this length allocated
+#: once; a chunk's U1 draws come before its U2 draws on the phi stream, so this length
+#: fixes every phase shot's bits (and the pinned digests) and, through the per-chunk
+#: sums, the estimates' last bits
 _SAMPLE_CHUNK = 1 << 14
 #: fdlibm's arcsin on |y| <= 0.5: y + y * P(y*y) / Q(y*y), P and Q in ascending
 #: powers (P without its zero constant term, Q without its leading 1)
@@ -225,17 +219,16 @@ def sample_phase(joint: PhaseJoint, n: int, seed: int) -> PhaseShots:
     phi0 = atan2(c_sin, c_cos), otherwise uniform.  The seed spawns two
     PCG64 streams.  The z stream gives one uniform v per shot, which picks
     both the outcome and the mixture part: [0, 1) is cut into +1 uniform,
-    +1 cardioid, -1 cardioid and -1 uniform, in that order.  For each
-    block of ``_SAMPLE_BLOCK`` shots the phi stream gives one uniform U1 per
-    shot, phi = 2 pi U1 for a uniform shot, and then one uniform U2 per
-    cardioid shot, phi = phi0 + 2 asin(sqrt(U1) cos(2 pi U2)) reduced into
+    +1 cardioid, -1 cardioid and -1 uniform, in that order.  Shots are
+    drawn in chunks of ``_SAMPLE_CHUNK``, so memory beyond the output stays
+    bounded.  For each chunk the phi stream gives one uniform U1 per shot,
+    phi = 2 pi U1 for a uniform shot, and then one uniform U2 per cardioid
+    shot, phi = phi0 + 2 asin(sqrt(U1) cos(2 pi U2)) reduced into
     [0, 2 pi): the abscissa of a uniform point of the unit disk is
-    semicircle distributed, and twice its arcsine is the cardioid.  The
-    shots are drawn ``_SAMPLE_CHUNK`` at a time, so memory beyond the output
-    stays bounded.  phi0 is one ``math.atan2`` per slice, and the per-shot
-    arcsine is ``_asin``, so the bits do not depend on which SIMD paths
-    numpy picks; the C library's ``cos`` and ``atan2`` may still move them
-    (glibc's FMA variants on CPUs with FMA, which the pinned digests assume).
+    semicircle distributed, and twice its arcsine is the cardioid.  phi0 is
+    one ``math.atan2`` per slice and the per-shot arcsine is ``_asin``, so
+    the bits depend on the C library (see the module docstring) but not on
+    which SIMD paths numpy picks.
     """
     _check_draw(joint, n)
     phi, z = np.empty(n), np.empty(n, dtype=np.int64)
@@ -248,14 +241,9 @@ def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.nda
     """The shots of ``sample_phase``, each (phi, z) chunk checked like a record and valid until the next.
 
     Every chunk is drawn into the same buffers; the caller checks joint and n first (``_check_draw``).
-    Two cursors read the phi stream: at each block the U2 cursor starts where the block's U1 draws
-    end, so a chunk takes its U1 values from one and its cardioid shots' U2 values from the other,
-    and the shots equal one cursor's draws of each whole block.
     """
     z_seq, phi_seq = np.random.SeedSequence(seed).spawn(2)
-    z_rng = np.random.default_rng(z_seq)
-    u1_bits, u2_bits = np.random.PCG64(phi_seq), np.random.PCG64(phi_seq)
-    u1_rng, u2_rng = np.random.Generator(u1_bits), np.random.Generator(u2_bits)
+    z_rng, phi_rng = np.random.default_rng(z_seq), np.random.default_rng(phi_seq)
     rows = joint.table.tolist()  # slices z = (+1, -1), each (c0, c_cos, c_sin)
     w_plus = min(max(TWO_PI * rows[0][0], 0.0), 1.0)
     # each slice's cardioid weight A/c0, clipped to [0, 1]
@@ -266,21 +254,18 @@ def _phase_blocks(joint: PhaseJoint, n: int, seed: int) -> Iterator[tuple[np.nda
     # one chunk's draws, and a row that serves the cardioid shots' temporaries before it holds z
     v_buf, u1_buf, u2_buf, phi_buf, z_buf = np.empty((5, min(n, _SAMPLE_CHUNK)))
     minus_buf, cardioid_buf, mask_buf = np.empty((3, phi_buf.size), dtype=bool)
-    for start in range(0, n, _SAMPLE_CHUNK):  # a block holds whole chunks
-        if start % _SAMPLE_BLOCK == 0:  # U1 resumes after the last block's U2 draws, and U2 after this block's U1
-            u1_bits.state = u2_bits.state
-            u2_bits.advance(min(_SAMPLE_BLOCK, n - start))  # one 64-bit output per double
+    for start in range(0, n, _SAMPLE_CHUNK):
         k = min(_SAMPLE_CHUNK, n - start)
         v, u1, phi, minus, cardioid = v_buf[:k], u1_buf[:k], phi_buf[:k], minus_buf[:k], cardioid_buf[:k]
         z_rng.random(out=v)
-        u1_rng.random(out=u1)
+        phi_rng.random(out=u1)
         np.greater_equal(v, w_plus, out=minus)
         np.multiply(u1, TWO_PI, out=phi)
         np.greater_equal(v, cardioid_low, out=cardioid)
         cardioid &= np.less(v, cardioid_high, out=mask_buf[:k])
         m = np.count_nonzero(cardioid)
         if m:  # v is spent, and u1 once its cardioid shots' roots are taken
-            x = u2_rng.random(out=u2_buf[:m])
+            x = phi_rng.random(out=u2_buf[:m])
             x *= TWO_PI
             np.cos(x, out=x)
             x *= np.sqrt(np.compress(cardioid, u1, out=v_buf[:m]), out=v_buf[:m])
@@ -300,18 +285,16 @@ def _phase_pass(
     """Slice counts and ``harmonic_estimates`` of (phi, z) chunks, each summed and then written to ``file`` if given.
 
     Per slice, ``math.fsum`` adds the chunks' ``np.sum`` of cos(phi) and sin(phi), so past one chunk
-    (``_SAMPLE_CHUNK`` shots, 2^14) the last bits depend on the chunking.
+    (``_SAMPLE_CHUNK`` shots) the last bits depend on the chunking.
     """
     counts, sums = [0, 0], ([], [])  # per slice z = (+1, -1): shots, and each chunk's (cos, sin) sums
-    header = True
-    for phi, z in chunks:
+    for i, (phi, z) in enumerate(chunks):
         for k, outcome in enumerate(OUTCOMES):
             phis = phi[z == outcome]
             counts[k] += phis.size
             sums[k].append((float(np.sum(np.cos(phis))), float(np.sum(np.sin(phis)))))
         if file is not None:
-            file.writelines(_shot_table(phi, z).csv_blocks(header))
-            header = False
+            file.writelines(_shot_table(phi, z).csv_blocks(header=not i))
     n = sum(counts)
     if not n:
         raise ValueError("cannot estimate harmonics from an empty shot record (total=0)")
@@ -346,9 +329,8 @@ def harmonic_estimates(shots: PhaseShots) -> np.ndarray:
 
     Returns a read-only (2, 3) float64 array, rows z = (+1, -1) and columns
     (c0, c_cos, c_sin): c0(z) ~ n_z/(2*pi*N), c_cos(z) ~ sum(cos phi_i)/(pi*N)
-    over shots with outcome z, and likewise for sin.  The sums run over
-    chunks of ``_SAMPLE_CHUNK`` (2^14) shots, as ``sample --mode phase``
-    sums them, so past 2^14 shots the last bits depend on that chunking.
+    over shots with outcome z, and likewise for sin.  The sums run over the
+    sampler's chunks, as ``sample --mode phase`` sums them (``_phase_pass``).
     An empty record (total 0) has no estimate and raises ``ValueError``.
     """
     starts = range(0, shots.total, _SAMPLE_CHUNK)

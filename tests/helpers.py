@@ -250,9 +250,9 @@ def written_csv(table) -> bytes:
 
 
 def phase_shots_reference(joint: PhaseJoint, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """sample_phase's (phi, z) with one phi cursor: each 2^15-shot block's U1 values, then its U2 values.
+    """sample_phase's (phi, z): each 2^14-shot block's U1 values from the phi stream, then its U2 values.
 
-    The whole record at once, block by block, with no buffers and no chunks.
+    The whole record at once, block by block, with no buffers.
     """
     z_seq, phi_seq = np.random.SeedSequence(seed).spawn(2)
     v = np.random.default_rng(z_seq).random(n)
@@ -264,8 +264,8 @@ def phase_shots_reference(joint: PhaseJoint, n: int, seed: int) -> tuple[np.ndar
     cardioid = (v >= w_plus * (1.0 - share[0])) & (v < w_plus + (1.0 - w_plus) * share[1])
     phase0 = np.array([math.atan2(c_sin, c_cos) for _, c_cos, c_sin in rows])
     phi = np.empty(n)
-    for start in range(0, n, 1 << 15):
-        block = slice(start, start + (1 << 15))
+    for start in range(0, n, 1 << 14):
+        block = slice(start, start + (1 << 14))
         u1 = phi_rng.random(v[block].size)
         u2 = phi_rng.random(np.count_nonzero(cardioid[block]))
         drawn = u1 * TWO_PI

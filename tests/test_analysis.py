@@ -329,6 +329,16 @@ class TestScanNegativity:
             assert np.array_equal(grid.min_values[~flags], values[~flags])
             assert np.isnan(grid.min_values[flags]).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["theta", "vartheta"])
+    def test_non_finite_angles_are_rejected(self, axis, value):
+        # a NaN angle would leave an unflagged cell without a value, and inf warns in the reduction
+        grids = {"theta": [0.3, 0.8], "vartheta": [0.4, 0.9]}
+        grids[axis] = [0.5, value]
+        with pytest.raises(ValueError, match=rf"^{axis} grid angles must be finite, got {value!r}$"):
+            scan_negativity(PureState(0.6, 0.64 + 0.48j), grids["theta"], grids["vartheta"])
+
     def test_csv_layout(self):
         grid = scan_negativity(PureState(0.6, 0.8), [0.8], [0.4, 0.9])
         lines = grid.to_csv().strip().split("\n")

@@ -32,7 +32,7 @@ from quasijoint import (
 from quasijoint.cli import MAX_PHASE_SHOTS, MAX_PHI_POINTS, MAX_SCAN_CELLS, build_parser, main
 from quasijoint import _table
 from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, SIGNS, Coded, Table
-from quasijoint.sampling import _SAMPLE_BLOCK, _SAMPLE_CHUNK, _phase_blocks
+from quasijoint.sampling import _SAMPLE_CHUNK, _phase_blocks
 from quasijoint.states import PhaseDensity, evaluate_phase_density, phase_grid
 from cli_cases import CASES, REPORT_CASES, TILTED_STATE
 from helpers import assert_same_text
@@ -784,7 +784,7 @@ class TestReproducibility:
         assert target.read_bytes() == sample_phase(joint, n, 11).to_csv().encode("ascii")
 
     @pytest.mark.parametrize("shots_out", [False, True])
-    @pytest.mark.parametrize("n", [1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7])
+    @pytest.mark.parametrize("n", [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7])
     def test_phase_sample_matches_the_library(self, capsys, tmp_path, n, shots_out):
         # the CLI draws, sums and writes chunk by chunk without a record; the
         # library builds the record and sums it in the same chunks
@@ -809,7 +809,7 @@ class TestReproducibility:
             assert target.read_bytes() == shots.to_csv().encode("ascii")
         start = 0
         for phi, z in _phase_blocks(joint, n, 11):
-            assert phi.size == z.size == min(_SAMPLE_CHUNK, n - start)  # chunks split each block evenly
+            assert phi.size == z.size == min(_SAMPLE_CHUNK, n - start)  # every chunk is full but the last
             np.testing.assert_array_equal(phi, shots.phi[start : start + phi.size])
             np.testing.assert_array_equal(z, shots.z[start : start + z.size])
             start += phi.size

@@ -29,7 +29,7 @@ from quasijoint import (
     sample_phase,
 )
 from quasijoint._table import _CSV_BLOCK, _E16_WIDTH, _format_e16
-from quasijoint.sampling import _SAMPLE_BLOCK, _asin, _phase_blocks, _phase_pass, _shot_table, _wrap_phase
+from quasijoint.sampling import _SAMPLE_CHUNK, _asin, _phase_blocks, _phase_pass, _shot_table, _wrap_phase
 from helpers import (
     DiscardingSink,
     assert_same_text,
@@ -222,7 +222,7 @@ class TestPhaseSamplerExactness:
         for density in map(joint.for_z, (1, -1)):
             assert 0.5 < density.amplitude / density.c0 < 0.95
 
-    @pytest.mark.parametrize("n", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1])
     def test_block_edges_replay_and_stay_in_range(self, n):
         joint = operational_joint_phase(*KS_JOINTS["interior"])
         first = sample_phase(joint, n, 8)
@@ -235,16 +235,16 @@ class TestPhaseSamplerExactness:
         assert set(np.unique(first.z).tolist()) == {1, -1}
 
     def test_blocks_are_drawn_in_sequence(self):
-        # the first block's draws do not depend on how many shots follow it
+        # the first chunk's draws do not depend on how many shots follow it
         joint = operational_joint_phase(*KS_JOINTS["interior"])
-        one = sample_phase(joint, _SAMPLE_BLOCK, 8)
-        more = sample_phase(joint, _SAMPLE_BLOCK + 1, 8)
-        np.testing.assert_array_equal(more.phi[:_SAMPLE_BLOCK], one.phi)
-        np.testing.assert_array_equal(more.z[:_SAMPLE_BLOCK], one.z)
+        one = sample_phase(joint, _SAMPLE_CHUNK, 8)
+        more = sample_phase(joint, _SAMPLE_CHUNK + 1, 8)
+        np.testing.assert_array_equal(more.phi[:_SAMPLE_CHUNK], one.phi)
+        np.testing.assert_array_equal(more.z[:_SAMPLE_CHUNK], one.z)
 
-    @pytest.mark.parametrize("n", [(1 << 14) - 1, (1 << 14) + 1, (1 << 15) + (1 << 14) + 3, 3 * (1 << 15) + 7])
-    def test_two_cursors_draw_what_one_cursor_draws(self, n):
-        # chunks inside a block, a block split unevenly and a short last block
+    @pytest.mark.parametrize("n", [_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 5, 6 * _SAMPLE_CHUNK + 7])
+    def test_chunks_draw_what_the_whole_record_draws(self, n):
+        # one short chunk, then full chunks and a short last one: each chunk's U1 draws, then its U2 draws
         joint = operational_joint_phase(*KS_JOINTS["interior"])
         chunks = [(phi.copy(), z.copy()) for phi, z in _phase_blocks(joint, n, 8)]
         phi, z = phase_shots_reference(joint, n, 8)

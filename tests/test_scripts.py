@@ -258,7 +258,7 @@ def test_ab_layers_script_times_every_layer_on_two_trees(monkeypatch, capsys):
         "phase grid, evaluate and render", "phase grid, first at its size", "born_joint_discrete",
         "bloch_from_state", "MarkerConfig(0.7, 1.1)", "gamma_coefficients, one config", "_config_delta, one config",
         "delta_coefficients, one config", "mu_x_matrix with mu_z_matrix", "invert_joint_discrete", "estimate_quasi_joint, 1e5 shots",
-        "_phase_blocks, one 32768 block", "_phase_pass, one 32768 block", "_phase_pass over 2^17 shots",
+        "_phase_blocks, 32768 shots", "_phase_pass, 32768 shots", "_phase_pass over 2^17 shots",
         "invert --mode phase request", "pure-Python loop (control)",
     ]
     for this, other, ratio in rows.values():
@@ -297,6 +297,8 @@ def test_ab_layers_json_records_each_row_and_the_host(monkeypatch, capsys, tmp_p
     assert row["this"] == pytest.approx({"median": 3.0, "min": 1.0, "iqr": 2.0})
     assert row["against"] == pytest.approx({"median": 1.0, "min": 1.0, "iqr": 4.5})
     assert row["paired_ratio"] == pytest.approx(1.0)
+    # inclusive quartiles of the paired ratios 1, 0.5 and 3
+    assert row["paired_ratio_quartiles"] == pytest.approx([0.75, 2.0])
     assert capsys.readouterr().out.splitlines()[2].split() == ["layer", "3.00", "1.00", "1.000"]
 
 
@@ -309,6 +311,7 @@ def test_ab_layers_json_of_one_round_has_no_spread(monkeypatch, capsys, tmp_path
     assert namespace["main"]() == 0
     [row] = json.loads(out.read_text())["rows"]
     assert row["this"] == row["against"] == pytest.approx({"median": 2.0, "min": 2.0, "iqr": 0.0})
+    assert row["paired_ratio"] == row["paired_ratio_quartiles"][0] == row["paired_ratio_quartiles"][1] == 1.0
 
 
 def test_ab_layers_script_rejects_a_json_path_without_its_directory(monkeypatch, capsys, tmp_path):
