@@ -10,7 +10,8 @@ asserted on it downstream.
 
 Singular configurations are rejected before any NaN or Inf can appear, by
 one helper against the one threshold SINGULARITY_EPS.  cos(theta) ~ 0 raises
-SingularMarking on every route (full marking, fringes irrecoverable).
+SingularMarking on every route, marking first (full marking, fringes
+irrecoverable).
 SingularAnalyzer (the analyzer outcomes resolve no path information) has
 one condition per route.  The matrix route (mu_Z, both data inversions)
 needs sin(theta)*sin(2*vartheta - theta) away from 0.  The closed forms
@@ -174,8 +175,8 @@ def invert_joint_phase(joint: PhaseJoint, config: MarkerConfig) -> PhaseJoint:
     """
     if joint.kind != OPERATIONAL:
         raise ValueError("only measured (operational) joints can be inverted")
-    mz = mu_z_matrix(config)
     c = _nonsingular(math.cos(config.theta), SingularMarking, "cos(theta)", config.theta, config.vartheta)
+    mz = mu_z_matrix(config)
     gain = 1.0 / c  # mu_Phi keeps c0, scales both harmonics
     mixed = mz @ joint.table  # rows z = (+1, -1), columns (c0, c_cos, c_sin)
     mixed[:, 1:] *= gain

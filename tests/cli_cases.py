@@ -1,8 +1,11 @@
-"""Canonical CLI invocations shared by the golden-file test and its regenerator.
+"""Canonical CLI invocations shared by the golden-file tests and their regenerator.
 
 Each case pins one subcommand/format combination with fixed seeds; the
-stored outputs live in tests/golden/.  ``files`` maps a path the command
-writes in its working directory to the golden file that freezes it.
+stored outputs live in tests/golden/.  ``stdout`` names the file that
+freezes the command's stdout, and ``files`` maps a path the command writes
+in its working directory to the file that freezes it.  ``LARGE_CASES``
+are pinned by their digests in tests/large_outputs.sha256 instead, and
+their ``stdout`` is None where only a written file is pinned.
 """
 
 # (1, i)/sqrt(2) and (cos pi/8, sin pi/8) as re,im,re,im literals
@@ -344,4 +347,34 @@ REPORT_CASES = [
         "stdout": "scan_flagged.json",
         "files": {},
     },
+]
+
+# Outputs too large to keep as golden files, one each: tests/large_outputs.sha256 pins
+# their sha256 digests, in this order, under the name each one is stored as.  Kept
+# apart from CASES, like REPORT_CASES.
+_LARGE_STATE = ["--state", "0.6,0,0.64,0.48"]
+_SCAN_300 = ["scan", *_LARGE_STATE, "--theta-grid", "0:1.5707963267948966:300", "--vartheta-grid", "0:3.1:300"]
+# negative angles give both coded columns a sign, and 600 flagged cells miss their min_value
+_SCAN_SIGNED = ["scan", *_LARGE_STATE, "--theta-grid=-1.5707963267948966:1.5707963267948966:301", "--vartheta-grid=-3:3:300"]
+
+LARGE_CASES = [
+    {
+        "name": "shots_1e6",
+        "argv": ["sample", *_LARGE_STATE, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase", "--seed", "5",
+                 "--n", "1000000", "--shots-out", "shots.csv"],
+        "stdout": None,
+        "files": {"shots.csv": "shots-1e6.csv"},
+    },
+    {"name": "scan_300x300_csv", "argv": [*_SCAN_300, "--format", "csv"], "stdout": "scan-300x300.csv", "files": {}},
+    {"name": "scan_300x300_json", "argv": [*_SCAN_300, "--format", "json"], "stdout": "scan-300x300.json", "files": {}},
+    {
+        # a phase report whose grid's array boundaries fall inside layout blocks
+        "name": "phase_1e5",
+        "argv": ["invert", *_LARGE_STATE, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase",
+                 "--phi-points", "100000"],
+        "stdout": "phase-1e5.json",
+        "files": {},
+    },
+    {"name": "scan_signed_csv", "argv": [*_SCAN_SIGNED, "--format", "csv"], "stdout": "scan-signed.csv", "files": {}},
+    {"name": "scan_signed_json", "argv": [*_SCAN_SIGNED, "--format", "json"], "stdout": "scan-signed.json", "files": {}},
 ]

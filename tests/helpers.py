@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import hypothesis.strategies as st
 import numpy as np
@@ -218,6 +220,65 @@ def margenau_hill_phase(state: PureState, phi: np.ndarray, t: float = 0.0) -> np
         mh = np.einsum("nij,ji->n", povm, (_IDENTITY + z * SIGMA_Z) / 2 @ rho).real
         rows.append(mh + t * z * (cos * ex + sin * ey) / (2.0 * TWO_PI))
     return np.array(rows)
+
+
+#: significant digits of the decimal references, far beyond float64's 17
+REFERENCE_DIGITS = 50
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    """sin(x) by its Taylor series, the ``sin`` recipe of the ``decimal`` documentation, at the current precision."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_cos(x: Decimal) -> Decimal:
+    """cos(x) by its Taylor series, the ``cos`` recipe of the ``decimal`` documentation, at the current precision."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def delta_reference(theta: float, vartheta: float) -> tuple[Decimal, Decimal]:
+    """(delta(+1), delta(-1)) to ``REFERENCE_DIGITS`` digits, each float64 angle taken as exact.
+
+    sin(2*vartheta)/D and sin(2*vartheta - 2*theta)/D with
+    D = cos(theta)*sin(2*vartheta - theta), every sum and product in
+    decimal arithmetic: the oracle of both delta routes, sharing no code
+    with inversion.py.  The series need no argument reduction for the
+    angles ``MarkerConfig`` holds, |x| < 4*pi, where their largest term
+    costs at most 5 of the digits.
+    """
+    with decimal.localcontext() as context:
+        context.prec = REFERENCE_DIGITS + 5
+        t, v = Decimal(theta), Decimal(vartheta)
+        den = _decimal_cos(t) * _decimal_sin(2 * v - t)
+        pair = (_decimal_sin(2 * v) / den, _decimal_sin(2 * v - 2 * t) / den)
+        context.prec = REFERENCE_DIGITS
+        return +pair[0], +pair[1]
+
+
+def ulp_error(value: float, reference: Decimal) -> float:
+    """|value - reference| in units of ulp(max(1, |reference|)): ulps of the value, or of 1 below 1 in magnitude."""
+    unit = math.ulp(max(1.0, abs(float(reference))))
+    return float(abs(Decimal(value) - reference) / Decimal(unit))
 
 
 def assert_same_text(text: str, expected: str) -> None:

@@ -34,7 +34,7 @@ from quasijoint import _table
 from quasijoint._table import _CSV_BLOCK, _LAYOUT_FROM, SIGNS, Coded, Table
 from quasijoint.sampling import _SAMPLE_CHUNK, _phase_blocks
 from quasijoint.states import PhaseDensity, evaluate_phase_density, phase_grid
-from cli_cases import CASES, REPORT_CASES, TILTED_STATE
+from cli_cases import CASES, LARGE_CASES, REPORT_CASES, TILTED_STATE
 from helpers import assert_same_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,32 +68,18 @@ class TestGoldenFiles:
             for produced, stored in case["files"].items():
                 assert (tmp_path / produced).read_bytes() == (GOLDEN / stored).read_bytes(), case["name"]
 
-    def test_large_outputs_match_their_pinned_digests(self, capsys, tmp_path):
-        # the sha256sum lines of tests/large_outputs.sha256, which CI also checks with sha256sum
+    def test_large_outputs_match_their_pinned_digests(self, capsys, tmp_path, monkeypatch):
+        # the sha256sum lines of tests/large_outputs.sha256, in LARGE_CASES order, as scripts/make_golden.py writes them
+        monkeypatch.chdir(tmp_path)
         lines = (GOLDEN.parent / "large_outputs.sha256").read_text().splitlines()
-        pinned = {name: digest for digest, name in map(str.split, lines)}
-        shots = tmp_path / "shots.csv"
-        state = ["--state", "0.6,0,0.64,0.48"]
-        sample = ["sample", *state, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase", "--seed", "5"]
-        assert run_cli(capsys, [*sample, "--n", "1000000", "--shots-out", str(shots)])[0] == 0
-        produced = {"shots-1e6.csv": shots.read_bytes()}
-        scan = ["scan", *state, "--theta-grid", "0:1.5707963267948966:300", "--vartheta-grid", "0:3.1:300"]
-        for form in ("csv", "json"):
-            code, out, _ = run_cli(capsys, [*scan, "--format", form])
-            assert code == 0
-            produced[f"scan-300x300.{form}"] = out.encode("utf-8")
-        # negative angles give both coded columns a sign, and 600 flagged cells miss their min_value
-        signed = ["scan", *state, "--theta-grid=-1.5707963267948966:1.5707963267948966:301", "--vartheta-grid=-3:3:300"]
-        for form in ("csv", "json"):
-            code, out, _ = run_cli(capsys, [*signed, "--format", form])
-            assert code == 0
-            produced[f"scan-signed.{form}"] = out.encode("utf-8")
-        # a phase report whose grid's array boundaries fall inside layout blocks
-        invert = ["invert", *state, "--theta", "0.7", "--vartheta", "1.1", "--mode", "phase", "--phi-points", "100000"]
-        code, out, _ = run_cli(capsys, invert)
-        assert code == 0
-        produced["phase-1e5.json"] = out.encode("utf-8")
-        assert {name: hashlib.sha256(data).hexdigest() for name, data in produced.items()} == pinned
+        produced = []
+        for case in LARGE_CASES:
+            code, out, err = run_cli(capsys, case["argv"])
+            assert code == 0, err
+            if case["stdout"] is not None:
+                produced.append((case["stdout"], out.encode("utf-8")))
+            produced += [(stored, (tmp_path / path).read_bytes()) for path, stored in case["files"].items()]
+        assert [f"{hashlib.sha256(data).hexdigest()}  {name}" for name, data in produced] == lines
 
     @pytest.mark.parametrize("name", ["exact_basis", "scan_csv"])
     def test_text_only_stdout_gets_the_same_text(self, name):
@@ -879,6 +865,20 @@ class TestOptionResolution:
         code, out, err = run_cli(capsys, ["operational", "--config", str(config)])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "operational_discrete.json").read_text()
+
+    def test_marking_rotated_by_pi_keeps_its_angle_and_flips_the_fringe(self, capsys):
+        # 0.6 + pi is reduced mod 2*pi, not mod pi: its P(x, z) is theta = 0.6's P(-x, z), bit for bit
+        lines, values = {}, {}
+        for theta in ("3.7415926535897933", "0.6"):
+            argv = ["operational", "--state", "0.6,0,0.64,0.48", "--theta", theta, "--vartheta", "1.1", "--format", "csv"]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+            lines[theta] = out.splitlines()
+            rows = lines[theta][lines[theta].index("x,z,value") + 1 :]
+            values[theta] = {(int(x), int(z)): value for x, z, value in (row.split(",") for row in rows)}
+        assert "# theta=3.7415926535897932e+00" in lines["3.7415926535897933"]
+        assert "1,1,5.1608898986466450e-02" in lines["3.7415926535897933"]
+        assert values["3.7415926535897933"] == {(-x, z): value for (x, z), value in values["0.6"].items()}
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

@@ -42,6 +42,7 @@ from quasijoint.inversion import _config_delta
 from helpers import (
     any_configs,
     context_parameter,
+    delta_reference,
     haar_state,
     invertible_config,
     invertible_configs,
@@ -49,6 +50,7 @@ from helpers import (
     margenau_hill_phase,
     mu_phi_kernel,
     pure_states,
+    ulp_error,
     x_response_matrix,
     z_response_matrix,
 )
@@ -533,6 +535,7 @@ class TestNoNonFiniteOutputs:
 TILTED = PureState(COS_PI_8, SIN_PI_8)
 FULL_MARKING = MarkerConfig(math.pi / 2, 0.8)
 NEAR_ANALYZER_LINE = MarkerConfig(0.8, 0.4000000001)  # 2*vartheta - theta is about 2e-10
+BOTH_LINES = MarkerConfig(math.pi / 2, math.pi / 4)  # cos(theta) ~ 6e-17 and 2*vartheta - theta = 0
 
 
 class TestSingularMessages:
@@ -561,6 +564,21 @@ class TestSingularMessages:
         assert float(match.group(1)) == pytest.approx(den, rel=1e-3)
         assert den != 0.0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: invert_joint_discrete(operational_joint_discrete(TILTED, BOTH_LINES), BOTH_LINES),
+            lambda: invert_joint_phase(operational_joint_phase(TILTED, BOTH_LINES), BOTH_LINES),
+            lambda: estimate_quasi_joint(ShotCounts(np.full((2, 2), 250)), BOTH_LINES),
+            lambda: quasi_joint_closed_form(TILTED, BOTH_LINES),
+            lambda: quasi_joint_phase_closed_form(TILTED, BOTH_LINES),
+        ],
+        ids=["discrete-data", "phase-data", "estimate", "closed-form", "phase-closed-form"],
+    )
+    def test_marking_is_checked_first_on_every_route(self, call):
+        with pytest.raises(SingularMarking, match=re.escape("cos(theta) = ")):
+            call()
+
 
 class TestTwoAnalyzerConditions:
     """The matrix route needs sin(theta)*sin(2*vartheta - theta) away from 0; the closed forms only the second factor."""
@@ -583,3 +601,75 @@ class TestTwoAnalyzerConditions:
         ):
             with pytest.raises(SingularAnalyzer, match=re.escape("sin(theta)*sin(2*vartheta - theta)")):
                 call()
+
+
+#: the singular lines that the delta bands straddle, as (axis, value): axis 0 is theta, axis 1 is 2*vartheta - theta
+_DELTA_BANDS = {
+    "theta=pi/2": (0, math.pi / 2),
+    "theta=3pi/2": (0, 3 * math.pi / 2),
+    "2vartheta-theta=-pi": (1, -math.pi),
+    "2vartheta-theta=0": (1, 0.0),
+    "2vartheta-theta=pi": (1, math.pi),
+}
+
+#: the largest error of either delta route on each kind's configurations, in ulp(max(1, |delta|)): the measured
+#: maximum times 1.25, rounded up to two digits and at least 2 ulps above it; never loosened.  At theta = 0 each
+#: entry is x/x, exactly 1.  The bands across 2*vartheta - theta = +-pi lose digits in that float difference before
+#: any formula runs: its rounding, up to ulp(pi)/2, against a distance down to 1e-8
+DELTA_ULPS = {
+    "bulk": 480.0,
+    "theta=pi/2": 550.0,
+    "theta=3pi/2": 170.0,
+    "2vartheta-theta=-pi": 1.9e8,
+    "2vartheta-theta=0": 3.8,
+    "2vartheta-theta=pi": 1.4e8,
+    "theta=0": 0.0,
+}
+
+
+def _lines_near(config: MarkerConfig) -> set[str]:
+    """The bands whose singular line lies within 1e-4 of the configuration."""
+    axes = (config.theta, 2.0 * config.vartheta - config.theta)
+    return {name for name, (axis, line) in _DELTA_BANDS.items() if abs(axes[axis] - line) <= 1e-4}
+
+
+def _delta_configurations(kind: str) -> list[MarkerConfig]:
+    """The fixed configurations of one ``DELTA_ULPS`` kind, from one seed.
+
+    ``bulk`` draws 2000 uniform angles and ``theta=0`` 200 analyzer angles,
+    both kept only away from every line.  A band draws 200 configurations 1e-8
+    to 1e-4 (log-uniform, either side) off its own line, kept only away from
+    the others.
+    """
+    rng = np.random.default_rng(7)
+    n = 2000 if kind == "bulk" else 200
+    theta, vartheta = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, math.pi, n)
+    offset = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-8.0, -4.0, n)
+    if kind == "theta=0":
+        theta = np.zeros(n)
+    elif kind in _DELTA_BANDS:
+        axis, line = _DELTA_BANDS[kind]
+        if axis == 0:
+            theta = line + offset
+        else:  # theta where vartheta = (theta + line)/2 lies in [0, pi)
+            theta = rng.uniform(max(0.0, -line), min(TWO_PI, TWO_PI - line), n)
+            vartheta = (theta + line + offset) / 2.0
+    configs = [MarkerConfig(t, v) for t, v in zip(theta.tolist(), vartheta.tolist())]
+    return [config for config in configs if _lines_near(config) == {kind} & _DELTA_BANDS.keys()]
+
+
+class TestDeltaAgainstDecimal:
+    """Both delta routes against a 50-digit decimal reference that takes each float64 angle as exact."""
+
+    @pytest.mark.parametrize("kind", DELTA_ULPS)
+    def test_ulp_error_is_bounded(self, kind):
+        configs = _delta_configurations(kind)
+        assert len(configs) >= 150
+        grid, marking, analyzer = delta_coefficients([c.theta for c in configs], [c.vartheta for c in configs])
+        assert not (marking | analyzer).any()
+        worst = {"_config_delta": 0.0, "delta_coefficients": 0.0}
+        for config, row in zip(configs, grid):
+            reference = delta_reference(config.theta, config.vartheta)
+            for route, values in (("_config_delta", _config_delta(config)), ("delta_coefficients", row)):
+                worst[route] = max(worst[route], *(ulp_error(float(v), r) for v, r in zip(values, reference)))
+        assert max(worst.values()) <= DELTA_ULPS[kind], worst
